@@ -11,9 +11,10 @@ modes:
   and `pipeline.write_json` is wrapped into a span nested in its pipeline run.
   Per-layer times come from here, so they carry only the span overhead.
 - "counts": spans, plus exact counts of group multiplications, validations and
-  subset cells (wrappers on the context classes and `FiniteSubset`), plus the
-  tracemalloc peak of what each `folner`/`blocks` call allocated.  Both slow
-  the pass several-fold, so no time is taken from it.
+  subset cells (wrappers on the context classes and `FiniteSubset`), plus per
+  span the tracemalloc peak of what that call allocated beyond what was live
+  when it started.  Both slow the pass several-fold, so no time is taken
+  from it.
 
 Spans are kept in memory and handed to the parent process at the end.  No
 module in `src/` knows it is being traced.
@@ -25,7 +26,7 @@ import time
 import tracemalloc
 
 COUNTERS = ("mul_calls", "validate_calls", "subset_cells")
-PEAK_LAYERS = ("folner", "blocks")
+PEAK_LAYERS = ("folner", "blocks")  # modules with a per-layer peak metric
 
 
 class Recorder:
@@ -41,6 +42,7 @@ class Recorder:
         self.spans: list[list] = []
         self.counts = dict.fromkeys(COUNTERS, 0)
         self._stack: list[int] = []
+        self._peaks: list[int] = []  # running traced-memory peak of each open span
         if mode != "plain":
             _wrap_write_json(self)
         if mode == "counts":
@@ -59,18 +61,29 @@ class Recorder:
         index = len(self.spans)
         self.spans.append([f"{name}:{fn.__name__}", start, None,
                            self._stack[-1] if self._stack else None, self.run_id, None])
-        sample = (self.mode == "counts" and name.split(".", 1)[0] in PEAK_LAYERS
-                  and not tracemalloc.is_tracing())
+        sample = self.mode == "counts"
         if sample:
-            tracemalloc.start()
+            if self._peaks:
+                # reset_peak drops the enclosing span's peak so far: keep it
+                base, peak = tracemalloc.get_traced_memory()
+                self._peaks[-1] = max(self._peaks[-1], peak)
+                tracemalloc.reset_peak()
+            else:
+                tracemalloc.start()
+                base = 0
+            self._peaks.append(0)
         self._stack.append(index)
         try:
             return fn(*args)
         finally:
             self._stack.pop()
             if sample:
-                self.spans[index][5] = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
+                peak = max(self._peaks.pop(), tracemalloc.get_traced_memory()[1])
+                self.spans[index][5] = peak - base
+                if self._peaks:
+                    self._peaks[-1] = max(self._peaks[-1], peak)
+                else:
+                    tracemalloc.stop()
             self.last_end = self.spans[index][2] = time.monotonic()
 
     def check(self, name: str, ok: bool) -> None:
