@@ -9,6 +9,7 @@ always detected.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,14 +76,12 @@ def address(ladder: FolnerLadder, v, n: int, m: int) -> CosetAddress:
         raise ValueError(f"need 0 <= n <= m <= {ladder.depth}, got n={n}, m={m}")
     if v not in ladder.levels[m]:
         raise OutOfWindowError(f"{v!r} lies outside level {m}")
-    mul, inv = ladder.ctx.mul, ladder.ctx.inv
+    q = bisect_left(ladder.levels[m].elements, v)
     digits = []
-    cur = v
     for i in range(m - 1, n - 1, -1):
-        c = ladder.digit_map(i)[cur]
-        digits.append(c)
-        cur = mul(inv(c), cur)
-    return CosetAddress(tuple(digits), cur, n, m)
+        j, q = divmod(ladder.glue_order(i)[1][q], len(ladder.levels[i]))
+        digits.append(ladder.glue[i].elements[j])
+    return CosetAddress(tuple(digits), ladder.levels[n].elements[q], n, m)
 
 
 def _ladder_of(obj) -> FolnerLadder:
@@ -273,11 +272,8 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Synde
     base_low = ladder.levels[cylinder.level]
     big = ladder.levels[m].as_set
 
-    visits = []
-    for v in ladder.levels[m]:
-        if all(mul(v, u) in big for u in base_low.elements):
-            if patch.window(v, base_low) == target.symbols:
-                visits.append(v)
+    visits = [v for v in _testable(ladder, cylinder.level, m)
+              if patch.window(v, base_low) == target.symbols]
     visit_set = set(visits)
 
     returns = return_times(h, n, m)

@@ -8,6 +8,7 @@ always placed on the identity coset and never elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DistinctnessError, AugmentationError, InfeasibleError
@@ -36,10 +37,10 @@ class Pattern:
     __slots__ = ("support", "symbols", "_index")
 
     def __init__(self, support: FiniteSubset, symbols: Sequence[int]):
-        symbols = tuple(int(s) for s in symbols)
+        symbols = tuple(map(int, symbols))
         if len(symbols) != len(support):
             raise ValueError(f"{len(support)} cells but {len(symbols)} symbols")
-        if any(s < 0 for s in symbols):
+        if symbols and min(symbols) < 0:
             raise ValueError("symbols must be nonnegative")
         self.support = support
         self.symbols = symbols
@@ -93,10 +94,11 @@ class Assignment:
                     raise ValueError(f"assignment {k} must place block 1 on the identity coset")
                 if c != ident and v < 2:
                     raise ValueError(f"assignment {k} places block {v} on non-identity coset {c!r}")
+        object.__setattr__(self, "_column", {c: j for j, c in enumerate(self.cosets.elements)})
 
     def value(self, k: int, c) -> int:
         """Block index glued at coset c inside output block k."""
-        return self.values[k - 1][self.cosets.elements.index(c)]
+        return self.values[k - 1][self._column[c]]
 
     @property
     def block_count(self) -> int:
@@ -173,38 +175,38 @@ def assignment_from_matrix(mtilde: ManagedMatrix, cosets: FiniteSubset,
     return Assignment(cosets, tuple(final))
 
 
-def assemble_level(
-    family: Sequence[Pattern],
-    cosets: FiniteSubset,
-    assignment: Assignment,
-) -> list[Pattern]:
-    """Glue level-n blocks into level-(n+1) blocks over the glue cosets."""
-    base = family[0].support
+def _assemble(family: Sequence[Pattern], ladder: FolnerLadder, n: int,
+              assignment: Assignment) -> list[Pattern]:
+    """Level-(n+1) blocks: lower blocks concatenated along each assignment
+    row (glue order), then read once in the canonical order of F_{n+1}."""
+    base = ladder.levels[n]
     for b in family:
         if b.support != base:
             raise ValueError("family blocks must share one support window")
-    if assignment.cosets != cosets:
+    if assignment.cosets != ladder.glue[n]:
         raise ValueError("assignment indexed by different cosets")
     for row in assignment.values:
         for v in row:
             if not 1 <= v <= len(family):
                 raise ValueError(f"assignment refers to block {v} but family has {len(family)}")
-    support = product_set(cosets, base, require_unique=True)
-    idx = {g: i for i, g in enumerate(support.elements)}
-    mul = cosets.ctx.mul
-    out: list[Pattern] = []
-    for k in range(1, assignment.block_count + 1):
-        symbols = [0] * len(support)
-        for c, choice in zip(cosets.elements, assignment.values[k - 1]):
-            block = family[choice - 1]
-            for v, s in zip(base.elements, block.symbols):
-                symbols[idx[mul(c, v)]] = s
-        out.append(Pattern(support, symbols))
+    inverse = ladder.glue_order(n)[1]
+    out = []
+    for row in assignment.values:
+        glued = tuple(chain.from_iterable(family[v - 1].symbols for v in row))
+        out.append(Pattern(ladder.levels[n + 1], map(glued.__getitem__, inverse)))
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             if out[i] == out[j]:
                 raise DistinctnessError(f"assembled blocks {i + 1} and {j + 1} coincide")
     return out
+
+
+def assemble_level(family: Sequence[Pattern], cosets: FiniteSubset,
+                   assignment: Assignment) -> list[Pattern]:
+    """Glue level-n blocks into level-(n+1) blocks over the glue cosets."""
+    base = family[0].support
+    support = product_set(cosets, base, require_unique=True)
+    return _assemble(family, FolnerLadder(cosets.ctx, [base, support], [cosets]), 0, assignment)
 
 
 @dataclass(frozen=True)
@@ -339,7 +341,7 @@ def build_hierarchy(ladder: FolnerLadder, matrices: Sequence[ManagedMatrix],
             raise ValueError(f"matrix {n} columns sum to {m.ratio} but |J_{n}| = {len(ladder.glue[n])}")
         assignment = assignment_from_matrix(m, ladder.glue[n])
         assignments.append(assignment)
-        families.append(assemble_level(families[n], ladder.glue[n], assignment))
+        families.append(_assemble(families[n], ladder, n, assignment))
     return BlockHierarchy(ladder, families, assignments)
 
 

@@ -8,6 +8,8 @@ F_{n+1}.  All verification is exact; defects are Fractions.
 from __future__ import annotations
 
 import itertools
+import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -75,7 +77,8 @@ class FolnerLadder:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "glue", glue)
         object.__setattr__(self, "info", info)
-        object.__setattr__(self, "_digit_maps", {})
+        object.__setattr__(self, "_tilings", {})
+        object.__setattr__(self, "_inverses", {})
 
     @property
     def depth(self) -> int:
@@ -88,17 +91,48 @@ class FolnerLadder:
             raise ValueError(f"|F_{n + 1}| = {size_next} is not a multiple of |F_{n}| = {size}")
         return size_next // size
 
-    def digit_map(self, n: int) -> dict:
-        """Map each v in F_{n+1} to the glue digit c in J_n with v in c * F_n."""
-        cached = self._digit_maps.get(n)
-        if cached is None:
-            mul = self.ctx.mul
-            cached = {}
-            for c in self.glue[n]:
-                for f in self.levels[n]:
-                    cached[mul(c, f)] = c
-            self._digit_maps[n] = cached
-        return cached
+    def tiling(self, n: int) -> "array | CongruenceReport":
+        """Glue-order index of F_{n+1} = J_n * F_n, or its first violation.
+
+        Walks c = J_n[j] and f = F_n[i] in canonical order, one product per
+        cell, and returns `order` with order[j * |F_n| + i] the canonical
+        index in F_{n+1} of c * f.  A translate escaping F_{n+1}, an overlap
+        or an uncovered cell comes back as a failed CongruenceReport.
+        """
+        if n in self._tilings:
+            return self._tilings[n]
+        glue, lower, upper = self.glue[n], self.levels[n], self.levels[n + 1]
+        mul = self.ctx.mul
+        where = {g: q for q, g in enumerate(upper.elements)}
+        hit = bytearray(len(upper))
+        order = array("l")
+        for c in glue:
+            for f in lower:
+                x = mul(c, f)
+                q = where.get(x)
+                if q is None:
+                    return CongruenceReport(False, n, "translate-escapes-next-level", (c, f, x))
+                if hit[q]:
+                    prev = glue.elements[order.index(q) // len(lower)]
+                    return CongruenceReport(False, n, "translates-overlap", (prev, c, x))
+                hit[q] = 1
+                order.append(q)
+        if len(order) != len(upper):
+            return CongruenceReport(False, n, "next-level-not-covered", (upper.elements[hit.index(0)],))
+        self._tilings[n] = order
+        return order
+
+    def glue_order(self, n: int) -> tuple[array, array]:
+        """(order, inverse) of a level that tiles, inverse[q] = j * |F_n| + i for
+        the canonical cell q of F_{n+1}; raises NotCosetRepsError otherwise."""
+        order = self.tiling(n)
+        if isinstance(order, CongruenceReport):
+            raise NotCosetRepsError(f"glue {n} does not tile level {n + 1}: {order.reason}")
+        if n not in self._inverses:
+            self._inverses[n] = inverse = array("l", order)
+            for p, q in enumerate(order):
+                inverse[q] = p
+        return order, self._inverses[n]
 
     def to_json(self) -> dict:
         data = {
@@ -176,26 +210,14 @@ def invariance_table(ladder: FolnerLadder, K: FiniteSubset) -> list[InvarianceRe
 def check_congruent(ladder: FolnerLadder) -> CongruenceReport:
     """Verify the congruent-ladder axioms exactly, reporting the first failure."""
     ident = ladder.ctx.identity()
-    mul = ladder.ctx.mul
     if ident not in ladder.levels[0]:
         return CongruenceReport(False, 0, "identity-missing-in-F0", (ident,))
     for n, J in enumerate(ladder.glue):
         if ident not in J:
             return CongruenceReport(False, n, "identity-missing-in-glue", (ident,))
-        target = ladder.levels[n + 1].as_set
-        seen: dict = {}
-        for c in J:
-            for f in ladder.levels[n]:
-                x = mul(c, f)
-                if x not in target:
-                    return CongruenceReport(False, n, "translate-escapes-next-level", (c, f, x))
-                prev = seen.get(x)
-                if prev is not None:
-                    return CongruenceReport(False, n, "translates-overlap", (prev, c, x))
-                seen[x] = c
-        if len(seen) != len(target):
-            missing = min(target - seen.keys())
-            return CongruenceReport(False, n, "next-level-not-covered", (missing,))
+        tiling = ladder.tiling(n)
+        if isinstance(tiling, CongruenceReport):
+            return tiling
     return CongruenceReport(True)
 
 
@@ -321,12 +343,10 @@ class _AbelianOracle:
 
     def _module_for(self, target: list[Fraction]) -> tuple[ZModule, list[int]]:
         # clear denominators jointly so the query becomes integral
-        scale = 1
-        for vec in itertools.chain(self.gen_vecs, self.relations, [target]):
-            for x in vec:
-                scale = scale * x.denominator // _gcd(scale, x.denominator)
+        module = list(itertools.chain(self.gen_vecs, self.relations))
+        scale = math.lcm(*(x.denominator for vec in module + [target] for x in vec))
         zm = ZModule(self.dim)
-        for vec in itertools.chain(self.gen_vecs, self.relations):
+        for vec in module:
             zm.add([int(x * scale) for x in vec])
         return zm, [int(x * scale) for x in target]
 
@@ -340,12 +360,6 @@ class _AbelianOracle:
         vec = _flatten(self.ctx, g)
         zm, scaled = self._module_for(vec)
         return zm.minimal_multiple(scaled)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: int) -> FolnerLadder:

@@ -83,6 +83,21 @@ DEFAULT_CONFIG = {
 }
 
 
+# keys each route's ladder section may carry besides "route" and "depth"
+_ROUTE_KEYS = {"lattice": {"base"}, "pruefer": set(), "abelian": {"generators"},
+               "heisenberg": {"eps_start", "eps_step"}}
+
+
+def _known_keys(section: str, data, allowed) -> dict:
+    """Return data, raising ConfigError unless it is an object with only allowed keys."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be an object, got {data!r}")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
+    return data
+
+
 def heisenberg_targets(depth: int, start=Fraction(1, 2), step=Fraction(2, 3)):
     """Default invariance targets for the composed ladder: a two-direction
     window with geometrically tightening tolerances."""
@@ -112,26 +127,27 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(data: dict, base_dir: Path | str = ".") -> "PipelineConfig":
-        merged = {**DEFAULT_CONFIG, **data}
+        merged = {**DEFAULT_CONFIG, **_known_keys("config", data, DEFAULT_CONFIG)}
         try:
             ctx = context_from_descriptor(merged["group"])
         except (KeyError, MonotileError, ValueError) as e:
             raise ConfigError(f"bad group descriptor: {e}")
         ladder_cfg = merged["ladder"]
-        route = ladder_cfg.get("route")
-        if route not in ("lattice", "pruefer", "abelian", "heisenberg"):
+        route = ladder_cfg.get("route") if isinstance(ladder_cfg, dict) else None
+        if route not in _ROUTE_KEYS:
             raise ConfigError(f"unknown ladder route {route!r}")
+        _known_keys(f"{route} ladder", ladder_cfg, {"route", "depth", *_ROUTE_KEYS[route]})
         depth = ladder_cfg.get("depth")
         if not isinstance(depth, int) or depth < 1:
             raise ConfigError(f"ladder depth must be a positive int, got {depth!r}")
         k0 = merged["k0"]
         if not isinstance(k0, int) or k0 < 3:
             raise ConfigError(f"k0 must be an int >= 3, got {k0!r}")
-        matrices = merged["matrices"]
-        if not (isinstance(matrices, dict) and ("realize" in matrices) ^ ("file" in matrices)):
+        matrices = _known_keys("matrices", merged["matrices"], {"realize", "file"})
+        if ("realize" in matrices) == ("file" in matrices):
             raise ConfigError("matrix source must be exactly one of 'realize' or 'file'")
         if "realize" in matrices:
-            realize = matrices["realize"]
+            realize = _known_keys("realize", matrices["realize"], {"extreme_points", "tolerance"})
             d = realize.get("extreme_points")
             if not isinstance(d, int) or d < 2:
                 raise ConfigError(f"extreme_points must be an int >= 2, got {d!r}")
@@ -151,7 +167,7 @@ class PipelineConfig:
         hierarchy_depth = merged["hierarchy_depth"]
         if not isinstance(hierarchy_depth, int) or hierarchy_depth < 1:
             raise ConfigError(f"hierarchy depth must be a positive int, got {hierarchy_depth!r}")
-        analysis = merged["analysis"]
+        analysis = _known_keys("analysis", merged["analysis"], {"pairs", "kr", "boundary_levels"})
         for key in ("pairs", "kr"):
             for pair in analysis.get(key, []):
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
@@ -165,7 +181,8 @@ class PipelineConfig:
         for lvl in analysis.get("boundary_levels", []):
             if not isinstance(lvl, int) or lvl < 0 or lvl > depth:
                 raise ConfigError(f"boundary level {lvl!r} outside ladder depth {depth}")
-        artifacts = {**DEFAULT_CONFIG["artifacts"], **merged.get("artifacts", {})}
+        artifacts = {**DEFAULT_CONFIG["artifacts"],
+                     **_known_keys("artifacts", merged["artifacts"], DEFAULT_CONFIG["artifacts"])}
         return PipelineConfig(merged["group"], ladder_cfg, k0, matrices, bound,
                               hierarchy_depth, analysis, artifacts, Path(base_dir))
 

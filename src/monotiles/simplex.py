@@ -117,13 +117,14 @@ def approximate_limit(ms: ManagedSequence, n: int, d: int) -> SimplexApproximant
     return SimplexApproximant(n, d, verts)
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over the rationals; None when no unique solution."""
+def _reduce(rows: list[list[Fraction]], rhs: list[Fraction]):
+    """Gauss-Jordan over the rationals: ([rows | rhs] reduced, pivot columns),
+    or None when the system is inconsistent."""
     m, k = len(rows), len(rows[0]) if rows else 0
     aug = [row[:] + [b] for row, b in zip(rows, rhs)]
     pivots = []
-    r = 0
     for col in range(k):
+        r = len(pivots)
         piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
         if piv is None:
             continue
@@ -135,18 +136,18 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][k] != 0:
-            return None  # inconsistent
-    if len(pivots) < k:
-        return None  # underdetermined
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][k]
-    return sol
+    if any(aug[i][k] != 0 for i in range(len(pivots), m)):
+        return None
+    return aug, pivots
+
+
+def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Gaussian elimination over the rationals; None when no unique solution."""
+    k = len(rows[0]) if rows else 0
+    reduced = _reduce(rows, rhs)
+    if reduced is None or len(reduced[1]) < k:
+        return None  # inconsistent or underdetermined
+    return [reduced[0][i][k] for i in range(k)]
 
 
 def _fourier_motzkin_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
@@ -155,39 +156,18 @@ def _fourier_motzkin_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -
     Equalities are reduced first; the surviving nonnegativity constraints on
     the free variables are then eliminated one variable at a time.
     """
-    m = len(rows)
     k = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots: dict[int, list[Fraction]] = {}
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        lead = aug[r][col]
-        aug[r] = [x / lead for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots[col] = None
-        r += 1
-    for i in range(r, m):
-        if aug[i][k] != 0:
-            return False
+    reduced = _reduce(rows, rhs)
+    if reduced is None:
+        return False
+    aug, pivots = reduced
     free = [c for c in range(k) if c not in pivots]
     # express lam_col >= 0 as an inequality over the free variables:
     # sum(coef_f * t_f) <= const  rewritten as (coefs, const) meaning coefs . t <= const
     inequalities: list[tuple[list[Fraction], Fraction]] = []
-    row_of = {}
-    ri = 0
+    row_of = dict(zip(pivots, aug))
     for col in range(k):
-        if col in pivots:
-            row_of[col] = aug[ri]
-            ri += 1
-    for col in range(k):
-        if col in pivots:
+        if col in row_of:
             row = row_of[col]
             coefs = [row[f] for f in free]
             inequalities.append((coefs, row[k]))
@@ -343,10 +323,9 @@ def realize_finite_simplex(num_extreme: int, ladder: FolnerLadder, tolerance) ->
     base_scale = len(ladder.levels[0])
     matrices = []
     diam = Fraction(2 * (d - 1), d * base_scale)
-    depth = 0 if diam <= tolerance else None
     for t in range(ladder.depth):
-        if depth is not None:
-            break
+        if matrices and diam <= tolerance:
+            break  # an approximant needs at least one matrix
         r = ladder.ratio(t)
         if r < d + 1:
             raise InfeasibleError(
@@ -354,21 +333,11 @@ def realize_finite_simplex(num_extreme: int, ladder: FolnerLadder, tolerance) ->
         matrices.append(ManagedMatrix(
             tuple(tuple(r - (d - 1) if i == j else 1 for j in range(d)) for i in range(d))))
         diam *= Fraction(r - d, r)
-        if diam <= tolerance:
-            depth = t + 1
-    if depth is None:
+    if diam > tolerance:
         raise InfeasibleError(
             f"ladder depth {ladder.depth} only reaches cluster diameter {diam} > {tolerance}")
-    if depth == 0:
-        # an approximant needs at least one matrix
-        r = ladder.ratio(0)
-        if r < d + 1:
-            raise InfeasibleError(
-                f"level-0 index ratio {r} too small for {d} extreme points (need >= {d + 1})")
-        matrices.append(ManagedMatrix(
-            tuple(tuple(r - (d - 1) if i == j else 1 for j in range(d)) for i in range(d))))
-        depth = 1
-    seq = ManagedSequence(matrices[:depth], base_scale=base_scale)
+    depth = len(matrices)
+    seq = ManagedSequence(matrices, base_scale=base_scale)
     approx = approximate_limit(seq, 0, depth)
     diams = tail_cluster_diameters(seq, 0, depth)
     return RealizationResult(seq, approx, tuple(diams), depth)
@@ -380,13 +349,14 @@ def incidence_from_hierarchy(h: BlockHierarchy, n: int) -> ManagedMatrix:
         raise ValueError(f"need a level in 0..{h.depth - 1}, got {n}")
     fam_low = h.family(n)
     fam_high = h.family(n + 1)
-    base = fam_low[0].support
+    size = len(fam_low[0].support)
+    order = h.ladder.glue_order(n)[0]
     lookup = {b.symbols: i for i, b in enumerate(fam_low)}
     counts = [[0] * len(fam_high) for _ in fam_low]
     for k, block in enumerate(fam_high):
-        for c in h.ladder.glue[n]:
-            piece = block.window(c, base)
-            i = lookup.get(piece)
+        pieces = tuple(map(block.symbols.__getitem__, order))
+        for j, c in enumerate(h.ladder.glue[n]):
+            i = lookup.get(pieces[j * size:(j + 1) * size])
             if i is None:
                 raise ValueError(f"block {k + 1} carries an unknown level-{n} block at coset {c!r}")
             counts[i][k] += 1

@@ -40,6 +40,33 @@ def test_config_rejects_two_matrix_sources():
                           "file": "mats.json"}})
 
 
+@pytest.mark.parametrize("data", [
+    {"hierarchy_dept": 9},
+    {"ladder": {"route": "lattice", "depth": 4, "bse": 3}},
+    {"group": {"kind": "pruefer", "p": 2}, "ladder": {"route": "pruefer", "depth": 4, "base": 3}},
+    {"ladder": {"route": "heisenberg", "depth": 2, "generators": []}},
+    {"matrices": {"realize": {"extreme_points": 2, "tolerance": "1/100", "tol": "1"}}},
+    {"matrices": {"file": "mats.json", "format": "json"}},
+    {"analysis": {"pairs": [[0, 1]], "kr_pairs": []}},
+    {"artifacts": {"hier": "h.json"}},
+    {"ladder": [5]},
+])
+def test_config_rejects_unknown_keys(data):
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_json(data)
+
+
+def test_config_accepts_every_route_key():
+    for data in [
+        {"ladder": {"route": "lattice", "depth": 4, "base": 5}},
+        {"group": {"kind": "pruefer", "p": 2}, "ladder": {"route": "pruefer", "depth": 4}},
+        {"ladder": {"route": "abelian", "depth": 4, "generators": [[1]]}},
+        {"group": {"kind": "heisenberg3"},
+         "ladder": {"route": "heisenberg", "depth": 2, "eps_start": "1/2", "eps_step": "2/3"}},
+    ]:
+        assert PipelineConfig.from_json({**data, "artifacts": {"report": "r.json"}}).ladder == data["ladder"]
+
+
 def test_config_load_from_file(tmp_path):
     path = tmp_path / "config.json"
     write_json(DEFAULT_CONFIG, path)
