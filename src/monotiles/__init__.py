@@ -5,8 +5,6 @@ them, and exact finite-depth approximants of their invariant-measure simplex.
 from .analysis import (
     CosetAddress,
     CylinderId,
-    KRReport,
-    SyndeticityReport,
     address,
     boundary_mass_bound,
     check_partitions,
@@ -17,7 +15,6 @@ from .analysis import (
 from .blocks import (
     Assignment,
     BlockHierarchy,
-    C3Report,
     Pattern,
     assemble_level,
     assignment_from_matrix,
@@ -25,7 +22,6 @@ from .blocks import (
     base_blocks,
     build_hierarchy,
     verify_c3,
-    x0_patch,
 )
 from .errors import (
     AugmentationError,
@@ -43,7 +39,6 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .folner import (
-    CongruenceReport,
     FolnerLadder,
     InvarianceReport,
     build_abelian_chain_ladder,
@@ -62,6 +57,7 @@ from .folner import (
     right_invariance_defect,
 )
 from .groups import (
+    Certificate,
     Cyclic,
     DirectProduct,
     FiniteExtension,
@@ -90,7 +86,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .simplex import (
-    NestingCertificate,
     RealizationResult,
     SimplexApproximant,
     SimplexPoint,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -82,7 +82,4 @@ class ZModule:
         coords = self.rational_coords(vector)
         if coords is None:
             return None
-        k = 1
-        for c in coords:
-            k = k * c.denominator // gcd(k, c.denominator)
-        return k
+        return lcm(*(c.denominator for c in coords))

@@ -16,13 +16,11 @@ from fractions import Fraction
 from .blocks import BlockHierarchy, Pattern
 from .errors import OutOfWindowError
 from .folner import FolnerLadder, iterated_glue
-from .groups import FiniteSubset
+from .groups import Certificate, FiniteSubset
 
 __all__ = [
     "CosetAddress",
     "CylinderId",
-    "KRReport",
-    "SyndeticityReport",
     "address",
     "return_times",
     "scan_occurrences",
@@ -138,26 +136,7 @@ def predicted_block(h: BlockHierarchy, addr: CosetAddress) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class KRReport:
-    """Tower partition check: tiling exactness plus one refinement step."""
-
-    ok: bool
-    levels: tuple[int, int]
-    interior: int = 0
-    tiles: int = 0
-    refinements: int = 0
-    reason: str | None = None
-    witness: tuple | None = None
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "levels": list(self.levels), "interior": self.interior,
-                "tiles": self.tiles, "refinements": self.refinements,
-                "reason": self.reason,
-                "witness": None if self.witness is None else [repr(w) for w in self.witness]}
-
-
-def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = None) -> KRReport:
+def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = None) -> Certificate:
     """Verify the tower partition properties on the level-m patch.
 
     First part: every interior position (translated level-n window inside
@@ -165,7 +144,8 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
     the claiming pair (offset, block index) matches the address prediction.
     Second part, when m > n + 1: each level-(n+1) tile refines into level-n
     tiles exactly as its assignment prescribes, with block 1 on the
-    identity coset and nowhere else.
+    identity coset and nowhere else.  detail carries levels [n, m] and the
+    interior, tile and refinement counts (zero on failure).
     """
     if not 0 <= n < m <= h.depth:
         raise ValueError(f"need 0 <= n < m <= {h.depth}, got n={n}, m={m}")
@@ -175,7 +155,8 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
 
     occ = _occurrence_map(h, n, m, patch)
     returns = return_times(h, n, m)
-    fail = lambda reason, witness: KRReport(False, (n, m), reason=reason, witness=witness)
+    fail = lambda reason, witness: Certificate.fail(
+        ladder.ctx, reason, witness, levels=[n, m], interior=0, tiles=0, refinements=0)
 
     if set(occ) != returns.as_set:
         off = set(occ) ^ returns.as_set
@@ -195,7 +176,7 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
         addr = address(ladder, v, n, m)
         want = (addr.residual, predicted_block(h, addr))
         if got[0] != want:
-            return fail("claim disagrees with address prediction", (v, got[0], want))
+            return fail("claim disagrees with address prediction", (v, list(got[0]), list(want)))
 
     refinements = 0
     if m > n + 1:
@@ -217,8 +198,8 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
                     return fail("first block must sit exactly on the identity coset", (pos, k_obs))
                 refinements += 1
 
-    return KRReport(True, (n, m), interior=len(interior), tiles=len(returns),
-                    refinements=refinements)
+    return Certificate(True, detail={"levels": [n, m], "interior": len(interior),
+                                     "tiles": len(returns), "refinements": refinements})
 
 
 def boundary_mass_bound(ladder: FolnerLadder, g, n: int) -> Fraction:
@@ -229,36 +210,18 @@ def boundary_mass_bound(ladder: FolnerLadder, g, n: int) -> Fraction:
     return Fraction(sum(1 for f in F if f not in shifted), len(F))
 
 
-@dataclass(frozen=True)
-class SyndeticityReport:
-    """Finite syndeticity mechanism: visits cover the window by one translate."""
-
-    ok: bool
-    levels: tuple[int, int]
-    visits: int = 0
-    covered: bool = False
-    gap_radius: int | None = None
-    reason: str | None = None
-    witness: tuple | None = None
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "levels": list(self.levels), "visits": self.visits,
-                "covered": self.covered, "gap_radius": self.gap_radius,
-                "reason": self.reason,
-                "witness": None if self.witness is None else [repr(w) for w in self.witness]}
-
-
 def _sup_norm(g) -> int:
     return max(abs(c) for c in g) if isinstance(g, tuple) else abs(g)
 
 
-def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> SyndeticityReport:
+def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certificate:
     """Check that visits to the first-block cylinder cover the level-m window.
 
     The cylinder must name block 1 one level below the tiling level n.
     Every tiling position is a visit (each block starts with block 1), and
     the visit translates by F_n must cover F_m.  For integer-lattice groups
-    the largest observed gap radius is reported in the sup norm.
+    the largest observed gap radius is reported in the sup norm.  detail
+    carries levels [n, m], visits, covered and gap_radius.
     """
     if cylinder.block_index != 1:
         raise ValueError("syndeticity mechanism applies to the first-block cylinder")
@@ -275,12 +238,13 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Synde
     visits = [v for v in _testable(ladder, cylinder.level, m)
               if patch.window(v, base_low) == target.symbols]
     visit_set = set(visits)
+    fail = lambda reason, witness: Certificate.fail(
+        ladder.ctx, reason, witness, levels=[n, m], visits=len(visits), covered=False, gap_radius=None)
 
     returns = return_times(h, n, m)
     for r in returns:
         if r not in visit_set:
-            return SyndeticityReport(False, (n, m), visits=len(visits),
-                                     reason="tiling position is not a cylinder visit", witness=(r,))
+            return fail("tiling position is not a cylinder visit", (r,))
 
     base = ladder.levels[n]
     covered = set()
@@ -288,12 +252,11 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Synde
         for u in base:
             covered.add(mul(r, u))
     if not big <= covered:
-        missing = next(iter(big - covered))
-        return SyndeticityReport(False, (n, m), visits=len(visits), covered=False,
-                                 reason="window not covered by visit translates", witness=(missing,))
+        return fail("window not covered by visit translates", (next(iter(big - covered)),))
 
     gap = None
     if ladder.ctx.descriptor().get("kind") == "lattice":
         inv = ladder.ctx.inv
         gap = max(min(_sup_norm(mul(inv(r), v)) for r in visits) for v in ladder.levels[m])
-    return SyndeticityReport(True, (n, m), visits=len(visits), covered=True, gap_radius=gap)
+    return Certificate(True, detail={"levels": [n, m], "visits": len(visits), "covered": True,
+                                     "gap_radius": gap})

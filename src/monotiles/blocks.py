@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .errors import DistinctnessError, AugmentationError, InfeasibleError
 from .folner import FolnerLadder
-from .groups import FiniteSubset, product_set
+from .groups import Certificate, FiniteSubset, product_set
 from .matrices import ManagedMatrix
 
 __all__ = [
@@ -25,9 +25,7 @@ __all__ = [
     "assemble_level",
     "build_hierarchy",
     "verify_c3",
-    "C3Report",
     "augment_matrix",
-    "x0_patch",
 ]
 
 
@@ -209,24 +207,12 @@ def assemble_level(family: Sequence[Pattern], cosets: FiniteSubset,
     return _assemble(family, FolnerLadder(cosets.ctx, [base, support], [cosets]), 0, assignment)
 
 
-@dataclass(frozen=True)
-class C3Report:
-    """Result of the exhaustive overlap-rigidity check at one level."""
-
-    ok: bool
-    witness: tuple | None = None  # (g, k, k') with unexpected agreement
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok,
-                "witness": None if self.witness is None else [repr(w) for w in self.witness]}
-
-
-def verify_c3(family: Sequence[Pattern], ctx=None, window: FiniteSubset | None = None) -> C3Report:
+def verify_c3(family: Sequence[Pattern], ctx=None, window: FiniteSubset | None = None) -> Certificate:
     """Check that block translates never agree on window overlaps.
 
     For every g in the window and every pair (k, k'): agreement of block k
     shifted by g with block k' on the full overlap forces g = identity and
-    k = k'.  Exhaustive and exact.
+    k = k'.  Exhaustive and exact; a failure's witness is [g, k, k'].
     """
     base = family[0].support
     if window is not None and window != base:
@@ -246,8 +232,8 @@ def verify_c3(family: Sequence[Pattern], ctx=None, window: FiniteSubset | None =
                 if g == ident and k == k2:
                     continue
                 if all(vk[mul(g, v)] == vk2[v] for v in overlap):
-                    return C3Report(False, (g, k, k2))
-    return C3Report(True)
+                    return Certificate.fail(ctx, "translated blocks agree on their overlap", (g, k, k2))
+    return Certificate(True)
 
 
 def augment_matrix(m: ManagedMatrix) -> ManagedMatrix:
@@ -343,8 +329,3 @@ def build_hierarchy(ladder: FolnerLadder, matrices: Sequence[ManagedMatrix],
         assignments.append(assignment)
         families.append(_assemble(families[n], ladder, n, assignment))
     return BlockHierarchy(ladder, families, assignments)
-
-
-def x0_patch(h: BlockHierarchy, n: int) -> Pattern:
-    """Level-n window of the distinguished configuration: always block 1."""
-    return h.x0_patch(n)

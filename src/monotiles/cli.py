@@ -16,17 +16,13 @@ from .analysis import (
 )
 from .blocks import BlockHierarchy, Pattern, build_hierarchy, verify_c3
 from .errors import MonotileError, RenderUnsupportedError
-from .folner import (
-    FolnerLadder,
-    check_congruent,
-    folner_defect,
-    invariance_table,
-)
+from .folner import FolnerLadder, check_congruent, invariance_table
 from .groups import FiniteSubset, context_from_descriptor
 from .matrices import ManagedSequence, positivity_horizon, select_subsequence_lemma8
 from .pipeline import (
     DEFAULT_CONFIG,
     PipelineConfig,
+    _defect_table,
     build_ladder_from_config,
     run_pipeline,
     write_json,
@@ -128,12 +124,7 @@ def _cmd_folner(args) -> int:
         elems = [ladder.ctx.decode_json(e) for e in json.loads(args.K)]
         window = FiniteSubset(ladder.ctx, elems)
         rows = [r.to_json() for r in invariance_table(ladder, window)]
-        per_element = {
-            json.dumps(ladder.ctx.encode_json(g)): [
-                str(folner_defect(F, g)) for F in ladder.levels]
-            for g in elems
-        }
-        _print({"window_defects": rows, "element_defects": per_element}, args.format)
+        _print({"window_defects": rows, "element_defects": _defect_table(ladder, elems)}, args.format)
         return 0
     raise MonotileError(f"unknown folner action {args.action!r}")
 
@@ -216,7 +207,7 @@ def _cmd_measures(args) -> int:
         for d in range(1, min(args.d + 1, len(seq) - args.n)):
             cert = check_nesting(seq, args.n, d)
             ok = ok and cert.ok
-            certs.append({"depth": d, "ok": cert.ok, "method": cert.method})
+            certs.append({"depth": d, "ok": cert.ok, "method": cert.detail["method"]})
         _print({"ok": ok, "approximant": approx.to_json(), "nesting": certs}, args.format)
         return 0 if ok else 1
     if args.action == "lemma8":

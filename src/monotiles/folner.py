@@ -21,6 +21,7 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .groups import (
+    Certificate,
     Cyclic,
     DirectProduct,
     FiniteSubset,
@@ -35,7 +36,6 @@ from .groups import (
 
 __all__ = [
     "FolnerLadder",
-    "CongruenceReport",
     "InvarianceReport",
     "right_invariance_defect",
     "folner_defect",
@@ -91,13 +91,13 @@ class FolnerLadder:
             raise ValueError(f"|F_{n + 1}| = {size_next} is not a multiple of |F_{n}| = {size}")
         return size_next // size
 
-    def tiling(self, n: int) -> "array | CongruenceReport":
+    def tiling(self, n: int) -> "array | Certificate":
         """Glue-order index of F_{n+1} = J_n * F_n, or its first violation.
 
         Walks c = J_n[j] and f = F_n[i] in canonical order, one product per
         cell, and returns `order` with order[j * |F_n| + i] the canonical
         index in F_{n+1} of c * f.  A translate escaping F_{n+1}, an overlap
-        or an uncovered cell comes back as a failed CongruenceReport.
+        or an uncovered cell comes back as a failed Certificate.
         """
         if n in self._tilings:
             return self._tilings[n]
@@ -111,14 +111,15 @@ class FolnerLadder:
                 x = mul(c, f)
                 q = where.get(x)
                 if q is None:
-                    return CongruenceReport(False, n, "translate-escapes-next-level", (c, f, x))
+                    return Certificate.fail(self.ctx, "translate-escapes-next-level", (c, f, x), level=n)
                 if hit[q]:
                     prev = glue.elements[order.index(q) // len(lower)]
-                    return CongruenceReport(False, n, "translates-overlap", (prev, c, x))
+                    return Certificate.fail(self.ctx, "translates-overlap", (prev, c, x), level=n)
                 hit[q] = 1
                 order.append(q)
         if len(order) != len(upper):
-            return CongruenceReport(False, n, "next-level-not-covered", (upper.elements[hit.index(0)],))
+            return Certificate.fail(self.ctx, "next-level-not-covered", (upper.elements[hit.index(0)],),
+                                    level=n)
         self._tilings[n] = order
         return order
 
@@ -126,7 +127,7 @@ class FolnerLadder:
         """(order, inverse) of a level that tiles, inverse[q] = j * |F_n| + i for
         the canonical cell q of F_{n+1}; raises NotCosetRepsError otherwise."""
         order = self.tiling(n)
-        if isinstance(order, CongruenceReport):
+        if isinstance(order, Certificate):
             raise NotCosetRepsError(f"glue {n} does not tile level {n + 1}: {order.reason}")
         if n not in self._inverses:
             self._inverses[n] = inverse = array("l", order)
@@ -150,20 +151,6 @@ class FolnerLadder:
         levels = [FiniteSubset(ctx, (ctx.decode_json(e) for e in lv)) for lv in data["levels"]]
         glue = [FiniteSubset(ctx, (ctx.decode_json(e) for e in j)) for j in data["glue"]]
         return FolnerLadder(ctx, levels, glue, data.get("info"))
-
-
-@dataclass(frozen=True)
-class CongruenceReport:
-    """Outcome of check_congruent with the first violation, if any."""
-
-    ok: bool
-    level: int | None = None
-    reason: str | None = None
-    witness: tuple | None = None
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "level": self.level, "reason": self.reason,
-                "witness": None if self.witness is None else [repr(w) for w in self.witness]}
 
 
 @dataclass(frozen=True)
@@ -207,18 +194,19 @@ def invariance_table(ladder: FolnerLadder, K: FiniteSubset) -> list[InvarianceRe
     return [InvarianceReport(n, K, right_invariance_defect(F, K)) for n, F in enumerate(ladder.levels)]
 
 
-def check_congruent(ladder: FolnerLadder) -> CongruenceReport:
-    """Verify the congruent-ladder axioms exactly, reporting the first failure."""
+def check_congruent(ladder: FolnerLadder) -> Certificate:
+    """Verify the congruent-ladder axioms exactly, reporting the first failure
+    and its level in detail["level"]."""
     ident = ladder.ctx.identity()
     if ident not in ladder.levels[0]:
-        return CongruenceReport(False, 0, "identity-missing-in-F0", (ident,))
+        return Certificate.fail(ladder.ctx, "identity-missing-in-F0", (ident,), level=0)
     for n, J in enumerate(ladder.glue):
         if ident not in J:
-            return CongruenceReport(False, n, "identity-missing-in-glue", (ident,))
+            return Certificate.fail(ladder.ctx, "identity-missing-in-glue", (ident,), level=n)
         tiling = ladder.tiling(n)
-        if isinstance(tiling, CongruenceReport):
+        if isinstance(tiling, Certificate):
             return tiling
-    return CongruenceReport(True)
+    return Certificate(True)
 
 
 def iterated_glue(ladder: FolnerLadder, n: int, m: int) -> FiniteSubset:
@@ -279,16 +267,6 @@ def build_pruefer_ladder(p: int, depth: int) -> FolnerLadder:
     return FolnerLadder(ctx, levels, glue)
 
 
-def _flatten_slots(ctx: GroupContext) -> int:
-    if isinstance(ctx, (Cyclic, Pruefer, Rationals)):
-        return 1
-    if isinstance(ctx, Lattice):
-        return ctx.d
-    if isinstance(ctx, DirectProduct):
-        return sum(_flatten_slots(f) for f in ctx.factors)
-    raise UnsupportedGroupError(f"no abelian coordinates for group kind {ctx.kind!r}")
-
-
 def _flatten(ctx: GroupContext, g) -> list[Fraction]:
     if isinstance(ctx, (Cyclic, Pruefer, Rationals)):
         return [Fraction(g)]
@@ -304,7 +282,7 @@ def _flatten(ctx: GroupContext, g) -> list[Fraction]:
 
 def _relation_vectors(ctx: GroupContext) -> list[list[Fraction]]:
     """Vectors spanning the coordinate ambiguity (cyclic orders, Pruefer mod 1)."""
-    dim = _flatten_slots(ctx)
+    dim = len(_flatten(ctx, ctx.identity()))
 
     def walk(c: GroupContext, offset: int, out: list) -> int:
         if isinstance(c, Cyclic):
@@ -337,7 +315,7 @@ class _AbelianOracle:
 
     def __init__(self, ctx: GroupContext, generators: Sequence):
         self.ctx = ctx
-        self.dim = _flatten_slots(ctx)
+        self.dim = len(_flatten(ctx, ctx.identity()))
         self.gen_vecs = [_flatten(ctx, g) for g in generators]
         self.relations = _relation_vectors(ctx)
 
@@ -371,7 +349,7 @@ def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: i
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    _flatten_slots(ctx)  # rejects non-abelian contexts up front
+    _flatten(ctx, ctx.identity())  # rejects non-abelian contexts up front
     ident = ctx.identity()
     mul, inv = ctx.mul, ctx.inv
     levels = [FiniteSubset(ctx, [ident])]

@@ -8,13 +8,14 @@ deterministically within one context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
 
 from .errors import EncodingError, NotCosetRepsError, UnsupportedGroupError
 
 __all__ = [
+    "Certificate",
     "GroupContext",
     "Lattice",
     "Cyclic",
@@ -78,7 +79,28 @@ class GroupContext:
         return f"{type(self).__name__}({self.descriptor()})"
 
 
-class Lattice(GroupContext):
+class _IntTuples(GroupContext):
+    """Shared encoding of groups whose elements are d-tuples of ints."""
+
+    d: int
+
+    def identity(self):
+        return (0,) * self.d
+
+    def validate(self, g) -> None:
+        if not (isinstance(g, tuple) and len(g) == self.d and all(isinstance(a, int) for a in g)):
+            raise EncodingError(f"expected a {self.d}-tuple of ints, got {g!r}")
+
+    def encode_json(self, g):
+        return list(g)
+
+    def decode_json(self, obj):
+        g = tuple(obj) if isinstance(obj, list) else obj
+        self.validate(g)
+        return g
+
+
+class Lattice(_IntTuples):
     """Z^d with componentwise addition; elements are d-tuples of ints."""
 
     kind = "lattice"
@@ -88,29 +110,14 @@ class Lattice(GroupContext):
             raise ValueError(f"lattice rank must be a positive integer, got {d!r}")
         self.d = d
 
-    def identity(self):
-        return (0,) * self.d
-
     def mul(self, g, h):
         return tuple(a + b for a, b in zip(g, h))
 
     def inv(self, g):
         return tuple(-a for a in g)
 
-    def validate(self, g) -> None:
-        if not (isinstance(g, tuple) and len(g) == self.d and all(isinstance(a, int) for a in g)):
-            raise EncodingError(f"expected a {self.d}-tuple of ints, got {g!r}")
-
     def descriptor(self) -> dict:
         return {"kind": "lattice", "d": self.d}
-
-    def encode_json(self, g):
-        return list(g)
-
-    def decode_json(self, obj):
-        g = tuple(obj)
-        self.validate(g)
-        return g
 
 
 class Cyclic(GroupContext):
@@ -140,7 +147,7 @@ class Cyclic(GroupContext):
         return {"kind": "cyclic", "n": self.n}
 
 
-class Heisenberg(GroupContext):
+class Heisenberg(_IntTuples):
     """Discrete Heisenberg group on integer triples.
 
     Product law: (a, b, c) * (a', b', c') = (a + a', b + b', c + c' + a * b').
@@ -148,9 +155,7 @@ class Heisenberg(GroupContext):
     """
 
     kind = "heisenberg3"
-
-    def identity(self):
-        return (0, 0, 0)
+    d = 3
 
     def mul(self, g, h):
         return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
@@ -159,20 +164,8 @@ class Heisenberg(GroupContext):
         a, b, c = g
         return (-a, -b, a * b - c)
 
-    def validate(self, g) -> None:
-        if not (isinstance(g, tuple) and len(g) == 3 and all(isinstance(a, int) for a in g)):
-            raise EncodingError(f"expected an integer triple, got {g!r}")
-
     def descriptor(self) -> dict:
         return {"kind": "heisenberg3"}
-
-    def encode_json(self, g):
-        return list(g)
-
-    def decode_json(self, obj):
-        g = tuple(obj)
-        self.validate(g)
-        return g
 
 
 class Pruefer(GroupContext):
@@ -383,6 +376,8 @@ class FiniteExtension(GroupContext):
 
 def context_from_descriptor(desc: dict) -> GroupContext:
     """Rebuild a context from its JSON descriptor."""
+    if not isinstance(desc, dict):
+        raise UnsupportedGroupError(f"group descriptor must be an object, got {desc!r}")
     kind = desc.get("kind")
     if kind == "lattice":
         return Lattice(desc["d"])
@@ -437,6 +432,45 @@ def standard_generators(ctx: GroupContext) -> list:
         gens = [r for r in ctx.coset_reps if r != ctx.identity()]
         return gens + [g for g in standard_generators(ctx.ambient) if g not in gens]
     raise UnsupportedGroupError(f"no generator family for {ctx!r}")
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Verdict of an exact check, with its first violation when it fails.
+
+    `reason` names the violation and `witness` lists its counterexample;
+    `detail` holds the checker's own keys (levels, counts, method).  Both
+    hold JSON values only, so `to_json` and `from_json` are inverse.
+    """
+
+    ok: bool
+    reason: str | None = None
+    witness: list | None = None
+    detail: dict = field(default_factory=dict)
+
+    @staticmethod
+    def fail(ctx: GroupContext, reason: str, witness, **detail) -> "Certificate":
+        """A failed certificate.  Witness entries that are ints (block
+        indices) stay ints, lists are encoded entry by entry, and anything
+        else is a group element encoded by ctx.encode_json (an int element
+        of a cyclic group encodes to itself)."""
+
+        def encode(w):
+            if isinstance(w, int):
+                return w
+            if isinstance(w, list):
+                return [encode(x) for x in w]
+            return ctx.encode_json(w)
+
+        return Certificate(False, reason, [encode(w) for w in witness], detail)
+
+    def to_json(self) -> dict:
+        return {"ok": self.ok, "reason": self.reason, "witness": self.witness, **self.detail}
+
+    @staticmethod
+    def from_json(data: dict) -> "Certificate":
+        detail = {k: v for k, v in data.items() if k not in ("ok", "reason", "witness")}
+        return Certificate(data["ok"], data["reason"], data["witness"], detail)
 
 
 @dataclass(frozen=True)

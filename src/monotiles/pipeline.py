@@ -98,6 +98,26 @@ def _known_keys(section: str, data, allowed) -> dict:
     return data
 
 
+def _int_at_least(name: str, value, low: int) -> int:
+    """Return value, raising ConfigError unless it is an int (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+    return value
+
+
+def _fraction(name: str, value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad {name} {value!r}: {e}")
+
+
+def _file_name(name: str, value) -> str:
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"{name} must be a non-empty file name, got {value!r}")
+    return value
+
+
 def heisenberg_targets(depth: int, start=Fraction(1, 2), step=Fraction(2, 3)):
     """Default invariance targets for the composed ladder: a two-direction
     window with geometrically tightening tolerances."""
@@ -130,59 +150,62 @@ class PipelineConfig:
         merged = {**DEFAULT_CONFIG, **_known_keys("config", data, DEFAULT_CONFIG)}
         try:
             ctx = context_from_descriptor(merged["group"])
-        except (KeyError, MonotileError, ValueError) as e:
+        except (KeyError, TypeError, MonotileError, ValueError) as e:
             raise ConfigError(f"bad group descriptor: {e}")
         ladder_cfg = merged["ladder"]
         route = ladder_cfg.get("route") if isinstance(ladder_cfg, dict) else None
         if route not in _ROUTE_KEYS:
             raise ConfigError(f"unknown ladder route {route!r}")
         _known_keys(f"{route} ladder", ladder_cfg, {"route", "depth", *_ROUTE_KEYS[route]})
-        depth = ladder_cfg.get("depth")
-        if not isinstance(depth, int) or depth < 1:
-            raise ConfigError(f"ladder depth must be a positive int, got {depth!r}")
-        k0 = merged["k0"]
-        if not isinstance(k0, int) or k0 < 3:
-            raise ConfigError(f"k0 must be an int >= 3, got {k0!r}")
+        depth = _int_at_least("ladder depth", ladder_cfg.get("depth"), 1)
+        if route == "lattice":
+            _int_at_least("lattice base", ladder_cfg.get("base", 3), 3)
+        gens = ladder_cfg.get("generators", [])
+        if not isinstance(gens, list):
+            raise ConfigError(f"abelian generators must be a list, got {gens!r}")
+        for g in gens:
+            try:
+                ctx.decode_json(g)
+            except (TypeError, ValueError, ZeroDivisionError) as e:
+                raise ConfigError(f"bad abelian generator {g!r}: {e}")
+        for key in sorted({"eps_start", "eps_step"} & ladder_cfg.keys()):
+            _fraction(f"heisenberg {key}", ladder_cfg[key])
+        k0 = _int_at_least("k0", merged["k0"], 3)
         matrices = _known_keys("matrices", merged["matrices"], {"realize", "file"})
         if ("realize" in matrices) == ("file" in matrices):
             raise ConfigError("matrix source must be exactly one of 'realize' or 'file'")
         if "realize" in matrices:
             realize = _known_keys("realize", matrices["realize"], {"extreme_points", "tolerance"})
-            d = realize.get("extreme_points")
-            if not isinstance(d, int) or d < 2:
-                raise ConfigError(f"extreme_points must be an int >= 2, got {d!r}")
+            d = _int_at_least("extreme_points", realize.get("extreme_points"), 2)
             if k0 != d + 1:
                 raise ConfigError(f"k0 = {k0} must equal extreme_points + 1 = {d + 1} "
                                   "(augmentation adds one block)")
-            try:
-                tol = Fraction(realize.get("tolerance"))
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bad realize tolerance: {e}")
-            if tol <= 0:
+            if _fraction("realize tolerance", realize.get("tolerance")) <= 0:
                 raise ConfigError("realize tolerance must be positive")
-        try:
-            bound = Fraction(merged["lemma8_bound"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad lemma8 bound: {e}")
-        hierarchy_depth = merged["hierarchy_depth"]
-        if not isinstance(hierarchy_depth, int) or hierarchy_depth < 1:
-            raise ConfigError(f"hierarchy depth must be a positive int, got {hierarchy_depth!r}")
+        else:
+            _file_name("matrices file", matrices["file"])
+        bound = _fraction("lemma8 bound", merged["lemma8_bound"])
+        hierarchy_depth = _int_at_least("hierarchy depth", merged["hierarchy_depth"], 1)
         analysis = _known_keys("analysis", merged["analysis"], {"pairs", "kr", "boundary_levels"})
+        for key in ("pairs", "kr", "boundary_levels"):
+            if not isinstance(analysis.get(key, []), list):
+                raise ConfigError(f"analysis {key} must be a list")
         for key in ("pairs", "kr"):
             for pair in analysis.get(key, []):
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                     raise ConfigError(f"analysis {key} entries must be [n, m] pairs")
-                n, m = pair
-                if not (isinstance(n, int) and isinstance(m, int) and 0 <= n < m):
-                    raise ConfigError(f"analysis pair {pair!r} must satisfy 0 <= n < m")
+                n = _int_at_least(f"analysis {key} level n", pair[0], 0)
+                m = _int_at_least(f"analysis {key} level m", pair[1], n + 1)
                 if m > hierarchy_depth:
                     raise ConfigError(
                         f"analysis level {m} exceeds hierarchy depth {hierarchy_depth}")
         for lvl in analysis.get("boundary_levels", []):
-            if not isinstance(lvl, int) or lvl < 0 or lvl > depth:
+            if _int_at_least("boundary level", lvl, 0) > depth:
                 raise ConfigError(f"boundary level {lvl!r} outside ladder depth {depth}")
         artifacts = {**DEFAULT_CONFIG["artifacts"],
                      **_known_keys("artifacts", merged["artifacts"], DEFAULT_CONFIG["artifacts"])}
+        for key, name in artifacts.items():
+            _file_name(f"{key} artifact", name)
         return PipelineConfig(merged["group"], ladder_cfg, k0, matrices, bound,
                               hierarchy_depth, analysis, artifacts, Path(base_dir))
 
@@ -240,6 +263,12 @@ def write_json(data, path: Path) -> None:
         fh.write("\n")
 
 
+def _defect_table(ladder: FolnerLadder, elements) -> dict:
+    """Per element (keyed by its JSON encoding), the Folner defect of every level."""
+    return {json.dumps(ladder.ctx.encode_json(g)): [str(folner_defect(F, g)) for F in ladder.levels]
+            for g in elements}
+
+
 def build_ladder_from_config(group: dict, ladder_cfg: dict) -> FolnerLadder:
     ctx = context_from_descriptor(group)
     route = ladder_cfg["route"]
@@ -292,14 +321,9 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str = ".",
         ladder = state["ladder"]
         result = check_congruent(ladder)
         if not result.ok:
-            raise _StageFailed(f"congruence fails at level {result.level}: {result.reason}",
+            raise _StageFailed(f"congruence fails at level {result.detail['level']}: {result.reason}",
                                result.to_json())
-        gens = standard_generators(ladder.ctx)
-        defects = {
-            json.dumps(ladder.ctx.encode_json(g)): [str(folner_defect(F, g)) for F in ladder.levels]
-            for g in gens
-        }
-        return {"congruent": True, "defects": defects}
+        return {"congruent": True, "defects": _defect_table(ladder, standard_generators(ladder.ctx))}
 
     def stage_build_matrices() -> dict:
         ladder = state["ladder"]
@@ -396,7 +420,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str = ".",
             cert = check_nesting(seq, 0, d)
             if not cert.ok:
                 raise _StageFailed(f"nesting certificate fails at depth {d}", cert.to_json())
-            certificates.append({"depth": d, "method": cert.method})
+            certificates.append({"depth": d, "method": cert.detail["method"]})
         detail["nesting"] = certificates
         if "realized" in state:
             realized = state["realized"]

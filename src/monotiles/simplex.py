@@ -14,12 +14,12 @@ from typing import Sequence
 from .blocks import BlockHierarchy
 from .errors import InfeasibleError
 from .folner import FolnerLadder
+from .groups import Certificate
 from .matrices import ManagedMatrix, ManagedSequence
 
 __all__ = [
     "SimplexPoint",
     "SimplexApproximant",
-    "NestingCertificate",
     "RealizationResult",
     "push",
     "standard_vertices",
@@ -209,48 +209,35 @@ def hull_contains(outer: Sequence[SimplexPoint], z: SimplexPoint) -> tuple[bool,
     return _fourier_motzkin_feasible(rows, rhs), "fourier-motzkin"
 
 
-@dataclass(frozen=True)
-class NestingCertificate:
-    """Proof that the depth-(d+1) approximant sits inside the depth-d hull."""
-
-    ok: bool
-    level: int
-    depth: int
-    coefficients: tuple
-    method: str
-    witness: int | None = None
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "level": self.level, "depth": self.depth,
-                "coefficients": [[str(c) for c in row] for row in self.coefficients],
-                "method": self.method, "witness": self.witness}
-
-
-def check_nesting(ms: ManagedSequence, n: int, d: int) -> NestingCertificate:
+def check_nesting(ms: ManagedSequence, n: int, d: int) -> Certificate:
     """Certify approximate_limit(n, d+1) lies in the hull of approximate_limit(n, d).
 
     The convex coefficients come from the connecting matrix columns; they
     are verified exactly and then reconfirmed by an independent
-    hull-membership test that never looks at the construction.
+    hull-membership test that never looks at the construction.  detail
+    carries level, depth, method and the coefficients as "p/q" strings; a
+    failure's witness is [j], the inner vertex that breaks the nesting.
     """
     outer = approximate_limit(ms, n, d)
     inner = approximate_limit(ms, n, d + 1)
     link = ms[n + d]
     coeffs = []
     method = "barycentric"
+    fail = lambda reason, j, method: Certificate(
+        False, reason, [j], {"level": n, "depth": d, "method": method, "coefficients": []})
     for j, vertex in enumerate(inner.vertices):
         lam = [Fraction(link.entries[i][j], link.ratio) for i in range(link.rows)]
         combo = [sum(l * v.coordinates[i] for l, v in zip(lam, outer.vertices))
                  for i in range(len(vertex))]
         if tuple(combo) != vertex.coordinates:
-            return NestingCertificate(False, n, d, tuple(), method, witness=j)
+            return fail("vertex is not the matrix combination of the outer vertices", j, method)
         member, how = hull_contains(outer.vertices, vertex)
         if how != "barycentric":
             method = how
         if not member:
-            return NestingCertificate(False, n, d, tuple(), how, witness=j)
-        coeffs.append(tuple(lam))
-    return NestingCertificate(True, n, d, tuple(coeffs), method)
+            return fail("vertex lies outside the outer hull", j, how)
+        coeffs.append([str(c) for c in lam])
+    return Certificate(True, detail={"level": n, "depth": d, "method": method, "coefficients": coeffs})
 
 
 def _near_diagonal_count(m: ManagedMatrix) -> int | None:

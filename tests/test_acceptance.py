@@ -80,7 +80,7 @@ def test_criterion_1_congruence_suite():
     started = time.perf_counter()
     for name, ladder in _ladders().items():
         report = check_congruent(ladder)
-        assert report.ok, f"{name}: {report.reason} at level {report.level}"
+        assert report.ok, f"{name}: {report.reason} at level {report.detail['level']}"
     heis = _ladders()["heisenberg"]
     assert heis.depth == 3
     assert [len(F) for F in heis.levels] == [1, 729, 19683, 59049]

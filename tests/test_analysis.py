@@ -1,10 +1,12 @@
 """Addresses, occurrence scans, tower partitions, and boundary masses."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from monotiles import (
+    Certificate,
     CylinderId,
     ManagedMatrix,
     Pattern,
@@ -90,18 +92,18 @@ def test_check_partitions_passes():
     h = _hierarchy()
     rep = check_partitions(h, 0, 2)
     assert rep.ok
-    assert rep.levels == (0, 2)
-    assert (rep.interior, rep.tiles, rep.refinements) == (9, 9, 9)
+    assert rep.detail["levels"] == [0, 2]
+    assert (rep.detail["interior"], rep.detail["tiles"], rep.detail["refinements"]) == (9, 9, 9)
     rep = check_partitions(h, 1, 3)
     assert rep.ok
-    assert (rep.interior, rep.tiles, rep.refinements) == (25, 9, 9)
+    assert (rep.detail["interior"], rep.detail["tiles"], rep.detail["refinements"]) == (25, 9, 9)
 
 
 def test_check_partitions_adjacent_levels_skip_refinement():
     h = _hierarchy()
     rep = check_partitions(h, 1, 2)
     assert rep.ok
-    assert rep.refinements == 0
+    assert rep.detail["refinements"] == 0
 
 
 def test_check_partitions_rejects_bad_levels():
@@ -147,17 +149,18 @@ def test_syndeticity_window_frozen_values():
     h = _hierarchy()
     rep = syndeticity_window(h, CylinderId(0, 1), 3)
     assert rep.ok
-    assert rep.levels == (1, 3)
-    assert rep.visits == 9
-    assert rep.covered
-    assert rep.gap_radius == 1
+    assert Certificate.from_json(json.loads(json.dumps(rep.to_json()))) == rep
+    assert rep.detail["levels"] == [1, 3]
+    assert rep.detail["visits"] == 9
+    assert rep.detail["covered"]
+    assert rep.detail["gap_radius"] == 1
 
 
 def test_syndeticity_window_higher_cylinder():
     h = _hierarchy()
     rep = syndeticity_window(h, CylinderId(1, 1), 3)
     assert rep.ok
-    assert (rep.visits, rep.covered, rep.gap_radius) == (3, True, 4)
+    assert (rep.detail["visits"], rep.detail["covered"], rep.detail["gap_radius"]) == (3, True, 4)
 
 
 def test_syndeticity_window_rejects_shallow_target():

@@ -14,7 +14,6 @@ from monotiles import (
     build_hierarchy,
     build_lattice_ladder,
     verify_c3,
-    x0_patch,
 )
 from monotiles.errors import AugmentationError, DistinctnessError, InfeasibleError
 
@@ -126,7 +125,7 @@ def test_verify_c3_rejects_constant_block():
     assert not report.ok
     g, k, k2 = report.witness
     assert (k, k2) == (1, 1)
-    assert g != ladder.ctx.identity()
+    assert ladder.ctx.decode_json(g) != ladder.ctx.identity()
 
 
 def test_verify_c3_rejects_duplicate_blocks():
@@ -134,7 +133,7 @@ def test_verify_c3_rejects_duplicate_blocks():
     twin = Pattern(ladder.levels[1], (2, 1, 3))
     report = verify_c3([twin, twin])
     assert not report.ok
-    assert report.witness == (ladder.ctx.identity(), 1, 2)
+    assert report.witness == [ladder.ctx.encode_json(ladder.ctx.identity()), 1, 2]
 
 
 def test_verify_c3_rejects_mismatched_window():
@@ -163,7 +162,7 @@ def test_build_hierarchy_depth_and_supports():
     for n in range(4):
         assert len(h.family(n)) == 3
         assert h.family(n)[0].support == ladder.levels[n]
-    assert x0_patch(h, 1).symbols == (2, 1, 2)
+    assert h.x0_patch(1).symbols == (2, 1, 2)
     assert h.x0_patch(0).symbols == (1,)
 
 

@@ -94,13 +94,13 @@ def test_check_congruent_reports_identity_missing_in_f0():
 def test_check_congruent_reports_identity_missing_in_glue():
     ladder = build_lattice_ladder(1, 2)
     report = check_congruent(_with_glue(ladder, 0, [(-1,), (1,)]))
-    assert (report.ok, report.level, report.reason) == (False, 0, "identity-missing-in-glue")
+    assert (report.ok, report.detail["level"], report.reason) == (False, 0, "identity-missing-in-glue")
 
 
 def test_check_congruent_reports_escape():
     ladder = build_lattice_ladder(1, 2)
     report = check_congruent(_with_glue(ladder, 1, [(0,), (3,), (9,)]))
-    assert (report.ok, report.level, report.reason) == (False, 1, "translate-escapes-next-level")
+    assert (report.ok, report.detail["level"], report.reason) == (False, 1, "translate-escapes-next-level")
 
 
 def test_check_congruent_reports_overlap():
@@ -113,7 +113,7 @@ def test_check_congruent_reports_coverage_gap():
     ladder = build_lattice_ladder(1, 2)
     report = check_congruent(_with_glue(ladder, 1, [(-3,), (0,)]))
     assert (report.ok, report.reason) == (False, "next-level-not-covered")
-    assert report.witness == ((2,),)
+    assert report.witness == [[2]]
 
 
 def test_iterated_glue_tiles_levels():

@@ -1,11 +1,13 @@
 """Scaled simplex points, nesting certificates, and simplex realization."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from monotiles import (
+    Certificate,
     ManagedMatrix,
     ManagedSequence,
     SimplexPoint,
@@ -104,10 +106,12 @@ def test_check_nesting_to_depth_six():
     for d in range(1, 7):
         cert = check_nesting(ms, 0, d)
         assert cert.ok
-        assert cert.method == "barycentric"
-        assert (cert.level, cert.depth) == (0, d)
+        assert Certificate.from_json(json.loads(json.dumps(cert.to_json()))) == cert
+        assert cert.detail["method"] == "barycentric"
+        assert (cert.detail["level"], cert.detail["depth"]) == (0, d)
         # construction coefficients are the matrix columns over the ratio
-        for coeffs in cert.coefficients:
+        for row in cert.detail["coefficients"]:
+            coeffs = [Fraction(c) for c in row]
             assert sum(coeffs) == 1
             assert all(c >= 0 for c in coeffs)
 

@@ -1,9 +1,15 @@
 """Pipeline configuration validation, staging, and artifact determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monotiles
 from monotiles import PipelineConfig, run_pipeline
 from monotiles.errors import ConfigError
 from monotiles.pipeline import DEFAULT_CONFIG, STAGES, heisenberg_targets, write_json
@@ -56,6 +62,37 @@ def test_config_rejects_unknown_keys(data):
         PipelineConfig.from_json(data)
 
 
+MALFORMED = [
+    {"group": [1]},
+    {"ladder": {"route": "abelian", "depth": 3, "generators": 5}},
+    {"ladder": {"route": "lattice", "depth": 3, "base": "5"}},
+    {"artifacts": {"ladder": 5}},
+    {"ladder": {"route": "lattice", "depth": True}, "analysis": {"boundary_levels": [0]}},
+    {"ladder": {"route": "abelian", "depth": 3, "generators": [5]}},
+    {"group": {"kind": "heisenberg3"}, "ladder": {"route": "heisenberg", "depth": 2, "eps_start": [1]}},
+    {"lemma8_bound": "1/0"},
+    {"matrices": {"file": 5}},
+    {"analysis": {"pairs": 5}},
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED)
+def test_config_rejects_malformed_values(data):
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_json(data)
+
+
+def test_cli_rejects_malformed_config_without_traceback(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(MALFORMED[0]))
+    env = {**os.environ, "PYTHONPATH": str(Path(monotiles.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "monotiles", "--out", str(tmp_path / "out"),
+                           "pipeline", "run", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_config_accepts_every_route_key():
     for data in [
         {"ladder": {"route": "lattice", "depth": 4, "base": 5}},
@@ -101,6 +138,22 @@ def test_run_pipeline_is_byte_deterministic(tmp_path):
     run_pipeline(PipelineConfig.from_json({}), b)
     for name in ("ladder.json", "matrices.json", "hier.json", "report.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# sha256 of the default-config artifacts; any change to their bytes is a
+# format change and must be made on purpose
+DEFAULT_DIGESTS = {
+    "ladder.json": "2e8ee4f173f0b6d58510cd615fd84144247dbf944e2686f82aef8bd3ec954c99",
+    "matrices.json": "afb886aefa74fd6d50d690a7db654b3d94099679d9a40a23a2751ab91e365f4a",
+    "hier.json": "140d5157526b9916d5ddd020e6653ca5253083d75f0fad6b5f6bf6e39949e49d",
+    "report.json": "8daa915534c3ed85abf1601fdf4e5ec4b0cf91182d0b14b56021b0dc2bee94d7",
+}
+
+
+def test_default_artifacts_match_pinned_digests(tmp_path):
+    assert run_pipeline(PipelineConfig.from_json({}), tmp_path).ok
+    for name, digest in DEFAULT_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_pipeline_failure_marks_remaining_skipped(tmp_path):

@@ -1,11 +1,14 @@
 """Glue-order tiling index against per-cell reference implementations.
 
-Blocks, incidence recounts, addresses and congruence reports all read the
-cached `FolnerLadder.tiling` permutation.  Each property here compares one
-of them with the direct per-cell computation (one group product and one
+Blocks, incidence recounts, addresses and congruence certificates all read
+the cached `FolnerLadder.tiling` permutation.  Each property here compares
+one of them with the direct per-cell computation (one group product and one
 dict lookup per cell) on small Z, Z^2, Pruefer-2 and Heisenberg ladders.
+Failed certificates must also survive a JSON round trip with decodable
+witnesses.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,6 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from monotiles import (
     Assignment,
     BlockHierarchy,
+    Certificate,
     FiniteSubset,
     FolnerLadder,
     Lattice,
@@ -28,11 +32,12 @@ from monotiles import (
     build_lattice_ladder,
     build_pruefer_ladder,
     check_congruent,
+    check_partitions,
     group_ladder,
     incidence_from_hierarchy,
+    verify_c3,
 )
 from monotiles.errors import DistinctnessError, NotCosetRepsError
-from monotiles.folner import CongruenceReport
 from monotiles.groups import product_set
 from monotiles.pipeline import heisenberg_targets
 
@@ -83,29 +88,42 @@ def reference_assemble(family, cosets, assignment):
     return out
 
 
-def reference_check_congruent(ladder):
-    """Per-cell congruence check with a dict of seen cells."""
+def reference_violation(ladder):
+    """Per-cell congruence check with a dict of seen cells: the first
+    violation as (level, reason, raw witness elements), or None."""
     ident = ladder.ctx.identity()
     mul = ladder.ctx.mul
     if ident not in ladder.levels[0]:
-        return CongruenceReport(False, 0, "identity-missing-in-F0", (ident,))
+        return 0, "identity-missing-in-F0", (ident,)
     for n, J in enumerate(ladder.glue):
         if ident not in J:
-            return CongruenceReport(False, n, "identity-missing-in-glue", (ident,))
+            return n, "identity-missing-in-glue", (ident,)
         target = ladder.levels[n + 1].as_set
         seen = {}
         for c in J:
             for f in ladder.levels[n]:
                 x = mul(c, f)
                 if x not in target:
-                    return CongruenceReport(False, n, "translate-escapes-next-level", (c, f, x))
+                    return n, "translate-escapes-next-level", (c, f, x)
                 prev = seen.get(x)
                 if prev is not None:
-                    return CongruenceReport(False, n, "translates-overlap", (prev, c, x))
+                    return n, "translates-overlap", (prev, c, x)
                 seen[x] = c
         if len(seen) != len(target):
-            return CongruenceReport(False, n, "next-level-not-covered", (min(target - seen.keys()),))
-    return CongruenceReport(True)
+            return n, "next-level-not-covered", (min(target - seen.keys()),)
+    return None
+
+
+def reference_check_congruent(ladder) -> Certificate:
+    found = reference_violation(ladder)
+    if found is None:
+        return Certificate(True)
+    n, reason, witness = found
+    return Certificate.fail(ladder.ctx, reason, witness, level=n)
+
+
+def round_trip(cert: Certificate) -> Certificate:
+    return Certificate.from_json(json.loads(json.dumps(cert.to_json())))
 
 
 def reference_address(ladder, maps, v, n, m):
@@ -131,8 +149,8 @@ def draw_matrix(data, rows: int, ratio: int) -> ManagedMatrix:
     return ManagedMatrix([[col[i] for col in columns] for i in range(rows)])
 
 
-def draw_hierarchy(data):
-    ladder = ladder_of(data.draw(ladder_kinds))
+def draw_hierarchy(data, kinds=ladder_kinds):
+    ladder = ladder_of(data.draw(kinds))
     rows = data.draw(st.integers(3, 4))
     matrices = []
     for n in range(ladder.depth):
@@ -215,7 +233,35 @@ def corrupt(ladder: FolnerLadder, kind: str, data) -> FolnerLadder:
 @given(ladder_kinds, st.data())
 def test_check_congruent_reports_first_violation_like_per_cell_loop(kind, data):
     broken = corrupt(ladder_of(kind), kind, data)
-    assert check_congruent(broken) == reference_check_congruent(broken)
+    cert = check_congruent(broken)
+    assert cert == reference_check_congruent(broken)
+    assert round_trip(cert) == cert
+    found = reference_violation(broken)
+    decoded = [broken.ctx.decode_json(w) for w in cert.witness or []]
+    assert decoded == (list(found[2]) if found else [])
+
+
+@PROPERTY
+@given(st.data())
+def test_partition_and_c3_certificates_round_trip(data):
+    # Heisenberg windows make the exhaustive checks too slow for a property
+    h, _ = draw_hierarchy(data, st.sampled_from(["pruefer2", "z", "z2"]))
+    ctx = h.ladder.ctx
+    passed = check_partitions(h, 0, h.depth)
+    assert passed.ok and round_trip(passed) == passed
+    patch = h.x0_patch(h.depth)
+    symbols = list(patch.symbols)
+    symbols[data.draw(st.integers(0, len(symbols) - 1))] += 1
+    flipped = check_partitions(h, 0, h.depth, Pattern(patch.support, symbols))
+    assert not flipped.ok and round_trip(flipped) == flipped
+    assert ctx.decode_json(flipped.witness[0]) in patch.support
+    level = data.draw(st.integers(0, h.depth - 1))
+    family = h.family(level)
+    k = data.draw(st.integers(0, len(family) - 1))
+    twin = verify_c3(family + [family[k]])
+    assert twin == Certificate.fail(ctx, "translated blocks agree on their overlap",
+                                    (ctx.identity(), k + 1, len(family) + 1))
+    assert round_trip(twin) == twin
 
 
 def test_every_violation_reason_is_reached():
@@ -229,7 +275,7 @@ def test_every_violation_reason_is_reached():
     for reason, (lower, upper) in cases.items():
         broken = FolnerLadder(ctx, [ladder.levels[0], lower, upper], ladder.glue)
         report = check_congruent(broken)
-        assert (report.reason, report.level) == (reason, 1)
+        assert (report.reason, report.detail["level"]) == (reason, 1)
         assert report == reference_check_congruent(broken)
         with pytest.raises(NotCosetRepsError):
             broken.glue_order(1)
