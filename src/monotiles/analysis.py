@@ -16,7 +16,7 @@ from fractions import Fraction
 from .blocks import BlockHierarchy, Pattern
 from .errors import OutOfWindowError
 from .folner import FolnerLadder, iterated_glue
-from .groups import Certificate, FiniteSubset
+from .groups import Certificate, FiniteSubset, Lattice
 
 __all__ = [
     "CosetAddress",
@@ -210,10 +210,6 @@ def boundary_mass_bound(ladder: FolnerLadder, g, n: int) -> Fraction:
     return Fraction(sum(1 for f in F if f not in shifted), len(F))
 
 
-def _sup_norm(g) -> int:
-    return max(abs(c) for c in g) if isinstance(g, tuple) else abs(g)
-
-
 def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certificate:
     """Check that visits to the first-block cylinder cover the level-m window.
 
@@ -255,8 +251,8 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certi
         return fail("window not covered by visit translates", (next(iter(big - covered)),))
 
     gap = None
-    if ladder.ctx.descriptor().get("kind") == "lattice":
+    if isinstance(ladder.ctx, Lattice):
         inv = ladder.ctx.inv
-        gap = max(min(_sup_norm(mul(inv(r), v)) for r in visits) for v in ladder.levels[m])
+        gap = max(min(max(map(abs, mul(inv(r), v))) for r in visits) for v in ladder.levels[m])
     return Certificate(True, detail={"levels": [n, m], "visits": len(visits), "covered": True,
                                      "gap_radius": gap})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DistinctnessError, AugmentationError, InfeasibleError
 from .folner import FolnerLadder

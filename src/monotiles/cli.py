@@ -17,11 +17,12 @@ from .analysis import (
 from .blocks import BlockHierarchy, Pattern, build_hierarchy, verify_c3
 from .errors import MonotileError, RenderUnsupportedError
 from .folner import FolnerLadder, check_congruent, invariance_table
-from .groups import FiniteSubset, context_from_descriptor
+from .groups import FiniteSubset, Lattice, context_from_descriptor
 from .matrices import ManagedSequence, positivity_horizon, select_subsequence_lemma8
 from .pipeline import (
     DEFAULT_CONFIG,
     PipelineConfig,
+    _ROUTE_KINDS,
     _defect_table,
     build_ladder_from_config,
     run_pipeline,
@@ -41,12 +42,11 @@ def render_pattern(p: Pattern, mode: str = "text") -> str:
         return json.dumps(p.to_json(), sort_keys=True, separators=(",", ":"))
     if mode != "text":
         raise ValueError(f"unknown render mode {mode!r}")
-    desc = p.support.ctx.descriptor()
-    if desc.get("kind") != "lattice" or desc.get("d") not in (1, 2):
-        raise RenderUnsupportedError(
-            f"text rendering needs a rank-1 or rank-2 lattice, got {desc}")
+    ctx = p.support.ctx
+    if not isinstance(ctx, Lattice) or ctx.d not in (1, 2):
+        raise RenderUnsupportedError(f"text rendering needs a rank-1 or rank-2 lattice, got {ctx!r}")
     cells = p.support.elements
-    if desc["d"] == 1:
+    if ctx.d == 1:
         xs = [g[0] for g in cells]
         if xs != list(range(xs[0], xs[0] + len(xs))):
             raise RenderUnsupportedError("support is not a contiguous interval")
@@ -95,11 +95,9 @@ def _parse_levels(text: str, top: int) -> list[int]:
 def _cmd_folner(args) -> int:
     if args.action == "build":
         group = json.loads(args.group)
-        ladder_cfg = {"route": args.route, "depth": args.depth, "base": args.base}
-        if args.route is None:
-            kind = group.get("kind")
-            ladder_cfg["route"] = {"lattice": "lattice", "pruefer": "pruefer",
-                                   "heisenberg3": "heisenberg"}.get(kind, "abelian")
+        kind = context_from_descriptor(group).kind
+        route = args.route or next((r for r, k in _ROUTE_KINDS.items() if k == kind), "abelian")
+        ladder_cfg = {"route": route, "depth": args.depth, "base": args.base}
         if args.eps_schedule:
             mode, _, ratio = args.eps_schedule.partition(":")
             if mode != "geometric" or not ratio:
@@ -121,7 +119,10 @@ def _cmd_folner(args) -> int:
         return 0 if result.ok else 1
     if args.action == "defect":
         ladder = _load_ladder(args.ladder)
-        elems = [ladder.ctx.decode_json(e) for e in json.loads(args.K)]
+        encoded = json.loads(args.K)
+        if not isinstance(encoded, list):
+            raise MonotileError(f"--K must be a JSON list of element encodings, got {args.K}")
+        elems = [ladder.ctx.decode_json(e) for e in encoded]
         window = FiniteSubset(ladder.ctx, elems)
         rows = [r.to_json() for r in invariance_table(ladder, window)]
         _print({"window_defects": rows, "element_defects": _defect_table(ladder, elems)}, args.format)

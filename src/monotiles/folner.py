@@ -15,21 +15,14 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._intlin import ZModule
-from .errors import (
-    InvarianceUnreachableError,
-    NotCosetRepsError,
-    UnsupportedGroupError,
-)
+from .errors import InvarianceUnreachableError, NotCosetRepsError
 from .groups import (
     Certificate,
-    Cyclic,
-    DirectProduct,
     FiniteSubset,
     GroupContext,
     Heisenberg,
     Lattice,
     Pruefer,
-    Rationals,
     context_from_descriptor,
     product_set,
 )
@@ -267,77 +260,17 @@ def build_pruefer_ladder(p: int, depth: int) -> FolnerLadder:
     return FolnerLadder(ctx, levels, glue)
 
 
-def _flatten(ctx: GroupContext, g) -> list[Fraction]:
-    if isinstance(ctx, (Cyclic, Pruefer, Rationals)):
-        return [Fraction(g)]
-    if isinstance(ctx, Lattice):
-        return [Fraction(x) for x in g]
-    if isinstance(ctx, DirectProduct):
-        out: list[Fraction] = []
-        for f, part in zip(ctx.factors, g):
-            out.extend(_flatten(f, part))
-        return out
-    raise UnsupportedGroupError(f"no abelian coordinates for group kind {ctx.kind!r}")
-
-
-def _relation_vectors(ctx: GroupContext) -> list[list[Fraction]]:
-    """Vectors spanning the coordinate ambiguity (cyclic orders, Pruefer mod 1)."""
-    dim = len(_flatten(ctx, ctx.identity()))
-
-    def walk(c: GroupContext, offset: int, out: list) -> int:
-        if isinstance(c, Cyclic):
-            vec = [Fraction(0)] * dim
-            vec[offset] = Fraction(c.n)
-            out.append(vec)
-            return offset + 1
-        if isinstance(c, Pruefer):
-            vec = [Fraction(0)] * dim
-            vec[offset] = Fraction(1)
-            out.append(vec)
-            return offset + 1
-        if isinstance(c, Rationals):
-            return offset + 1
-        if isinstance(c, Lattice):
-            return offset + c.d
-        if isinstance(c, DirectProduct):
-            for f in c.factors:
-                offset = walk(f, offset, out)
-            return offset
-        raise UnsupportedGroupError(f"no abelian coordinates for group kind {c.kind!r}")
-
-    rels: list[list[Fraction]] = []
-    walk(ctx, 0, rels)
-    return rels
-
-
-class _AbelianOracle:
-    """Membership and quotient-order tests in a f.g. subgroup of an abelian context."""
-
-    def __init__(self, ctx: GroupContext, generators: Sequence):
-        self.ctx = ctx
-        self.dim = len(_flatten(ctx, ctx.identity()))
-        self.gen_vecs = [_flatten(ctx, g) for g in generators]
-        self.relations = _relation_vectors(ctx)
-
-    def _module_for(self, target: list[Fraction]) -> tuple[ZModule, list[int]]:
-        # clear denominators jointly so the query becomes integral
-        module = list(itertools.chain(self.gen_vecs, self.relations))
-        scale = math.lcm(*(x.denominator for vec in module + [target] for x in vec))
-        zm = ZModule(self.dim)
-        for vec in module:
-            zm.add([int(x * scale) for x in vec])
-        return zm, [int(x * scale) for x in target]
-
-    def contains(self, g) -> bool:
-        vec = _flatten(self.ctx, g)
-        zm, scaled = self._module_for(vec)
-        return zm.contains(scaled)
-
-    def quotient_order(self, g) -> int | None:
-        """Order of g modulo the subgroup: least k >= 1 with g^k inside, else None."""
-        vec = _flatten(self.ctx, g)
-        zm, scaled = self._module_for(vec)
-        return zm.minimal_multiple(scaled)
+def _quotient_order(ctx: GroupContext, subgroup: Sequence, g) -> int | None:
+    """Order of g modulo the subgroup generated by `subgroup` in an abelian
+    context: least k >= 1 with g^k inside, else None."""
+    target = ctx.coordinates(g)
+    module = [ctx.coordinates(h) for h in subgroup] + ctx.relations()
+    # clear denominators jointly so the query becomes integral
+    scale = math.lcm(*(x.denominator for vec in module + [target] for x in vec))
+    zm = ZModule(len(target))
+    for vec in module:
+        zm.add([int(x * scale) for x in vec])
+    return zm.minimal_multiple([int(x * scale) for x in target])
 
 
 def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: int) -> FolnerLadder:
@@ -349,8 +282,8 @@ def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: i
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    _flatten(ctx, ctx.identity())  # rejects non-abelian contexts up front
     ident = ctx.identity()
+    ctx.coordinates(ident)  # rejects non-abelian contexts up front
     mul, inv = ctx.mul, ctx.inv
     levels = [FiniteSubset(ctx, [ident])]
     glue = []
@@ -369,7 +302,7 @@ def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: i
         if len(consumed) < len(generators):
             g = generators[len(consumed)]
             ctx.validate(g)
-            order = _AbelianOracle(ctx, consumed).quotient_order(g)
+            order = _quotient_order(ctx, consumed, g)
             quotient_orders.append(order)
             if order is None:
                 step_sets.append([inv(g), ident, g])

@@ -1,7 +1,8 @@
 """Computable countable groups with canonical element encodings.
 
-Every context exposes identity, product, inverse, encoding validation and a
-JSON descriptor, so higher layers can stay group-agnostic.  Elements are
+Every context exposes identity, product, inverse, encoding validation, a
+JSON descriptor, a generator family and (abelian kinds) rational coordinates
+with their relations, so higher layers can stay group-agnostic.  Elements are
 plain hashable Python values (ints, Fractions, tuples) that sort
 deterministically within one context.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Iterable
 
 from .errors import EncodingError, NotCosetRepsError, UnsupportedGroupError
 
@@ -31,20 +32,15 @@ __all__ = [
 ]
 
 
-def _as_fraction(value: Any) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise EncodingError(f"cannot interpret {value!r} as an exact rational")
-
-
 class GroupContext:
-    """Base class for group implementations."""
+    """Base class for group implementations.
+
+    `params` maps each descriptor key besides "kind" to its JSON type; the
+    descriptor holds exactly those attributes.
+    """
 
     kind: str = "abstract"
+    params: dict = {}
 
     def identity(self):
         raise NotImplementedError
@@ -60,7 +56,19 @@ class GroupContext:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **{k: getattr(self, k) for k in self.params}}
+
+    def generators(self) -> list:
+        """A small canonical generating family used by defect reports."""
+        raise UnsupportedGroupError(f"no generator family for {self!r}")
+
+    def coordinates(self, g) -> list[Fraction]:
+        """Rational coordinates of g in an abelian group, up to relations()."""
+        raise UnsupportedGroupError(f"no abelian coordinates for group kind {self.kind!r}")
+
+    def relations(self) -> list[list[Fraction]]:
+        """Vectors spanning the coordinates of the identity (cyclic orders, Pruefer mod 1)."""
+        return []
 
     def encode_json(self, g):
         return g
@@ -88,8 +96,12 @@ class _IntTuples(GroupContext):
         return (0,) * self.d
 
     def validate(self, g) -> None:
-        if not (isinstance(g, tuple) and len(g) == self.d and all(isinstance(a, int) for a in g)):
+        if not (isinstance(g, tuple) and len(g) == self.d and all(type(a) is int for a in g)):
             raise EncodingError(f"expected a {self.d}-tuple of ints, got {g!r}")
+
+    def generators(self) -> list:
+        units = [tuple(int(j == i) for j in range(self.d)) for i in range(self.d)]
+        return [g for unit in units for g in (unit, self.inv(unit))]
 
     def encode_json(self, g):
         return list(g)
@@ -104,9 +116,10 @@ class Lattice(_IntTuples):
     """Z^d with componentwise addition; elements are d-tuples of ints."""
 
     kind = "lattice"
+    params = {"d": int}
 
     def __init__(self, d: int):
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise ValueError(f"lattice rank must be a positive integer, got {d!r}")
         self.d = d
 
@@ -116,17 +129,18 @@ class Lattice(_IntTuples):
     def inv(self, g):
         return tuple(-a for a in g)
 
-    def descriptor(self) -> dict:
-        return {"kind": "lattice", "d": self.d}
+    def coordinates(self, g) -> list[Fraction]:
+        return [Fraction(x) for x in g]
 
 
 class Cyclic(GroupContext):
     """Z/nZ with elements encoded as ints in [0, n)."""
 
     kind = "cyclic"
+    params = {"n": int}
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"cyclic order must be a positive integer, got {n!r}")
         self.n = n
 
@@ -140,11 +154,17 @@ class Cyclic(GroupContext):
         return (-g) % self.n
 
     def validate(self, g) -> None:
-        if not (isinstance(g, int) and 0 <= g < self.n):
+        if not (type(g) is int and 0 <= g < self.n):
             raise EncodingError(f"expected an int in [0, {self.n}), got {g!r}")
 
-    def descriptor(self) -> dict:
-        return {"kind": "cyclic", "n": self.n}
+    def generators(self) -> list:
+        return [1] if self.n > 1 else []
+
+    def coordinates(self, g) -> list[Fraction]:
+        return [Fraction(g)]
+
+    def relations(self) -> list[list[Fraction]]:
+        return [[Fraction(self.n)]]
 
 
 class Heisenberg(_IntTuples):
@@ -164,22 +184,40 @@ class Heisenberg(_IntTuples):
         a, b, c = g
         return (-a, -b, a * b - c)
 
-    def descriptor(self) -> dict:
-        return {"kind": "heisenberg3"}
 
-
-class Pruefer(GroupContext):
-    """Pruefer p-group Z[1/p]/Z; elements are reduced fractions in [0, 1)."""
-
-    kind = "pruefer"
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or p < 2:
-            raise ValueError(f"pruefer parameter must be an integer >= 2, got {p!r}")
-        self.p = p
+class _Fractions(GroupContext):
+    """Shared encoding of groups whose elements are Fractions ("p/q" in JSON)."""
 
     def identity(self):
         return Fraction(0)
+
+    def coordinates(self, g) -> list[Fraction]:
+        return [g]
+
+    def encode_json(self, g):
+        return str(g)
+
+    def decode_json(self, obj):
+        try:
+            if type(obj) is not int and not isinstance(obj, str):
+                raise ValueError
+            g = Fraction(obj)
+        except (ValueError, ZeroDivisionError):
+            raise EncodingError(f"expected an int or a rational string, got {obj!r}") from None
+        self.validate(g)
+        return g
+
+
+class Pruefer(_Fractions):
+    """Pruefer p-group Z[1/p]/Z; elements are reduced fractions in [0, 1)."""
+
+    kind = "pruefer"
+    params = {"p": int}
+
+    def __init__(self, p: int):
+        if type(p) is not int or p < 2:
+            raise ValueError(f"pruefer parameter must be an integer >= 2, got {p!r}")
+        self.p = p
 
     def mul(self, g, h):
         return (g + h) % 1
@@ -196,25 +234,17 @@ class Pruefer(GroupContext):
         if den != 1:
             raise EncodingError(f"{g} has denominator not a power of {self.p}")
 
-    def descriptor(self) -> dict:
-        return {"kind": "pruefer", "p": self.p}
+    def generators(self) -> list:
+        return [Fraction(1, self.p)]
 
-    def encode_json(self, g):
-        return str(g)
-
-    def decode_json(self, obj):
-        g = _as_fraction(obj)
-        self.validate(g)
-        return g
+    def relations(self) -> list[list[Fraction]]:
+        return [[Fraction(1)]]
 
 
-class Rationals(GroupContext):
+class Rationals(_Fractions):
     """(Q, +) with elements encoded as Fractions."""
 
     kind = "rationals"
-
-    def identity(self):
-        return Fraction(0)
 
     def mul(self, g, h):
         return g + h
@@ -226,22 +256,15 @@ class Rationals(GroupContext):
         if not isinstance(g, Fraction):
             raise EncodingError(f"expected a Fraction, got {g!r}")
 
-    def descriptor(self) -> dict:
-        return {"kind": "rationals"}
-
-    def encode_json(self, g):
-        return str(g)
-
-    def decode_json(self, obj):
-        g = _as_fraction(obj)
-        self.validate(g)
-        return g
+    def generators(self) -> list:
+        return [Fraction(1)]
 
 
 class DirectProduct(GroupContext):
     """Direct product of finitely many contexts; elements are tuples."""
 
     kind = "direct_product"
+    params = {"factors": list}
 
     def __init__(self, factors: Iterable[GroupContext]):
         self.factors = tuple(factors)
@@ -266,11 +289,28 @@ class DirectProduct(GroupContext):
     def descriptor(self) -> dict:
         return {"kind": "direct_product", "factors": [f.descriptor() for f in self.factors]}
 
+    def generators(self) -> list:
+        ident = self.identity()
+        return [ident[:i] + (g,) + ident[i + 1:]
+                for i, f in enumerate(self.factors) for g in f.generators()]
+
+    def coordinates(self, g) -> list[Fraction]:
+        return [x for f, a in zip(self.factors, g) for x in f.coordinates(a)]
+
+    def relations(self) -> list[list[Fraction]]:
+        zero = self.coordinates(self.identity())
+        out, offset = [], 0
+        for f in self.factors:
+            width = len(f.coordinates(f.identity()))
+            out += [zero[:offset] + r + zero[offset + width:] for r in f.relations()]
+            offset += width
+        return out
+
     def encode_json(self, g):
         return [f.encode_json(a) for f, a in zip(self.factors, g)]
 
     def decode_json(self, obj):
-        if len(obj) != len(self.factors):
+        if not (isinstance(obj, list) and len(obj) == len(self.factors)):
             raise EncodingError(f"expected {len(self.factors)} components, got {obj!r}")
         return tuple(f.decode_json(a) for f, a in zip(self.factors, obj))
 
@@ -285,6 +325,7 @@ class FiniteExtension(GroupContext):
     """
 
     kind = "finite_extension"
+    params = {"base": dict, "ambient": dict, "embed": str, "coset_reps": list}
 
     def __init__(self, base: GroupContext, ambient: GroupContext, embed: str, coset_reps: Iterable):
         self.base = base
@@ -367,6 +408,10 @@ class FiniteExtension(GroupContext):
             "coset_reps": [self.ambient.encode_json(r) for r in self.coset_reps],
         }
 
+    def generators(self) -> list:
+        gens = [r for r in self.coset_reps if r != self.identity()]
+        return gens + [g for g in self.ambient.generators() if g not in gens]
+
     def encode_json(self, g):
         return self.ambient.encode_json(g)
 
@@ -374,24 +419,25 @@ class FiniteExtension(GroupContext):
         return self.ambient.decode_json(obj)
 
 
+_KINDS = {cls.kind: cls for cls in
+          (Lattice, Cyclic, Heisenberg, Pruefer, Rationals, DirectProduct, FiniteExtension)}
+
+
 def context_from_descriptor(desc: dict) -> GroupContext:
-    """Rebuild a context from its JSON descriptor."""
+    """Rebuild a context from its JSON descriptor, which must hold exactly the
+    keys of its kind, each with its JSON type."""
     if not isinstance(desc, dict):
         raise UnsupportedGroupError(f"group descriptor must be an object, got {desc!r}")
     kind = desc.get("kind")
-    if kind == "lattice":
-        return Lattice(desc["d"])
-    if kind == "cyclic":
-        return Cyclic(desc["n"])
-    if kind == "heisenberg3":
-        return Heisenberg()
-    if kind == "pruefer":
-        return Pruefer(desc["p"])
-    if kind == "rationals":
-        return Rationals()
-    if kind == "direct_product":
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise UnsupportedGroupError(f"unknown group kind {kind!r}")
+    if desc.keys() != {"kind", *cls.params} or any(type(desc[k]) is not t for k, t in cls.params.items()):
+        shape = ", ".join(f"{k}: {t.__name__}" for k, t in cls.params.items()) or "no other keys"
+        raise UnsupportedGroupError(f"{kind} descriptor needs exactly ({shape}), got {desc!r}")
+    if cls is DirectProduct:
         return DirectProduct(context_from_descriptor(f) for f in desc["factors"])
-    if kind == "finite_extension":
+    if cls is FiniteExtension:
         ambient = context_from_descriptor(desc["ambient"])
         return FiniteExtension(
             base=context_from_descriptor(desc["base"]),
@@ -399,39 +445,12 @@ def context_from_descriptor(desc: dict) -> GroupContext:
             embed=desc["embed"],
             coset_reps=[ambient.decode_json(r) for r in desc["coset_reps"]],
         )
-    raise UnsupportedGroupError(f"unknown group kind {kind!r}")
+    return cls(**{k: desc[k] for k in cls.params})
 
 
 def standard_generators(ctx: GroupContext) -> list:
     """A small canonical generating family used by defect reports."""
-    if isinstance(ctx, Lattice):
-        gens = []
-        for i in range(ctx.d):
-            unit = tuple(1 if j == i else 0 for j in range(ctx.d))
-            gens += [unit, ctx.inv(unit)]
-        return gens
-    if isinstance(ctx, Cyclic):
-        return [1 % ctx.n] if ctx.n > 1 else []
-    if isinstance(ctx, Heisenberg):
-        gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        return [g for pair in ((g, ctx.inv(g)) for g in gens) for g in pair]
-    if isinstance(ctx, Pruefer):
-        return [Fraction(1, ctx.p)]
-    if isinstance(ctx, Rationals):
-        return [Fraction(1)]
-    if isinstance(ctx, DirectProduct):
-        gens = []
-        ident = ctx.identity()
-        for i, f in enumerate(ctx.factors):
-            for g in standard_generators(f):
-                parts = list(ident)
-                parts[i] = g
-                gens.append(tuple(parts))
-        return gens
-    if isinstance(ctx, FiniteExtension):
-        gens = [r for r in ctx.coset_reps if r != ctx.identity()]
-        return gens + [g for g in standard_generators(ctx.ambient) if g not in gens]
-    raise UnsupportedGroupError(f"no generator family for {ctx!r}")
+    return ctx.generators()
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,47 @@ def test_pipeline_run_writes_artifacts(tmp_path, capsys):
         assert (out / name).exists()
 
 
+LADDER_GROUPS = {
+    "z": '{"kind":"lattice","d":1}',
+    "pruefer": '{"kind":"pruefer","p":2}',
+    "z_x_z3": '{"kind":"direct_product","factors":[{"kind":"lattice","d":1},{"kind":"cyclic","n":3}]}',
+    "rationals": '{"kind":"rationals"}',
+}
+
+BAD_GROUPS = [
+    '{"kind":"lattice"}',
+    '{"kind":"direct_product","factors":5}',
+    '{"kind":"finite_extension","base":{"kind":"lattice","d":1},"ambient":{"kind":"lattice","d":1},'
+    '"embed":5,"coset_reps":[[0]]}',
+    '{"kind":"lattice","d":1,"x":2}',
+    '{"kind":"lattice","d":true}',
+    '{"kind":"cyclic","n":true}',
+    '{"kind":["lattice"]}',
+    '[1]',
+]
+
+# (group of the ladder built first or None, command reading "{ladder}")
+MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g in BAD_GROUPS] + [
+    ("pruefer", ["analyze", "boundary", "--ladder", "{ladder}", "-g", '"1/0"']),
+    ("z_x_z3", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "5"]),
+    ("z_x_z3", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[[0], true]"]),
+    ("z", ["folner", "defect", "{ladder}", "--K", "[[true]]"]),
+    ("rationals", ["folner", "defect", "{ladder}", "--K", "[true]"]),
+    ("z", ["folner", "defect", "{ladder}", "--K", "5"]),
+]
+
+
+@pytest.mark.parametrize("group, argv", MALFORMED_CLI)
+def test_malformed_input_exits_1_with_an_error_line(tmp_path, capsys, group, argv):
+    ladder = tmp_path / "ladder.json"
+    if group is not None:  # the route is inferred from the group kind
+        assert main(["--out", str(tmp_path), "folner", "build", "--group", LADDER_GROUPS[group],
+                     "--depth", "2"]) == 0
+        capsys.readouterr()
+    assert main(["--out", str(tmp_path / "out"), *(a.replace("{ladder}", str(ladder)) for a in argv)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -73,6 +73,13 @@ MALFORMED = [
     {"lemma8_bound": "1/0"},
     {"matrices": {"file": 5}},
     {"analysis": {"pairs": 5}},
+    {"group": {"kind": "lattice"}},
+    {"group": {"kind": "direct_product", "factors": 5}},
+    {"group": {"kind": "lattice", "d": True}},
+    {"group": {"kind": "lattice", "d": 1, "x": 2}},
+    {"group": {"kind": "rationals"}, "ladder": {"route": "abelian", "depth": 3, "generators": ["1/0"]}},
+    {"group": {"kind": "direct_product", "factors": [{"kind": "lattice", "d": 1}, {"kind": "cyclic", "n": 3}]},
+     "ladder": {"route": "abelian", "depth": 3, "generators": [5]}},
 ]
 
 
