@@ -12,6 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import add
 
 from .blocks import BlockHierarchy, Pattern
 from .errors import OutOfWindowError
@@ -91,29 +93,36 @@ def return_times(h, n: int, m: int) -> FiniteSubset:
     return iterated_glue(_ladder_of(h), n, m)
 
 
-def _testable(ladder: FolnerLadder, n: int, m: int) -> list:
-    """Positions v in F_m with the whole translated window v * F_n inside F_m."""
+def _windows(ladder: FolnerLadder, n: int, m: int):
+    """Yield each position v in F_m whose translated window v * F_n lies
+    inside F_m, with the canonical indices in F_m of its cells v * u (F_n
+    order): one product per window cell, at most one per outside position."""
     mul = ladder.ctx.mul
-    big = ladder.levels[m].as_set
+    cells = ladder.levels[m].elements
+    index = {g: i for i, g in enumerate(cells)}
     base = ladder.levels[n].elements
-    return [v for v in ladder.levels[m] if all(mul(v, u) in big for u in base)]
+    for v in cells:
+        row = []
+        for u in base:
+            j = index.get(mul(v, u))
+            if j is None:
+                break
+            row.append(j)
+        else:
+            yield v, row
 
 
-def _occurrence_map(h: BlockHierarchy, n: int, m: int, patch: Pattern | None) -> dict:
-    """Map testable position -> matched block index, by raw window comparison."""
-    ladder = h.ladder
+def _occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None):
+    """Yield each testable position with the index of the level-n block its
+    window reads (0 for none), by raw window comparison."""
     if patch is None:
         patch = h.x0_patch(m)
-    if patch.support != ladder.levels[m]:
+    if patch.support != h.ladder.levels[m]:
         raise ValueError(f"patch not supported on ladder level {m}")
-    base = ladder.levels[n]
     lookup = {b.symbols: k for k, b in enumerate(h.family(n), start=1)}
-    found = {}
-    for v in _testable(ladder, n, m):
-        k = lookup.get(patch.window(v, base))
-        if k is not None:
-            found[v] = k
-    return found
+    read = patch.symbols.__getitem__
+    for v, row in _windows(h.ladder, n, m):
+        yield v, lookup.get(tuple(map(read, row)), 0)
 
 
 def scan_occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = None) -> FiniteSubset:
@@ -125,7 +134,7 @@ def scan_occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
     """
     if not 0 <= n < m <= h.depth:
         raise ValueError(f"need 0 <= n < m <= {h.depth}, got n={n}, m={m}")
-    return FiniteSubset(h.ladder.ctx, _occurrence_map(h, n, m, patch).keys())
+    return FiniteSubset(h.ladder.ctx, (v for v, k in _occurrences(h, n, m, patch) if k))
 
 
 def predicted_block(h: BlockHierarchy, addr: CosetAddress) -> int:
@@ -153,7 +162,11 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
     mul = ladder.ctx.mul
     ident = ladder.ctx.identity()
 
-    occ = _occurrence_map(h, n, m, patch)
+    interior, occ = [], {}
+    for v, k in _occurrences(h, n, m, patch):
+        interior.append(v)
+        if k:
+            occ[v] = k
     returns = return_times(h, n, m)
     fail = lambda reason, witness: Certificate.fail(
         ladder.ctx, reason, witness, levels=[n, m], interior=0, tiles=0, refinements=0)
@@ -168,7 +181,6 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
         for u in base:
             claims.setdefault(mul(r, u), []).append((u, k))
 
-    interior = _testable(ladder, n, m)
     for v in interior:
         got = claims.get(v, [])
         if len(got) != 1:
@@ -180,7 +192,7 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
 
     refinements = 0
     if m > n + 1:
-        occ_up = _occurrence_map(h, n + 1, m, patch)
+        occ_up = {v: k for v, k in _occurrences(h, n + 1, m, patch) if k}
         returns_up = return_times(h, n + 1, m)
         if set(occ_up) != returns_up.as_set:
             off = set(occ_up) ^ returns_up.as_set
@@ -203,11 +215,36 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
 
 
 def boundary_mass_bound(ladder: FolnerLadder, g, n: int) -> Fraction:
-    """Exact |F_n \\ F_n g| / |F_n|: invariant-measure mass of the level-n shell."""
-    ladder.ctx.validate(g)
+    """Exact |F_n \\ F_n g| / |F_n|: invariant-measure mass of the level-n shell.
+
+    f lies outside F_n g exactly when f g^-1 lies outside F_n.
+    """
+    if not 0 <= n <= ladder.depth:
+        raise ValueError(f"need 0 <= n <= {ladder.depth}, got n={n}")
+    ctx = ladder.ctx
+    ctx.validate(g)
     F = ladder.levels[n]
-    shifted = F.right_translated(g).as_set
-    return Fraction(sum(1 for f in F if f not in shifted), len(F))
+    mul, back, inside = ctx.mul, ctx.inv(g), F.as_set
+    return Fraction(sum(1 for f in F if mul(f, back) not in inside), len(F))
+
+
+def _gap_radius(visits: set, window: FiniteSubset) -> int:
+    """Largest sup-norm distance from a cell of a Z^d window to its nearest
+    visit: each cell searches the rings |x| = 0, 1, 2, ... around itself,
+    which ends once the visit translates are known to cover the window."""
+    rings: list[list[tuple]] = []
+    gap = 0
+    for v in window:
+        rho = 0
+        while True:
+            if rho == len(rings):
+                box = product(range(-rho, rho + 1), repeat=len(v))
+                rings.append([o for o in box if max(map(abs, o)) == rho])
+            if any(tuple(map(add, v, o)) in visits for o in rings[rho]):
+                break
+            rho += 1
+        gap = max(gap, rho)
+    return gap
 
 
 def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certificate:
@@ -228,11 +265,11 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certi
     mul = ladder.ctx.mul
     patch = h.x0_patch(m)
     target = h.family(cylinder.level)[0]
-    base_low = ladder.levels[cylinder.level]
     big = ladder.levels[m].as_set
 
-    visits = [v for v in _testable(ladder, cylinder.level, m)
-              if patch.window(v, base_low) == target.symbols]
+    read = patch.symbols.__getitem__
+    visits = [v for v, row in _windows(ladder, cylinder.level, m)
+              if tuple(map(read, row)) == target.symbols]
     visit_set = set(visits)
     fail = lambda reason, witness: Certificate.fail(
         ladder.ctx, reason, witness, levels=[n, m], visits=len(visits), covered=False, gap_radius=None)
@@ -250,9 +287,6 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certi
     if not big <= covered:
         return fail("window not covered by visit translates", (next(iter(big - covered)),))
 
-    gap = None
-    if isinstance(ladder.ctx, Lattice):
-        inv = ladder.ctx.inv
-        gap = max(min(max(map(abs, mul(inv(r), v))) for r in visits) for v in ladder.levels[m])
+    gap = _gap_radius(visit_set, ladder.levels[m]) if isinstance(ladder.ctx, Lattice) else None
     return Certificate(True, detail={"levels": [n, m], "visits": len(visits), "covered": True,
                                      "gap_radius": gap})

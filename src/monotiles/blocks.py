@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .errors import DistinctnessError, AugmentationError, InfeasibleError
+from .errors import AugmentationError, DistinctnessError, InfeasibleError, UnsupportedGroupError
 from .folner import FolnerLadder
 from .groups import Certificate, FiniteSubset, product_set
 from .matrices import ManagedMatrix
@@ -207,12 +207,36 @@ def assemble_level(family: Sequence[Pattern], cosets: FiniteSubset,
     return _assemble(family, FolnerLadder(cosets.ctx, [base, support], [cosets]), 0, assignment)
 
 
+def _visiting_order(base: FiniteSubset, index: dict) -> list[int]:
+    """Canonical indices of the window's cells, breadth-first from the
+    identity over the group's generators, then the cells never reached;
+    plain canonical order for a group without generators."""
+    ctx = base.ctx
+    try:
+        gens = ctx.generators()
+    except UnsupportedGroupError:
+        return list(range(len(index)))
+    start = index.get(ctx.identity())
+    order = [] if start is None else [start]
+    reached = set(order)
+    for i in order:  # grows while it is read: a queue
+        for s in gens:
+            j = index.get(ctx.mul(base.elements[i], s))
+            if j is not None and j not in reached:
+                reached.add(j)
+                order.append(j)
+    return order + [i for i in range(len(index)) if i not in reached]
+
+
 def verify_c3(family: Sequence[Pattern], ctx=None, window: FiniteSubset | None = None) -> Certificate:
     """Check that block translates never agree on window overlaps.
 
     For every g in the window and every pair (k, k'): agreement of block k
     shifted by g with block k' on the full overlap forces g = identity and
-    k = k'.  Exhaustive and exact; a failure's witness is [g, k, k'].
+    k = k'.  Exhaustive over g and pairs, exact, and early-exiting: per g the
+    still-agreeing pairs are narrowed one overlap cell at a time, outward
+    from the identity, until none is left.  A failure's witness is
+    [g, k, k'], the first g in canonical order and its first agreeing pair.
     """
     base = family[0].support
     if window is not None and window != base:
@@ -222,17 +246,25 @@ def verify_c3(family: Sequence[Pattern], ctx=None, window: FiniteSubset | None =
     ctx = base.ctx
     mul = ctx.mul
     ident = ctx.identity()
-    values = [{g: s for g, s in zip(base.elements, b.symbols)} for b in family]
-    for g in base.elements:
-        overlap = [v for v in base.elements if mul(g, v) in base]
-        if not overlap:
-            continue
-        for k, vk in enumerate(values, start=1):
-            for k2, vk2 in enumerate(values, start=1):
-                if g == ident and k == k2:
-                    continue
-                if all(vk[mul(g, v)] == vk2[v] for v in overlap):
-                    return Certificate.fail(ctx, "translated blocks agree on their overlap", (g, k, k2))
+    cells = base.elements
+    index = {g: i for i, g in enumerate(cells)}
+    visit = [(cells[i], i) for i in _visiting_order(base, index)]
+    rows = [b.symbols for b in family]
+    pairs = [(a, b, k, k2) for k, a in enumerate(rows, start=1) for k2, b in enumerate(rows, start=1)]
+    distinct = [p for p in pairs if p[2] != p[3]]
+    for g in cells:
+        alive = distinct if g == ident else pairs
+        seen = False
+        for v, i in visit:
+            j = index.get(mul(g, v))
+            if j is None:
+                continue
+            seen = True
+            alive = [p for p in alive if p[0][j] == p[1][i]]
+            if not alive:
+                break
+        if seen and alive:
+            return Certificate.fail(ctx, "translated blocks agree on their overlap", (g, *alive[0][2:]))
     return Certificate(True)
 
 

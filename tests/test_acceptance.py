@@ -112,6 +112,18 @@ def test_criterion_3_overlap_rigidity_brute_force():
     _line(3, "overlap rigidity", started)
 
 
+def test_criterion_3_overlap_rigidity_at_depth_8():
+    h = build_hierarchy(build_lattice_ladder(1, 8), [TERNARY] * 8)
+    assert len(h.ladder.levels[8]) == 6561
+    started = time.perf_counter()
+    for level in range(h.depth + 1):
+        report = verify_c3(h.family(level))
+        assert report.ok, f"level {level}: witness {report.witness}"
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10
+    _line(3, "overlap rigidity at 6,561 cells", started)
+
+
 def test_criterion_4_oracle_equivalence():
     started = time.perf_counter()
     for h in (_lattice_hierarchy(), _pruefer_hierarchy()):

@@ -210,6 +210,8 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     ("z", ["folner", "defect", "{ladder}", "--K", "[[true]]"]),
     ("rationals", ["folner", "defect", "{ladder}", "--K", "[true]"]),
     ("z", ["folner", "defect", "{ladder}", "--K", "5"]),
+    ("z", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]", "--levels", "0..9"]),
+    ("z", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]", "--levels=-1"]),
 ]
 
 

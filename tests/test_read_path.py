@@ -1,0 +1,263 @@
+"""The hierarchy read path against the exhaustive implementations it replaced.
+
+`verify_c3` narrows still-agreeing block pairs cell by cell outward from the
+identity and stops early; `scan_occurrences`, `check_partitions` and
+`syndeticity_window` read every window through one index row per position;
+the lattice gap radius is a ring search; `boundary_mass_bound` counts cells
+directly.  Each reference below is the previous code, kept as an oracle, and
+every certificate must equal the oracle's exactly, failures included.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from monotiles import (
+    Certificate,
+    CylinderId,
+    FiniteSubset,
+    Lattice,
+    ManagedMatrix,
+    Pattern,
+    address,
+    boundary_mass_bound,
+    build_hierarchy,
+    build_lattice_ladder,
+    check_partitions,
+    return_times,
+    scan_occurrences,
+    syndeticity_window,
+    verify_c3,
+)
+from monotiles.analysis import _gap_radius, predicted_block
+from test_tiling import PROPERTY, draw_hierarchy, ladder_of
+
+TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
+C3_WINDOW = 729  # largest window the exhaustive oracle runs on
+
+
+def reference_verify_c3(family) -> Certificate:
+    """Every g, every pair, the whole overlap list built before comparing."""
+    base = family[0].support
+    ctx = base.ctx
+    mul = ctx.mul
+    ident = ctx.identity()
+    values = [{g: s for g, s in zip(base.elements, b.symbols)} for b in family]
+    for g in base.elements:
+        overlap = [v for v in base.elements if mul(g, v) in base]
+        if not overlap:
+            continue
+        for k, vk in enumerate(values, start=1):
+            for k2, vk2 in enumerate(values, start=1):
+                if g == ident and k == k2:
+                    continue
+                if all(vk[mul(g, v)] == vk2[v] for v in overlap):
+                    return Certificate.fail(ctx, "translated blocks agree on their overlap", (g, k, k2))
+    return Certificate(True)
+
+
+def reference_testable(ladder, n, m) -> list:
+    mul = ladder.ctx.mul
+    big = ladder.levels[m].as_set
+    base = ladder.levels[n].elements
+    return [v for v in ladder.levels[m] if all(mul(v, u) in big for u in base)]
+
+
+def reference_occurrences(h, n, m, patch) -> dict:
+    base = h.ladder.levels[n]
+    lookup = {b.symbols: k for k, b in enumerate(h.family(n), start=1)}
+    found = {}
+    for v in reference_testable(h.ladder, n, m):
+        k = lookup.get(patch.window(v, base))
+        if k is not None:
+            found[v] = k
+    return found
+
+
+def reference_check_partitions(h, n, m, patch) -> Certificate:
+    ladder = h.ladder
+    mul = ladder.ctx.mul
+    ident = ladder.ctx.identity()
+    occ = reference_occurrences(h, n, m, patch)
+    returns = return_times(h, n, m)
+    fail = lambda reason, witness: Certificate.fail(
+        ladder.ctx, reason, witness, levels=[n, m], interior=0, tiles=0, refinements=0)
+    if set(occ) != returns.as_set:
+        return fail("scanned occurrences disagree with glue products", (next(iter(set(occ) ^ returns.as_set)),))
+    claims: dict = {}
+    for r, k in occ.items():
+        for u in ladder.levels[n]:
+            claims.setdefault(mul(r, u), []).append((u, k))
+    interior = reference_testable(ladder, n, m)
+    for v in interior:
+        got = claims.get(v, [])
+        if len(got) != 1:
+            return fail(f"interior position claimed {len(got)} times", (v,))
+        addr = address(ladder, v, n, m)
+        want = (addr.residual, predicted_block(h, addr))
+        if got[0] != want:
+            return fail("claim disagrees with address prediction", (v, list(got[0]), list(want)))
+    refinements = 0
+    if m > n + 1:
+        occ_up = reference_occurrences(h, n + 1, m, patch)
+        returns_up = return_times(h, n + 1, m)
+        if set(occ_up) != returns_up.as_set:
+            off = set(occ_up) ^ returns_up.as_set
+            return fail("level-(n+1) occurrences disagree with glue products", (next(iter(off)),))
+        for r, k_up in occ_up.items():
+            for c in ladder.glue[n]:
+                pos = mul(r, c)
+                k_obs = occ.get(pos)
+                expected = h.assignments[n].value(k_up, c)
+                if k_obs is None:
+                    return fail("refined tile carries no block", (pos,))
+                if k_obs != expected:
+                    return fail("refinement disagrees with assignment", (pos, k_obs, expected))
+                if (k_obs == 1) != (c == ident):
+                    return fail("first block must sit exactly on the identity coset", (pos, k_obs))
+                refinements += 1
+    return Certificate(True, detail={"levels": [n, m], "interior": len(interior),
+                                     "tiles": len(returns), "refinements": refinements})
+
+
+def reference_gap(visits, window) -> int:
+    """Sup-norm distance to the nearest visit, minimised over every visit."""
+    return max(min(max(abs(a - b) for a, b in zip(v, r)) for r in visits) for v in window)
+
+
+def reference_syndeticity(h, cylinder, m) -> Certificate:
+    n = cylinder.level + 1
+    ladder = h.ladder
+    mul = ladder.ctx.mul
+    patch = h.x0_patch(m)
+    target = h.family(cylinder.level)[0]
+    visits = [v for v in reference_testable(ladder, cylinder.level, m)
+              if patch.window(v, ladder.levels[cylinder.level]) == target.symbols]
+    fail = lambda reason, witness: Certificate.fail(
+        ladder.ctx, reason, witness, levels=[n, m], visits=len(visits), covered=False, gap_radius=None)
+    visit_set = set(visits)
+    for r in return_times(h, n, m):
+        if r not in visit_set:
+            return fail("tiling position is not a cylinder visit", (r,))
+    covered = {mul(r, u) for r in visits for u in ladder.levels[n]}
+    big = ladder.levels[m].as_set
+    if not big <= covered:
+        return fail("window not covered by visit translates", (next(iter(big - covered)),))
+    gap = reference_gap(visits, ladder.levels[m]) if isinstance(ladder.ctx, Lattice) else None
+    return Certificate(True, detail={"levels": [n, m], "visits": len(visits), "covered": True,
+                                     "gap_radius": gap})
+
+
+def reference_boundary_mass(ladder, g, n) -> Fraction:
+    F = ladder.levels[n]
+    shifted = F.right_translated(g).as_set
+    return Fraction(sum(1 for f in F if f not in shifted), len(F))
+
+
+def small_families(h):
+    return [h.family(n) for n in range(h.depth + 1) if len(h.ladder.levels[n]) <= C3_WINDOW]
+
+
+C3_PROPERTY = settings(PROPERTY, max_examples=12)
+
+
+@C3_PROPERTY
+@given(st.data())
+def test_verify_c3_equals_exhaustive_oracle_on_built_families(data):
+    h, _ = draw_hierarchy(data)
+    for family in small_families(h):
+        cert = verify_c3(family)
+        assert cert.ok and cert.to_json() == reference_verify_c3(family).to_json()
+
+
+def translate_of(block: Pattern, g, filler: int) -> Pattern:
+    """Symbols of block read at g * v where that stays inside the window."""
+    support = block.support
+    mul, index = support.ctx.mul, block.index()
+    return Pattern(support, [block.symbols[index[mul(g, v)]] if mul(g, v) in support else filler
+                             for v in support])
+
+
+@C3_PROPERTY
+@given(st.data())
+def test_verify_c3_equals_exhaustive_oracle_on_planted_failures(data):
+    h, _ = draw_hierarchy(data, st.sampled_from(["pruefer2", "z", "z2"]))
+    family = list(data.draw(st.sampled_from(small_families(h)[1:])))
+    support = family[0].support
+    k = data.draw(st.integers(0, len(family) - 1))
+    how = data.draw(st.sampled_from(["duplicate", "constant", "translate"]))
+    if how == "duplicate":
+        family.insert(data.draw(st.integers(0, len(family))), family[k])
+    elif how == "constant":
+        family[k] = Pattern(support, [data.draw(st.integers(0, 4))] * len(support))
+    else:
+        other = data.draw(st.sampled_from([i for i in range(len(family)) if i != k]))
+        g = data.draw(st.sampled_from(support.elements))
+        family[k] = translate_of(family[other], g, data.draw(st.integers(0, 4)))
+    cert = verify_c3(family)
+    assert not cert.ok
+    assert cert.to_json() == reference_verify_c3(family).to_json()
+
+
+@PROPERTY
+@given(st.sampled_from(["z", "z2", "pruefer2", "heisenberg"]), st.data())
+def test_verify_c3_equals_exhaustive_oracle_on_one_cell_windows(kind, data):
+    ladder = ladder_of(kind)
+    cell = data.draw(st.sampled_from(ladder.levels[1].elements))
+    symbols = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    family = [Pattern(FiniteSubset(ladder.ctx, [cell]), [s]) for s in symbols]
+    cert = verify_c3(family)
+    assert cert.to_json() == reference_verify_c3(family).to_json()
+    # a lone cell off the identity has no overlap with any translate
+    assert cert.ok == (cell != ladder.ctx.identity() or len(set(symbols)) == len(symbols))
+
+
+@PROPERTY
+@given(st.data())
+def test_scans_and_partitions_equal_window_oracles(data):
+    h, _ = draw_hierarchy(data, st.sampled_from(["pruefer2", "z", "z2"]))
+    for m in range(1, h.depth + 1):
+        for n in range(m):
+            ref = reference_occurrences(h, n, m, h.x0_patch(m))
+            assert scan_occurrences(h, n, m) == FiniteSubset(h.ladder.ctx, ref)
+    n = data.draw(st.integers(0, h.depth - 1))
+    patch = h.x0_patch(h.depth)
+    assert check_partitions(h, n, h.depth) == reference_check_partitions(h, n, h.depth, patch)
+    symbols = list(patch.symbols)
+    symbols[data.draw(st.integers(0, len(symbols) - 1))] += data.draw(st.integers(1, 2))
+    flipped = Pattern(patch.support, symbols)
+    cert = check_partitions(h, n, h.depth, flipped)
+    assert not cert.ok
+    assert cert == reference_check_partitions(h, n, h.depth, flipped)
+
+
+@PROPERTY
+@given(st.data())
+def test_syndeticity_equals_window_and_gap_oracles(data):
+    h, _ = draw_hierarchy(data, st.sampled_from(["z", "z2"]))
+    for cylinder, m in [(CylinderId(0, 1), 2), (CylinderId(0, 1), 3), (CylinderId(1, 1), 3)]:
+        assert syndeticity_window(h, cylinder, m) == reference_syndeticity(h, cylinder, m)
+
+
+def test_syndeticity_gap_radius_four_equals_oracle():
+    h = build_hierarchy(build_lattice_ladder(1, 3), [TERNARY] * 3)
+    for cylinder, m in [(CylinderId(0, 1), 2), (CylinderId(0, 1), 3), (CylinderId(1, 1), 3)]:
+        assert syndeticity_window(h, cylinder, m) == reference_syndeticity(h, cylinder, m)
+    assert syndeticity_window(h, CylinderId(1, 1), 3).detail["gap_radius"] == 4
+
+
+@PROPERTY
+@given(st.integers(1, 2), st.data())
+def test_ring_search_gap_equals_min_over_visits(d, data):
+    ladder = build_lattice_ladder(d, 2)
+    window = ladder.levels[data.draw(st.integers(1, 2))]
+    visits = set(data.draw(st.lists(st.sampled_from(window.elements), min_size=1, max_size=6)))
+    assert _gap_radius(visits, window) == reference_gap(visits, window)
+
+
+def test_boundary_mass_equals_right_translate_formula():
+    for kind in ("z", "z2", "pruefer2", "heisenberg"):
+        ladder = ladder_of(kind)
+        for g in ladder.ctx.generators():
+            for n in range(ladder.depth + 1):
+                assert boundary_mass_bound(ladder, g, n) == reference_boundary_mass(ladder, g, n)
