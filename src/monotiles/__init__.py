@@ -16,7 +16,6 @@ from .blocks import (
     Assignment,
     BlockHierarchy,
     Pattern,
-    assemble_level,
     assignment_from_matrix,
     augment_matrix,
     base_blocks,
@@ -40,7 +39,6 @@ from .errors import (
 )
 from .folner import (
     FolnerLadder,
-    InvarianceReport,
     build_abelian_chain_ladder,
     build_heisenberg_ladder,
     build_lattice_ladder,
@@ -51,7 +49,6 @@ from .folner import (
     first_level_containing,
     folner_defect,
     group_ladder,
-    invariance_table,
     iterated_glue,
     map_ladder,
     right_invariance_defect,

@@ -53,17 +53,6 @@ class ZModule:
     def basis(self) -> list[list[int]]:
         return [self._basis[p] for p in sorted(self._basis)]
 
-    def contains(self, vector) -> bool:
-        v = [int(x) for x in vector]
-        for piv in sorted(self._basis):
-            if v[piv]:
-                b = self._basis[piv]
-                if v[piv] % b[piv]:
-                    return False
-                q = v[piv] // b[piv]
-                v = [x - q * bx for x, bx in zip(v, b)]
-        return not any(v)
-
     def rational_coords(self, vector) -> list[Fraction] | None:
         """Coordinates of vector over the basis in Q, or None if outside the Q-span."""
         v = [Fraction(x) for x in vector]

@@ -37,25 +37,14 @@ class CosetAddress:
     """Digit expansion of a window element across ladder levels.
 
     digits run top-down (levels m-1, ..., n); the residual lies in the
-    level-n window and reassembly multiplies digits then the residual.
+    level-n window, and the element is the product of the digits, then the
+    residual.
     """
 
     digits: tuple
     residual: object
     low: int
     high: int
-
-    def reassemble(self, ladder: FolnerLadder):
-        out = ladder.ctx.identity()
-        for c in self.digits:
-            out = ladder.ctx.mul(out, c)
-        return ladder.ctx.mul(out, self.residual)
-
-    def to_json(self, ladder: FolnerLadder) -> dict:
-        enc = ladder.ctx.encode_json
-        return {"digits": [enc(c) for c in self.digits],
-                "residual": enc(self.residual),
-                "levels": [self.low, self.high]}
 
 
 @dataclass(frozen=True)
@@ -84,13 +73,9 @@ def address(ladder: FolnerLadder, v, n: int, m: int) -> CosetAddress:
     return CosetAddress(tuple(digits), ladder.levels[n].elements[q], n, m)
 
 
-def _ladder_of(obj) -> FolnerLadder:
-    return obj if isinstance(obj, FolnerLadder) else obj.ladder
-
-
-def return_times(h, n: int, m: int) -> FiniteSubset:
+def return_times(h: BlockHierarchy, n: int, m: int) -> FiniteSubset:
     """Positions whose level-n window tiles level m: all glue-digit products."""
-    return iterated_glue(_ladder_of(h), n, m)
+    return iterated_glue(h.ladder, n, m)
 
 
 def _windows(ladder: FolnerLadder, n: int, m: int):

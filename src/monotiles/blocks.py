@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .errors import AugmentationError, DistinctnessError, InfeasibleError, UnsupportedGroupError
 from .folner import FolnerLadder
-from .groups import Certificate, FiniteSubset, product_set
+from .groups import Certificate, FiniteSubset
 from .matrices import ManagedMatrix
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "BlockHierarchy",
     "base_blocks",
     "assignment_from_matrix",
-    "assemble_level",
     "build_hierarchy",
     "verify_c3",
     "augment_matrix",
@@ -32,7 +31,7 @@ __all__ = [
 class Pattern:
     """A finitely supported symbol pattern: a window plus one symbol per cell."""
 
-    __slots__ = ("support", "symbols", "_index")
+    __slots__ = ("support", "symbols")
 
     def __init__(self, support: FiniteSubset, symbols: Sequence[int]):
         symbols = tuple(map(int, symbols))
@@ -42,24 +41,6 @@ class Pattern:
             raise ValueError("symbols must be nonnegative")
         self.support = support
         self.symbols = symbols
-        self._index = None
-
-    def index(self) -> dict:
-        if self._index is None:
-            self._index = {g: i for i, g in enumerate(self.support.elements)}
-        return self._index
-
-    def value(self, g) -> int:
-        idx = self.index().get(g)
-        if idx is None:
-            raise KeyError(f"{g!r} outside the pattern support")
-        return self.symbols[idx]
-
-    def window(self, c, base: FiniteSubset) -> tuple[int, ...]:
-        """Symbols read along the translated window c * base, in base order."""
-        mul = self.support.ctx.mul
-        idx = self.index()
-        return tuple(self.symbols[idx[mul(c, v)]] for v in base.elements)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Pattern) and self.support == other.support
@@ -173,14 +154,16 @@ def assignment_from_matrix(mtilde: ManagedMatrix, cosets: FiniteSubset,
     return Assignment(cosets, tuple(final))
 
 
+def _require_window(family: Sequence[Pattern], base: FiniteSubset) -> None:
+    if any(b.support != base for b in family):
+        raise ValueError("family blocks must share one support window")
+
+
 def _assemble(family: Sequence[Pattern], ladder: FolnerLadder, n: int,
               assignment: Assignment) -> list[Pattern]:
     """Level-(n+1) blocks: lower blocks concatenated along each assignment
     row (glue order), then read once in the canonical order of F_{n+1}."""
-    base = ladder.levels[n]
-    for b in family:
-        if b.support != base:
-            raise ValueError("family blocks must share one support window")
+    _require_window(family, ladder.levels[n])
     if assignment.cosets != ladder.glue[n]:
         raise ValueError("assignment indexed by different cosets")
     for row in assignment.values:
@@ -197,14 +180,6 @@ def _assemble(family: Sequence[Pattern], ladder: FolnerLadder, n: int,
             if out[i] == out[j]:
                 raise DistinctnessError(f"assembled blocks {i + 1} and {j + 1} coincide")
     return out
-
-
-def assemble_level(family: Sequence[Pattern], cosets: FiniteSubset,
-                   assignment: Assignment) -> list[Pattern]:
-    """Glue level-n blocks into level-(n+1) blocks over the glue cosets."""
-    base = family[0].support
-    support = product_set(cosets, base, require_unique=True)
-    return _assemble(family, FolnerLadder(cosets.ctx, [base, support], [cosets]), 0, assignment)
 
 
 def _visiting_order(base: FiniteSubset, index: dict) -> list[int]:
@@ -237,8 +212,10 @@ def verify_c3(family: Sequence[Pattern], ctx=None, window: FiniteSubset | None =
     still-agreeing pairs are narrowed one overlap cell at a time, outward
     from the identity, until none is left.  A failure's witness is
     [g, k, k'], the first g in canonical order and its first agreeing pair.
+    Every block must live on one window (else ValueError).
     """
     base = family[0].support
+    _require_window(family, base)
     if window is not None and window != base:
         raise ValueError("family not supported on the given window")
     if ctx is not None and ctx != base.ctx:

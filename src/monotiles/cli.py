@@ -16,7 +16,7 @@ from .analysis import (
 )
 from .blocks import BlockHierarchy, Pattern, build_hierarchy, verify_c3
 from .errors import MonotileError, RenderUnsupportedError
-from .folner import FolnerLadder, check_congruent, invariance_table
+from .folner import FolnerLadder, check_congruent, right_invariance_defect
 from .groups import FiniteSubset, Lattice, context_from_descriptor
 from .matrices import ManagedSequence, positivity_horizon, select_subsequence_lemma8
 from .pipeline import (
@@ -36,7 +36,8 @@ __all__ = ["main", "render_pattern"]
 def render_pattern(p: Pattern, mode: str = "text") -> str:
     """Deterministic rendering; text mode needs an interval or box support.
 
-    Rows follow the first coordinate ascending, columns the second.
+    Rows follow the first coordinate ascending, columns the second: a full
+    box in canonical (x-major) order is read row by row as slices.
     """
     if mode == "json":
         return json.dumps(p.to_json(), sort_keys=True, separators=(",", ":"))
@@ -57,8 +58,7 @@ def render_pattern(p: Pattern, mode: str = "text") -> str:
             or ys != list(range(ys[0], ys[0] + len(ys)))
             or len(cells) != len(xs) * len(ys)):
         raise RenderUnsupportedError("support is not a full box")
-    return "\n".join(
-        " ".join(str(p.value((x, y))) for y in ys) for x in xs)
+    return "\n".join(" ".join(map(str, p.symbols[i:i + len(ys)])) for i in range(0, len(cells), len(ys)))
 
 
 def _print(data, fmt: str, text_fn=None) -> None:
@@ -124,7 +124,8 @@ def _cmd_folner(args) -> int:
             raise MonotileError(f"--K must be a JSON list of element encodings, got {args.K}")
         elems = [ladder.ctx.decode_json(e) for e in encoded]
         window = FiniteSubset(ladder.ctx, elems)
-        rows = [r.to_json() for r in invariance_table(ladder, window)]
+        rows = [{"level": n, "window": window.encode_json(),
+                 "defect": str(right_invariance_defect(F, window))} for n, F in enumerate(ladder.levels)]
         _print({"window_defects": rows, "element_defects": _defect_table(ladder, elems)}, args.format)
         return 0
     raise MonotileError(f"unknown folner action {args.action!r}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._intlin import ZModule
-from .errors import InvarianceUnreachableError, NotCosetRepsError
+from .errors import EncodingError, InvarianceUnreachableError, NotCosetRepsError
 from .groups import (
     Certificate,
     FiniteSubset,
@@ -29,10 +29,8 @@ from .groups import (
 
 __all__ = [
     "FolnerLadder",
-    "InvarianceReport",
     "right_invariance_defect",
     "folner_defect",
-    "invariance_table",
     "check_congruent",
     "iterated_glue",
     "first_level_containing",
@@ -140,20 +138,17 @@ class FolnerLadder:
 
     @staticmethod
     def from_json(data: dict) -> "FolnerLadder":
+        """Inverse of to_json: exactly group, levels and glue (lists of element
+        lists) and an optional info, else EncodingError."""
+        if not (isinstance(data, dict) and data.keys() - {"info"} == {"group", "levels", "glue"}):
+            raise EncodingError("a ladder needs exactly the keys group, levels, glue and optionally info")
+        if not all(isinstance(part, list) and all(isinstance(s, list) for s in part)
+                   for part in (data["levels"], data["glue"])):
+            raise EncodingError("ladder levels and glue must be lists of element lists")
         ctx = context_from_descriptor(data["group"])
         levels = [FiniteSubset(ctx, (ctx.decode_json(e) for e in lv)) for lv in data["levels"]]
         glue = [FiniteSubset(ctx, (ctx.decode_json(e) for e in j)) for j in data["glue"]]
         return FolnerLadder(ctx, levels, glue, data.get("info"))
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    level: int
-    window: FiniteSubset
-    defect: Fraction
-
-    def to_json(self) -> dict:
-        return {"level": self.level, "window": self.window.encode_json(), "defect": str(self.defect)}
 
 
 def right_invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:
@@ -180,11 +175,6 @@ def folner_defect(F: FiniteSubset, g) -> Fraction:
     mul = F.ctx.mul
     moved = {mul(f, g) for f in F.elements}
     return Fraction(len(moved - F.as_set), len(F))
-
-
-def invariance_table(ladder: FolnerLadder, K: FiniteSubset) -> list[InvarianceReport]:
-    """Per-level right (K, .)-invariance defects."""
-    return [InvarianceReport(n, K, right_invariance_defect(F, K)) for n, F in enumerate(ladder.levels)]
 
 
 def check_congruent(ladder: FolnerLadder) -> Certificate:

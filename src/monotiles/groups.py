@@ -347,6 +347,8 @@ class FiniteExtension(GroupContext):
                     raise NotCosetRepsError(f"{r!r} and {s!r} lie in the same right coset")
 
     def _check_embed(self) -> None:
+        """Check the embedding; keep the factor index i of "factor:i"."""
+        self._factor = None
         if self.embed == "same":
             if self.base != self.ambient:
                 raise ValueError("embed 'same' requires base == ambient")
@@ -360,32 +362,18 @@ class FiniteExtension(GroupContext):
                 raise ValueError(f"factor index {i} out of range")
             if self.ambient.factors[i] != self.base:
                 raise ValueError(f"ambient factor {i} does not match the base context")
+            self._factor = i
         else:
             raise ValueError(f"unknown embedding {self.embed!r}")
-
-    def embed_base(self, g):
-        """Map a base-group element to its ambient encoding."""
-        self.base.validate(g)
-        if self.embed == "same":
-            return g
-        if self.embed == "trivial":
-            if g != self.base.identity():
-                raise EncodingError("trivial embedding only maps the identity")
-            return self.ambient.identity()
-        i = int(self.embed.split(":", 1)[1])
-        parts = list(self.ambient.identity())
-        parts[i] = g
-        return tuple(parts)
 
     def base_contains(self, g) -> bool:
         """Membership test for the embedded base subgroup."""
         if self.embed == "same":
             return True
-        if self.embed == "trivial":
-            return g == self.ambient.identity()
-        i = int(self.embed.split(":", 1)[1])
         ident = self.ambient.identity()
-        return all(a == e for j, (a, e) in enumerate(zip(g, ident)) if j != i)
+        if self._factor is None:
+            return g == ident
+        return all(a == e for j, (a, e) in enumerate(zip(g, ident)) if j != self._factor)
 
     def identity(self):
         return self.ambient.identity()
@@ -526,20 +514,6 @@ class FiniteSubset:
 
     def __contains__(self, g) -> bool:
         return g in self.as_set
-
-    def translated(self, g) -> "FiniteSubset":
-        """Left translate g * F."""
-        self.ctx.validate(g)
-        return FiniteSubset(self.ctx, (self.ctx.mul(g, f) for f in self.elements))
-
-    def right_translated(self, g) -> "FiniteSubset":
-        """Right translate F * g."""
-        self.ctx.validate(g)
-        return FiniteSubset(self.ctx, (self.ctx.mul(f, g) for f in self.elements))
-
-    def inverted(self) -> "FiniteSubset":
-        """Elementwise inverse F^{-1} (left/right Folner conversion)."""
-        return FiniteSubset(self.ctx, (self.ctx.inv(f) for f in self.elements))
 
     def encode_json(self) -> list:
         return [self.ctx.encode_json(g) for g in self.elements]

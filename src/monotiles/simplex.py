@@ -284,12 +284,6 @@ class RealizationResult:
     diameters: tuple
     depth: int
 
-    def to_json(self) -> dict:
-        return {"sequence": self.sequence.to_json(),
-                "approximant": self.approximant.to_json(),
-                "diameters": [str(x) for x in self.diameters],
-                "depth": self.depth}
-
 
 def realize_finite_simplex(num_extreme: int, ladder: FolnerLadder, tolerance) -> RealizationResult:
     """Near-diagonal managed sequence over the ladder with num_extreme limit points.

@@ -146,7 +146,7 @@ def test_criterion_5_tower_partitions_and_mutation():
             assert report.ok, f"({n}, {m}): {report.reason}"
     patch = h.x0_patch(3)
     symbols = list(patch.symbols)
-    spot = patch.index()[(5,)]  # interior cell away from the identity
+    spot = patch.support.elements.index((5,))  # interior cell away from the identity
     symbols[spot] = symbols[spot] % 3 + 1
     mutated = check_partitions(h, 0, 3, patch=Pattern(patch.support, symbols))
     assert not mutated.ok

@@ -22,6 +22,7 @@ from monotiles import (
     syndeticity_window,
 )
 from monotiles.errors import OutOfWindowError
+from test_tiling import reassemble
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
 
@@ -46,7 +47,7 @@ def test_address_reassembles_exactly():
     ladder = build_lattice_ladder(1, 3)
     for v in ladder.levels[3]:
         a = address(ladder, v, 0, 3)
-        assert a.reassemble(ladder) == v
+        assert reassemble(ladder, a) == v
         partial = address(ladder, v, 1, 3)
         assert len(partial.digits) == 2
         assert partial.residual in ladder.levels[1]
@@ -118,7 +119,7 @@ def test_check_partitions_detects_one_symbol_mutation():
     h = _hierarchy()
     p = h.x0_patch(2)
     symbols = list(p.symbols)
-    spot = p.index()[(3,)]
+    spot = p.support.elements.index((3,))
     symbols[spot] = symbols[spot] % 3 + 1
     rep = check_partitions(h, 0, 2, patch=Pattern(p.support, symbols))
     assert not rep.ok

@@ -5,9 +5,10 @@ import pytest
 from monotiles import (
     Assignment,
     BlockHierarchy,
+    FiniteSubset,
+    Lattice,
     ManagedMatrix,
     Pattern,
-    assemble_level,
     assignment_from_matrix,
     augment_matrix,
     base_blocks,
@@ -16,6 +17,8 @@ from monotiles import (
     verify_c3,
 )
 from monotiles.errors import AugmentationError, DistinctnessError, InfeasibleError
+from test_read_path import window_reader
+from test_tiling import assemble_level
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
 
@@ -41,10 +44,11 @@ def test_base_blocks_require_three_symbols():
 def test_pattern_window_reads_translated_cells():
     ladder = _ladder(2)
     p = Pattern(ladder.levels[2], range(9))
-    assert p.window((3,), ladder.levels[1]) == (6, 7, 8)
-    assert p.value((-4,)) == 0
+    assert window_reader(p, ladder.levels[1])((3,)) == (6, 7, 8)
+    cell = window_reader(p, ladder.levels[0])
+    assert cell((-4,)) == (0,)
     with pytest.raises(KeyError):
-        p.value((5,))
+        cell((5,))
 
 
 def test_pattern_rejects_mismatched_symbols():
@@ -110,6 +114,14 @@ def test_assemble_level_detects_coincident_blocks():
     clash = Assignment(ladder.glue[0], ((2, 1, 3), (2, 1, 3)))
     with pytest.raises(DistinctnessError):
         assemble_level(fam0, ladder.glue[0], clash)
+
+
+def test_verify_c3_rejects_blocks_on_different_windows():
+    ctx = Lattice(1)
+    A = FiniteSubset(ctx, [(-1,), (0,), (1,)])
+    B = FiniteSubset(ctx, [(5,), (6,), (7,)])
+    with pytest.raises(ValueError, match="family blocks must share one support window"):
+        verify_c3([Pattern(A, [1, 2, 3]), Pattern(B, [3, 2, 1])])
 
 
 def test_verify_c3_passes_on_built_family():

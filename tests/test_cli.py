@@ -53,6 +53,8 @@ def test_render_pattern_box():
     ladder = build_lattice_ladder(2, 1)
     p = Pattern(ladder.levels[1], range(9))
     assert render_pattern(p) == "0 1 2\n3 4 5\n6 7 8"
+    wide = FiniteSubset(ladder.ctx, [(x, y) for x in range(2) for y in range(3)])
+    assert render_pattern(Pattern(wide, range(6))) == "0 1 2\n3 4 5"
 
 
 def test_render_pattern_refuses_non_lattice():
@@ -104,8 +106,12 @@ def test_folner_build_pruefer_route(tmp_path, capsys):
 def test_folner_defect_table(tmp_path, capsys):
     path = _ladder_file(tmp_path)
     assert main(["folner", "defect", path, "--K", "[[1]]"]) == 0
-    table = json.loads(capsys.readouterr().out)
-    assert table["window_defects"][1]["defect"] == "1/3"
+    out = capsys.readouterr().out
+    assert json.loads(out)["window_defects"][1]["defect"] == "1/3"
+    assert out == (
+        '{"element_defects": {"[1]": ["1","1/3","1/9","1/27"]},"window_defects": ['
+        '{"defect": "1","level": 0,"window": [[1]]},{"defect": "1/3","level": 1,"window": [[1]]},'
+        '{"defect": "1/9","level": 2,"window": [[1]]},{"defect": "1/27","level": 3,"window": [[1]]}]}\n')
 
 
 def test_blocks_build_verify_and_render(tmp_path, capsys):
@@ -212,7 +218,21 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     ("z", ["folner", "defect", "{ladder}", "--K", "5"]),
     ("z", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]", "--levels", "0..9"]),
     ("z", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]", "--levels=-1"]),
+    ("z", ["folner", "check", "{no-glue}"]),
+    ("z", ["folner", "check", "{level-5}"]),
+    ("z", ["folner", "check", "{extra-key}"]),
+    ("z", ["folner", "check", "{glue-5}"]),
+    ("z", ["folner", "check", "{not-object}"]),
 ]
+
+# malformed copies of the built ladder file
+BROKEN_LADDERS = {
+    "{no-glue}": lambda d: {k: v for k, v in d.items() if k != "glue"},
+    "{level-5}": lambda d: {**d, "levels": [5, *d["levels"][1:]]},
+    "{extra-key}": lambda d: {**d, "extra": 1},
+    "{glue-5}": lambda d: {**d, "glue": 5},
+    "{not-object}": lambda d: [d],
+}
 
 
 @pytest.mark.parametrize("group, argv", MALFORMED_CLI)
@@ -222,7 +242,11 @@ def test_malformed_input_exits_1_with_an_error_line(tmp_path, capsys, group, arg
         assert main(["--out", str(tmp_path), "folner", "build", "--group", LADDER_GROUPS[group],
                      "--depth", "2"]) == 0
         capsys.readouterr()
-    assert main(["--out", str(tmp_path / "out"), *(a.replace("{ladder}", str(ladder)) for a in argv)]) == 1
+    argv = [a.replace("{ladder}", str(ladder)) for a in argv]
+    for i, a in enumerate(argv):
+        if a in BROKEN_LADDERS:
+            argv[i] = _write(tmp_path, "broken.json", BROKEN_LADDERS[a](json.loads(ladder.read_text())))
+    assert main(["--out", str(tmp_path / "out"), *argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -21,7 +21,6 @@ from monotiles import (
     first_level_containing,
     folner_defect,
     group_ladder,
-    invariance_table,
     iterated_glue,
     map_ladder,
     right_invariance_defect,
@@ -68,8 +67,8 @@ def test_right_invariance_defect_frozen_value():
     ladder = build_lattice_ladder(1, 3)
     K = FiniteSubset(ladder.ctx, [(1,)])
     assert right_invariance_defect(ladder.levels[1], K) == Fraction(1, 3)
-    table = invariance_table(ladder, K)
-    assert [r.defect for r in table] == [1, Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)]
+    table = [right_invariance_defect(F, K) for F in ladder.levels]
+    assert table == [1, Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)]
 
 
 def test_check_congruent_passes_on_builder_output():
@@ -203,11 +202,13 @@ def test_group_ladder_rejects_bad_boundaries():
 
 
 def test_ladder_json_round_trip():
-    for ladder in [build_lattice_ladder(2, 2), build_pruefer_ladder(2, 3)]:
+    grouped = group_ladder(build_lattice_ladder(1, 3), [0, 2, 3])  # carries info
+    for ladder in [build_lattice_ladder(2, 2), build_pruefer_ladder(2, 3), grouped]:
         again = FolnerLadder.from_json(ladder.to_json())
         assert again.levels == ladder.levels
         assert again.glue == ladder.glue
         assert again.ctx == ladder.ctx
+        assert again.info == ladder.info
 
 
 def test_compose_exact_sequence_heisenberg_small():

@@ -97,7 +97,8 @@ def test_finite_extension_factor_embedding():
     ctx = FiniteExtension(Lattice(1), ambient, "factor:0", reps)
     assert ctx.identity() == ((0,), 0)
     assert ctx.mul(((1,), 1), ((2,), 1)) == ((3,), 0)
-    assert ctx.embed_base((5,)) == ((5,), 0)
+    assert ctx.base_contains(((5,), 0))
+    assert not ctx.base_contains(((5,), 1))
 
 
 def test_finite_extension_rejects_missing_identity_rep():
@@ -130,9 +131,9 @@ def test_finite_subset_as_set_is_plain_set():
 def test_finite_subset_translate_and_invert():
     ctx = Lattice(1)
     F = FiniteSubset(ctx, [(0,), (1,)])
-    assert F.translated((3,)).elements == ((3,), (4,))
-    assert F.right_translated((3,)).elements == ((3,), (4,))
-    assert F.inverted().elements == ((-1,), (0,))
+    assert FiniteSubset(ctx, (ctx.mul((3,), f) for f in F)).elements == ((3,), (4,))
+    assert FiniteSubset(ctx, (ctx.mul(f, (3,)) for f in F)).elements == ((3,), (4,))
+    assert FiniteSubset(ctx, (ctx.inv(f) for f in F)).elements == ((-1,), (0,))
 
 
 def test_product_set_union_and_uniqueness():

@@ -9,10 +9,10 @@ from monotiles._intlin import ZModule
 
 def test_membership_in_rectangular_span():
     mod = ZModule(2, [(2, 0), (0, 3)])
-    assert mod.contains((4, 3))
-    assert mod.contains((-2, 6))
-    assert not mod.contains((1, 0))
-    assert not mod.contains((2, 1))
+    assert mod.minimal_multiple((4, 3)) == 1
+    assert mod.minimal_multiple((-2, 6)) == 1
+    assert mod.minimal_multiple((1, 0)) != 1
+    assert mod.minimal_multiple((2, 1)) != 1
 
 
 def test_rational_coordinates():
@@ -36,8 +36,8 @@ def test_incremental_basis_reduction():
     mod = ZModule(2)
     mod.add((4, 0))
     mod.add((6, 0))
-    assert mod.contains((2, 0))  # gcd closure
-    assert not mod.contains((1, 0))
+    assert mod.minimal_multiple((2, 0)) == 1  # gcd closure
+    assert mod.minimal_multiple((1, 0)) != 1
     assert len(mod.basis()) == 1
     with pytest.raises(ValueError):
         mod.add((1, 2, 3))

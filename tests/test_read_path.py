@@ -56,6 +56,16 @@ def reference_verify_c3(family) -> Certificate:
     return Certificate(True)
 
 
+def window_reader(patch, base):
+    """c -> symbols of the patch read along the translated window c * base, in base order."""
+    mul, index = patch.support.ctx.mul, cell_index(patch)
+    return lambda c: tuple(patch.symbols[index[mul(c, v)]] for v in base.elements)
+
+
+def cell_index(patch) -> dict:
+    return {g: i for i, g in enumerate(patch.support.elements)}
+
+
 def reference_testable(ladder, n, m) -> list:
     mul = ladder.ctx.mul
     big = ladder.levels[m].as_set
@@ -66,9 +76,10 @@ def reference_testable(ladder, n, m) -> list:
 def reference_occurrences(h, n, m, patch) -> dict:
     base = h.ladder.levels[n]
     lookup = {b.symbols: k for k, b in enumerate(h.family(n), start=1)}
+    read = window_reader(patch, base)
     found = {}
     for v in reference_testable(h.ladder, n, m):
-        k = lookup.get(patch.window(v, base))
+        k = lookup.get(read(v))
         if k is not None:
             found[v] = k
     return found
@@ -131,8 +142,8 @@ def reference_syndeticity(h, cylinder, m) -> Certificate:
     mul = ladder.ctx.mul
     patch = h.x0_patch(m)
     target = h.family(cylinder.level)[0]
-    visits = [v for v in reference_testable(ladder, cylinder.level, m)
-              if patch.window(v, ladder.levels[cylinder.level]) == target.symbols]
+    read = window_reader(patch, ladder.levels[cylinder.level])
+    visits = [v for v in reference_testable(ladder, cylinder.level, m) if read(v) == target.symbols]
     fail = lambda reason, witness: Certificate.fail(
         ladder.ctx, reason, witness, levels=[n, m], visits=len(visits), covered=False, gap_radius=None)
     visit_set = set(visits)
@@ -150,7 +161,7 @@ def reference_syndeticity(h, cylinder, m) -> Certificate:
 
 def reference_boundary_mass(ladder, g, n) -> Fraction:
     F = ladder.levels[n]
-    shifted = F.right_translated(g).as_set
+    shifted = {ladder.ctx.mul(f, g) for f in F}
     return Fraction(sum(1 for f in F if f not in shifted), len(F))
 
 
@@ -173,7 +184,7 @@ def test_verify_c3_equals_exhaustive_oracle_on_built_families(data):
 def translate_of(block: Pattern, g, filler: int) -> Pattern:
     """Symbols of block read at g * v where that stays inside the window."""
     support = block.support
-    mul, index = support.ctx.mul, block.index()
+    mul, index = support.ctx.mul, cell_index(block)
     return Pattern(support, [block.symbols[index[mul(g, v)]] if mul(g, v) in support else filler
                              for v in support])
 

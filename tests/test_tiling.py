@@ -25,7 +25,6 @@ from monotiles import (
     ManagedMatrix,
     Pattern,
     address,
-    assemble_level,
     base_blocks,
     build_heisenberg_ladder,
     build_hierarchy,
@@ -37,6 +36,7 @@ from monotiles import (
     incidence_from_hierarchy,
     verify_c3,
 )
+from monotiles.blocks import _assemble
 from monotiles.errors import DistinctnessError, NotCosetRepsError
 from monotiles.groups import product_set
 from monotiles.pipeline import heisenberg_targets
@@ -85,6 +85,21 @@ def reference_assemble(family, cosets, assignment):
             for v, s in zip(base.elements, family[choice - 1].symbols):
                 symbols[idx[mul(c, v)]] = s
         out.append(Pattern(support, symbols))
+    return out
+
+
+def assemble_level(family, cosets, assignment):
+    """The library's tiled assembly over the two-level ladder (F, J * F)."""
+    base = family[0].support
+    ladder = FolnerLadder(cosets.ctx, [base, product_set(cosets, base, require_unique=True)], [cosets])
+    return _assemble(family, ladder, 0, assignment)
+
+
+def reassemble(ladder, addr):
+    """The product of an address's digits, then its residual."""
+    out = ladder.ctx.identity()
+    for c in (*addr.digits, addr.residual):
+        out = ladder.ctx.mul(out, c)
     return out
 
 
@@ -202,7 +217,7 @@ def test_address_matches_digit_map_and_reassembles(kind, data):
     for v in ladder.levels[m]:
         a = address(ladder, v, n, m)
         assert (a.digits, a.residual) == reference_address(ladder, digit_maps_of(kind), v, n, m)
-        assert a.reassemble(ladder) == v
+        assert reassemble(ladder, a) == v
 
 
 def corrupt(ladder: FolnerLadder, kind: str, data) -> FolnerLadder:
