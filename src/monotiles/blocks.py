@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .errors import AugmentationError, DistinctnessError, InfeasibleError, UnsupportedGroupError
+from .errors import (AugmentationError, DistinctnessError, EncodingError, InfeasibleError,
+                     UnsupportedGroupError)
 from .folner import FolnerLadder
 from .groups import Certificate, FiniteSubset
 from .matrices import ManagedMatrix
@@ -304,16 +305,29 @@ class BlockHierarchy:
 
     @staticmethod
     def from_json(data: dict) -> "BlockHierarchy":
+        """Inverse of to_json: exactly ladder, families ({support, blocks} objects) and
+        assignments (int rows per level), else EncodingError."""
+        if not (isinstance(data, dict) and data.keys() == {"ladder", "families", "assignments"}
+                and isinstance(data["families"], list) and _nested_ints(data["assignments"], 3)
+                and all(isinstance(fam, dict) and fam.keys() == {"support", "blocks"}
+                        and fam["blocks"] and _nested_ints(fam["blocks"], 2) for fam in data["families"])):
+            raise EncodingError("a hierarchy needs exactly ladder, families and assignments, with int blocks")
         ladder = FolnerLadder.from_json(data["ladder"])
-        families = []
-        for n, fam in enumerate(data["families"]):
-            support = ladder.levels[n]
-            families.append([Pattern(support, sym) for sym in fam["blocks"]])
-        assignments = [
-            Assignment(ladder.glue[n], tuple(tuple(row) for row in rows))
-            for n, rows in enumerate(data["assignments"])
-        ]
+        fams, rows = data["families"], data["assignments"]
+        if len(fams) > len(ladder.levels) or len(rows) > ladder.depth:
+            raise EncodingError("hierarchy deeper than its ladder")
+        if any(fam["support"] != F.encode_json() for F, fam in zip(ladder.levels, fams)):
+            raise EncodingError("a family support differs from its ladder level")
+        families = [[Pattern(F, sym) for sym in fam["blocks"]] for F, fam in zip(ladder.levels, fams)]
+        assignments = [Assignment(J, tuple(map(tuple, a))) for J, a in zip(ladder.glue, rows)]
         return BlockHierarchy(ladder, families, assignments)
+
+
+def _nested_ints(x, depth: int) -> bool:
+    """Whether x is a list nested `depth` deep with int leaves (JSON booleans excluded)."""
+    if depth == 0:
+        return type(x) is int
+    return isinstance(x, list) and all(_nested_ints(y, depth - 1) for y in x)
 
 
 def build_hierarchy(ladder: FolnerLadder, matrices: Sequence[ManagedMatrix],

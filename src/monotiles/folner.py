@@ -157,24 +157,22 @@ def right_invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:
         raise ValueError("invariance defect of the empty window is undefined")
     if F.ctx != K.ctx:
         raise ValueError("window and test set live in different groups")
-    mul, inv = F.ctx.mul, F.ctx.inv
-    good = set(F.as_set)
+    mul, cells = F.ctx.mul, F.as_set
+    good = F.elements
     for k in K:
-        k_inv = inv(k)
-        good &= {mul(f, k_inv) for f in F.elements}
+        good = [f for f in good if mul(f, k) in cells]
         if not good:
             break
     return 1 - Fraction(len(good), len(F))
 
 
 def folner_defect(F: FiniteSubset, g) -> Fraction:
-    """|Fg \\ F| / |F| for a single group element g."""
+    """|Fg \\ F| / |F| for one group element g: the share of f in F with fg outside F."""
     if len(F) == 0:
         raise ValueError("Folner defect of the empty window is undefined")
     F.ctx.validate(g)
-    mul = F.ctx.mul
-    moved = {mul(f, g) for f in F.elements}
-    return Fraction(len(moved - F.as_set), len(F))
+    mul, cells = F.ctx.mul, F.as_set
+    return Fraction(sum(1 for f in F.elements if mul(f, g) not in cells), len(F))
 
 
 def check_congruent(ladder: FolnerLadder) -> Certificate:
@@ -200,10 +198,10 @@ def iterated_glue(ladder: FolnerLadder, n: int, m: int) -> FiniteSubset:
     acc = [ladder.ctx.identity()]
     for i in range(m - 1, n - 1, -1):
         acc = [mul(a, c) for a in acc for c in ladder.glue[i]]
-    out = FiniteSubset(ladder.ctx, set(acc))
-    if len(out) != len(acc):
+    unique = set(acc)
+    if len(unique) != len(acc):
         raise NotCosetRepsError(f"glue products between levels {n} and {m} collide")
-    return out
+    return FiniteSubset._trusted(ladder.ctx, unique)
 
 
 def first_level_containing(ladder: FolnerLadder, g) -> int | None:
@@ -225,7 +223,7 @@ def build_lattice_ladder(d: int, depth: int, base: int = 3) -> FolnerLadder:
         raise ValueError("lattice rank must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if base < 3 or base % 2 == 0:
+    if type(base) is not int or base < 3 or base % 2 == 0:
         raise ValueError("box base must be an odd integer >= 3")
     ctx = Lattice(d)
     half_digits = (base - 1) // 2
@@ -233,10 +231,10 @@ def build_lattice_ladder(d: int, depth: int, base: int = 3) -> FolnerLadder:
     glue = []
     for n in range(depth + 1):
         h = (base**n - 1) // 2
-        levels.append(FiniteSubset(ctx, itertools.product(range(-h, h + 1), repeat=d)))
+        levels.append(FiniteSubset._trusted(ctx, itertools.product(range(-h, h + 1), repeat=d)))
         if n < depth:
             steps = [k * base**n for k in range(-half_digits, half_digits + 1)]
-            glue.append(FiniteSubset(ctx, itertools.product(steps, repeat=d)))
+            glue.append(FiniteSubset._trusted(ctx, itertools.product(steps, repeat=d)))
     return FolnerLadder(ctx, levels, glue)
 
 
@@ -245,8 +243,8 @@ def build_pruefer_ladder(p: int, depth: int) -> FolnerLadder:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     ctx = Pruefer(p)
-    levels = [FiniteSubset(ctx, (Fraction(m, p**n) for m in range(p**n))) for n in range(depth + 1)]
-    glue = [FiniteSubset(ctx, (Fraction(j, p ** (n + 1)) for j in range(p))) for n in range(depth)]
+    levels = [FiniteSubset._trusted(ctx, (Fraction(m, p**n) for m in range(p**n))) for n in range(depth + 1)]
+    glue = [FiniteSubset._trusted(ctx, (Fraction(j, p ** (n + 1)) for j in range(p))) for n in range(depth)]
     return FolnerLadder(ctx, levels, glue)
 
 
@@ -352,7 +350,7 @@ def compose_exact_sequence(
         lifted_digits.append(digits)
         towers.append(product_set(FiniteSubset(ctx, digits), towers[-1], require_unique=True))
     for q_level, tower in zip(ladder_quot.levels, towers):
-        if {projection(t) for t in tower} != set(q_level.as_set):
+        if {projection(t) for t in tower} != q_level.as_set:
             raise ValueError("lifted tower does not project onto the quotient tiles")
 
     # commutation certificate: subgroup windows must commute with every lift
@@ -365,13 +363,6 @@ def compose_exact_sequence(
             if ctx.mul(u, t) != ctx.mul(t, u):
                 raise ValueError(f"subgroup element {u!r} does not commute with lift {t!r}; "
                                  "composition needs a central subgroup")
-
-    def composed(m: int, q: int) -> FiniteSubset:
-        size = len(ladder_sub.levels[m]) * len(towers[q])
-        if max_level_size is not None and size > max_level_size:
-            raise InvarianceUnreachableError(
-                f"composed level would hold {size} elements (cap {max_level_size})")
-        return product_set(ladder_sub.levels[m], towers[q], require_unique=True)
 
     levels = [ladder_sub.levels[0]]
     m_prev, q_prev = 0, 0
@@ -388,27 +379,32 @@ def compose_exact_sequence(
             if right_invariance_defect(ladder_quot.levels[q], projected) > eps / 2:
                 continue
             for m in range(m_prev + 1, ladder_sub.depth + 1):
-                defect = right_invariance_defect(composed(m, q), K)
+                size = len(ladder_sub.levels[m]) * len(towers[q])
+                if max_level_size is not None and size > max_level_size:
+                    raise InvarianceUnreachableError(
+                        f"composed level would hold {size} elements (cap {max_level_size})")
+                level = product_set(ladder_sub.levels[m], towers[q], require_unique=True)
+                defect = right_invariance_defect(level, K)
                 if best is None or defect < best:
                     best = defect
                 if defect <= eps:
-                    found = (m, q, defect)
+                    found = (m, q, defect, level)
                     break
             if found:
                 break
         if not found:
             raise InvarianceUnreachableError(
                 f"no indices meet target {s} (eps = {eps}) within the given ladders", achieved=best)
-        m_s, q_s, defect = found
+        m_s, q_s, defect, level = found
         digit_products = [ident]
         for i in range(q_s - 1, q_prev - 1, -1):
             digit_products = [mul(e, d) for e in digit_products for d in lifted_digits[i]]
         C = iterated_glue(ladder_sub, m_prev, m_s)
-        step = FiniteSubset(ctx, (mul(c, e) for c in C for e in digit_products))
+        step = {mul(c, e) for c in C for e in digit_products}
         if len(step) != len(C) * len(digit_products):
             raise NotCosetRepsError("composed glue digits collide")
-        glue.append(step)
-        levels.append(composed(m_s, q_s))
+        glue.append(FiniteSubset._trusted(ctx, step))
+        levels.append(level)
         m_prev, q_prev = m_s, q_s
         m_indices.append(m_s)
         q_indices.append(q_s)

@@ -9,6 +9,7 @@ deterministically within one context.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -124,7 +125,7 @@ class Lattice(_IntTuples):
         self.d = d
 
     def mul(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(operator.add, g, h))
 
     def inv(self, g):
         return tuple(-a for a in g)
@@ -228,11 +229,9 @@ class Pruefer(_Fractions):
     def validate(self, g) -> None:
         if not isinstance(g, Fraction) or not 0 <= g < 1:
             raise EncodingError(f"expected a Fraction in [0, 1), got {g!r}")
-        den = g.denominator
-        while den % self.p == 0:
-            den //= self.p
-        if den != 1:
-            raise EncodingError(f"{g} has denominator not a power of {self.p}")
+        # den divides p**k for some k iff it divides p**bit_length(den): no prime exponent reaches it
+        if pow(self.p, g.denominator.bit_length(), g.denominator):
+            raise EncodingError(f"{g} has a denominator dividing no power of {self.p}")
 
     def generators(self) -> list:
         return [Fraction(1, self.p)]
@@ -498,6 +497,15 @@ class FiniteSubset:
         object.__setattr__(self, "elements", tuple(unique))
         object.__setattr__(self, "_index", None)
 
+    @classmethod
+    def _trusted(cls, ctx: GroupContext, elements: Iterable) -> "FiniteSubset":
+        """Internal constructor for distinct, already valid elements: it only sorts them."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "elements", tuple(sorted(elements)))
+        object.__setattr__(self, "_index", None)
+        return self
+
     @property
     def as_set(self) -> frozenset:
         idx = object.__getattribute__(self, "_index")
@@ -528,6 +536,7 @@ def product_set(A: FiniteSubset, B: FiniteSubset, *, require_unique: bool = Fals
         raise ValueError("product of subsets of different groups")
     mul = A.ctx.mul
     products = [mul(a, b) for a in A.elements for b in B.elements]
-    if require_unique and len(set(products)) != len(products):
+    unique = set(products)
+    if require_unique and len(unique) != len(products):
         raise NotCosetRepsError("product set has colliding factorizations")
-    return FiniteSubset(A.ctx, set(products))
+    return FiniteSubset._trusted(A.ctx, unique)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import HypothesisError, SelectionExhaustedError
+from .errors import EncodingError, HypothesisError, SelectionExhaustedError
 
 __all__ = [
     "ManagedMatrix",
@@ -78,8 +78,13 @@ class ManagedMatrix:
 
     @staticmethod
     def from_json(data: dict) -> "ManagedMatrix":
-        rows, cols = data["rows"], data["cols"]
-        flat = data["entries"]
+        """Inverse of to_json: exactly rows, cols and a flat entries list and an
+        optional ratio, all ints, else EncodingError."""
+        if not (isinstance(data, dict) and data.keys() - {"ratio"} == {"rows", "cols", "entries"}
+                and isinstance(data["entries"], list) and all(
+                    type(x) is int for x in (data["rows"], data["cols"], data.get("ratio", 0), *data["entries"]))):
+            raise EncodingError("a matrix needs exactly int rows, cols, entries (a list) and optionally ratio")
+        rows, cols, flat = data["rows"], data["cols"], data["entries"]
         if len(flat) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
         m = ManagedMatrix(tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows)))
@@ -132,10 +137,14 @@ class ManagedSequence:
 
     @staticmethod
     def from_json(data) -> "ManagedSequence":
-        if isinstance(data, dict):
-            return ManagedSequence([ManagedMatrix.from_json(m) for m in data["matrices"]],
-                                   base_scale=data.get("base_scale", 1))
-        return ManagedSequence([ManagedMatrix.from_json(m) for m in data])
+        """Inverse of to_json: a list of matrices, or an object of exactly matrices
+        (a list) and an optional int base_scale, else EncodingError."""
+        base_scale = 1
+        if isinstance(data, dict) and data.keys() - {"base_scale"} == {"matrices"}:
+            data, base_scale = data["matrices"], data.get("base_scale", 1)
+        if not (isinstance(data, list) and type(base_scale) is int):
+            raise EncodingError("a sequence needs a list of matrices and optionally an int base_scale")
+        return ManagedSequence([ManagedMatrix.from_json(m) for m in data], base_scale=base_scale)
 
 
 def select_subsequence_lemma8(ms: ManagedSequence, bound) -> list[int]:

@@ -223,6 +223,11 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     ("z", ["folner", "check", "{extra-key}"]),
     ("z", ["folner", "check", "{glue-5}"]),
     ("z", ["folner", "check", "{not-object}"]),
+    (None, ["blocks", "verify-c3", "{no-families}"]),
+    (None, ["blocks", "verify-c3", "{assignments-5}"]),
+    (None, ["blocks", "x0", "{empty-family}", "--level", "1"]),
+    (None, ["measures", "check", "{matrices-5}"]),
+    (None, ["measures", "check", "{int-matrix}"]),
 ]
 
 # malformed copies of the built ladder file
@@ -233,6 +238,17 @@ BROKEN_LADDERS = {
     "{glue-5}": lambda d: {**d, "glue": 5},
     "{not-object}": lambda d: [d],
 }
+
+# malformed copies of a written hierarchy file
+BROKEN_HIERARCHIES = {
+    "{no-families}": lambda d: {k: v for k, v in d.items() if k != "families"},
+    "{assignments-5}": lambda d: {**d, "assignments": 5},
+    "{empty-family}": lambda d: {**d, "families": [d["families"][0], {**d["families"][1], "blocks": []},
+                                                   *d["families"][2:]]},
+}
+
+# malformed managed-sequence files
+BROKEN_SEQUENCES = {"{matrices-5}": {"matrices": 5}, "{int-matrix}": [1]}
 
 
 @pytest.mark.parametrize("group, argv", MALFORMED_CLI)
@@ -246,6 +262,11 @@ def test_malformed_input_exits_1_with_an_error_line(tmp_path, capsys, group, arg
     for i, a in enumerate(argv):
         if a in BROKEN_LADDERS:
             argv[i] = _write(tmp_path, "broken.json", BROKEN_LADDERS[a](json.loads(ladder.read_text())))
+        elif a in BROKEN_HIERARCHIES:
+            with open(_hier_file(tmp_path)) as fh:
+                argv[i] = _write(tmp_path, "broken.json", BROKEN_HIERARCHIES[a](json.load(fh)))
+        elif a in BROKEN_SEQUENCES:
+            argv[i] = _write(tmp_path, "broken.json", BROKEN_SEQUENCES[a])
     assert main(["--out", str(tmp_path / "out"), *argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
 

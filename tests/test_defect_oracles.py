@@ -1,0 +1,163 @@
+"""Defects and the Heisenberg composition against the formulas they replaced.
+
+`folner_defect` counts the cells f with f g outside F, `right_invariance_defect`
+filters the surviving cells by f k in F, and `compose_exact_sequence` keeps
+the level its search built.  The references below are the previous code: the
+set difference |Fg \\ F|, the intersection of the translates F k^-1, and a
+search that rebuilds the chosen level from scratch.  Each must agree exactly.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from monotiles import (
+    FiniteSubset,
+    Heisenberg,
+    Lattice,
+    Pruefer,
+    build_heisenberg_ladder,
+    build_lattice_ladder,
+    compose_exact_sequence,
+    folner_defect,
+    iterated_glue,
+    map_ladder,
+    right_invariance_defect,
+)
+from monotiles.errors import InvarianceUnreachableError
+from monotiles.groups import product_set
+from monotiles.pipeline import heisenberg_targets
+from test_tiling import PROPERTY
+
+# sha256 of the canonical JSON of build_heisenberg_ladder(heisenberg_targets(3)),
+# written by the code that rebuilt the chosen level and validated every cell
+HEISENBERG_3_SHA256 = "c7ecf7a4c9654977dd9b9e91fa77d95bda87469a98d1b226184bad3ade8daabd"
+
+
+def reference_folner_defect(F, g):
+    mul = F.ctx.mul
+    moved = {mul(f, g) for f in F.elements}
+    return Fraction(len(moved - F.as_set), len(F))
+
+
+def reference_right_invariance_defect(F, K):
+    mul, inv = F.ctx.mul, F.ctx.inv
+    good = set(F.as_set)
+    for k in K:
+        k_inv = inv(k)
+        good &= {mul(f, k_inv) for f in F.elements}
+    return 1 - Fraction(len(good), len(F))
+
+
+CONTEXTS = {"z": Lattice(1), "z2": Lattice(2), "pruefer2": Pruefer(2), "heisenberg": Heisenberg()}
+
+
+def elements(ctx):
+    if isinstance(ctx, Pruefer):
+        return st.builds(lambda k, j: Fraction(k % 2**j, 2**j), st.integers(0, 64), st.integers(0, 5))
+    return st.tuples(*[st.integers(-3, 3)] * ctx.d)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(sorted(CONTEXTS)), data=st.data())
+def test_defects_equal_the_set_formulas(kind, data):
+    ctx = CONTEXTS[kind]
+    F = FiniteSubset(ctx, data.draw(st.sets(elements(ctx), min_size=1, max_size=40)))
+    K = FiniteSubset(ctx, data.draw(st.sets(elements(ctx), max_size=6)))
+    g = data.draw(elements(ctx))
+    assert folner_defect(F, g) == reference_folner_defect(F, g)
+    assert right_invariance_defect(F, K) == reference_right_invariance_defect(F, K)
+
+
+def test_defects_equal_the_set_formulas_on_ladder_levels():
+    ladder = build_heisenberg_ladder(heisenberg_targets(2), center_depth=6, plane_depth=4)
+    K = FiniteSubset(ladder.ctx, ladder.ctx.generators())
+    for F in ladder.levels:
+        assert right_invariance_defect(F, K) == reference_right_invariance_defect(F, K)
+        for g in K:
+            assert folner_defect(F, g) == reference_folner_defect(F, g)
+
+
+def reference_compose(sub, quot, section, projection, targets):
+    """The previous adaptive search: each chosen level is built again after the
+    search, and the glue set goes through the validating constructor."""
+    ctx, q_ctx, mul = sub.ctx, quot.ctx, sub.ctx.mul
+    towers = [FiniteSubset(ctx, [ctx.identity()])]
+    lifted = []
+    for J in quot.glue:
+        lifted.append([section(d) for d in J])
+        towers.append(product_set(FiniteSubset(ctx, lifted[-1]), towers[-1], require_unique=True))
+    levels, glue, m_prev, q_prev = [sub.levels[0]], [], 0, 0
+    info = {"m_indices": [0], "q_indices": [0], "achieved_defects": []}
+    for K, eps in targets:
+        projected = FiniteSubset(q_ctx, {projection(k) for k in K})
+        best, found = None, None
+        for q in range(q_prev, quot.depth + 1):
+            if reference_right_invariance_defect(quot.levels[q], projected) > eps / 2:
+                continue
+            for m in range(m_prev + 1, sub.depth + 1):
+                level = product_set(sub.levels[m], towers[q], require_unique=True)
+                defect = reference_right_invariance_defect(level, K)
+                best = defect if best is None else min(best, defect)
+                if defect <= eps:
+                    found = (m, q, defect)
+                    break
+            if found:
+                break
+        if not found:
+            raise InvarianceUnreachableError("unreachable", achieved=best)
+        m_s, q_s, defect = found
+        digits = [ctx.identity()]
+        for i in range(q_s - 1, q_prev - 1, -1):
+            digits = [mul(e, d) for e in digits for d in lifted[i]]
+        step = FiniteSubset(ctx, (mul(c, e) for c in iterated_glue(sub, m_prev, m_s) for e in digits))
+        glue.append(step)
+        levels.append(product_set(sub.levels[m_s], towers[q_s], require_unique=True))
+        m_prev, q_prev = m_s, q_s
+        info["m_indices"].append(m_s)
+        info["q_indices"].append(q_s)
+        info["achieved_defects"].append(str(defect))
+    return levels, glue, info
+
+
+def _heisenberg_parts(center_depth, plane_depth):
+    center = map_ladder(build_lattice_ladder(1, center_depth), Heisenberg(), lambda t: (0, 0, t[0]))
+    return center, build_lattice_ladder(2, plane_depth), lambda q: (q[0], q[1], 0), lambda g: g[:2]
+
+
+def _compare_compositions(parts, targets):
+    try:
+        expected = reference_compose(*parts, targets)
+    except InvarianceUnreachableError as exc:
+        with pytest.raises(InvarianceUnreachableError) as raised:
+            compose_exact_sequence(*parts, targets)
+        assert raised.value.achieved == exc.achieved
+        return
+    ladder = compose_exact_sequence(*parts, targets)
+    assert (list(ladder.levels), list(ladder.glue), ladder.info) == expected
+
+
+def test_composition_equals_the_rebuilding_search():
+    _compare_compositions(_heisenberg_parts(6, 4), heisenberg_targets(2))
+
+
+heisenberg_elements = st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1))
+
+
+@settings(PROPERTY, max_examples=15)
+@given(data=st.data())
+def test_composition_equals_the_rebuilding_search_on_random_targets(data):
+    targets = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        K = FiniteSubset(Heisenberg(), data.draw(st.sets(heisenberg_elements, min_size=1, max_size=3)))
+        targets.append((K, data.draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(7, 8)]))))
+    _compare_compositions(_heisenberg_parts(5, 2), targets)  # most of these targets are met
+
+
+def test_heisenberg_ladder_json_is_unchanged():
+    data = build_heisenberg_ladder(heisenberg_targets(3)).to_json()
+    text = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(text).hexdigest() == HEISENBERG_3_SHA256
