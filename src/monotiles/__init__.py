@@ -20,6 +20,7 @@ from .blocks import (
     augment_matrix,
     base_blocks,
     build_hierarchy,
+    render_pattern,
     verify_c3,
 )
 from .errors import (
@@ -95,6 +96,5 @@ from .simplex import (
     standard_vertices,
     tail_cluster_diameters,
 )
-from .cli import render_pattern
 
 __version__ = "0.1.0"

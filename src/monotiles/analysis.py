@@ -15,9 +15,10 @@ from fractions import Fraction
 from itertools import product
 from operator import add
 
+from . import _boxes
 from .blocks import BlockHierarchy, Pattern
 from .errors import OutOfWindowError
-from .folner import FolnerLadder, iterated_glue
+from .folner import FolnerLadder, folner_defect, iterated_glue
 from .groups import Certificate, FiniteSubset, Lattice
 
 __all__ = [
@@ -81,9 +82,12 @@ def return_times(h: BlockHierarchy, n: int, m: int) -> FiniteSubset:
 def _windows(ladder: FolnerLadder, n: int, m: int):
     """Yield each position v in F_m whose translated window v * F_n lies
     inside F_m, with the canonical indices in F_m of its cells v * u (F_n
-    order): one product per window cell, at most one per outside position."""
-    mul = ladder.ctx.mul
+    order): by rank on boxes, else one product per window cell."""
+    if ladder.levels[n]._box and ladder.levels[m]._box:
+        yield from _boxes.windows(ladder.levels[n], ladder.levels[m])
+        return
     cells = ladder.levels[m].elements
+    mul = ladder.ctx.mul
     index = {g: i for i, g in enumerate(cells)}
     base = ladder.levels[n].elements
     for v in cells:
@@ -202,15 +206,13 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
 def boundary_mass_bound(ladder: FolnerLadder, g, n: int) -> Fraction:
     """Exact |F_n \\ F_n g| / |F_n|: invariant-measure mass of the level-n shell.
 
-    f lies outside F_n g exactly when f g^-1 lies outside F_n.
+    f lies outside F_n g exactly when f g^-1 lies outside F_n: the Folner
+    defect of g^-1.
     """
     if not 0 <= n <= ladder.depth:
         raise ValueError(f"need 0 <= n <= {ladder.depth}, got n={n}")
-    ctx = ladder.ctx
-    ctx.validate(g)
-    F = ladder.levels[n]
-    mul, back, inside = ctx.mul, ctx.inv(g), F.as_set
-    return Fraction(sum(1 for f in F if mul(f, back) not in inside), len(F))
+    ladder.ctx.validate(g)
+    return folner_defect(ladder.levels[n], ladder.ctx.inv(g))
 
 
 def _gap_radius(visits: set, window: FiniteSubset) -> int:
@@ -265,10 +267,7 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certi
             return fail("tiling position is not a cylinder visit", (r,))
 
     base = ladder.levels[n]
-    covered = set()
-    for r in visits:
-        for u in base:
-            covered.add(mul(r, u))
+    covered = {mul(r, u) for r in visits for u in base}
     if not big <= covered:
         return fail("window not covered by visit translates", (next(iter(big - covered)),))
 

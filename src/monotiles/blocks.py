@@ -7,14 +7,15 @@ always placed on the identity coset and never elsewhere.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
 from .errors import (AugmentationError, DistinctnessError, EncodingError, InfeasibleError,
-                     UnsupportedGroupError)
+                     RenderUnsupportedError, UnsupportedGroupError)
 from .folner import FolnerLadder
-from .groups import Certificate, FiniteSubset
+from .groups import Certificate, FiniteSubset, Lattice
 from .matrices import ManagedMatrix
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "build_hierarchy",
     "verify_c3",
     "augment_matrix",
+    "render_pattern",
 ]
 
 
@@ -42,6 +44,13 @@ class Pattern:
             raise ValueError("symbols must be nonnegative")
         self.support = support
         self.symbols = symbols
+
+    @classmethod
+    def _trusted(cls, support: FiniteSubset, symbols: tuple) -> "Pattern":
+        """Internal constructor for one already validated int symbol per cell."""
+        self = object.__new__(cls)
+        self.support, self.symbols = support, symbols
+        return self
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Pattern) and self.support == other.support
@@ -175,7 +184,7 @@ def _assemble(family: Sequence[Pattern], ladder: FolnerLadder, n: int,
     out = []
     for row in assignment.values:
         glued = tuple(chain.from_iterable(family[v - 1].symbols for v in row))
-        out.append(Pattern(ladder.levels[n + 1], map(glued.__getitem__, inverse)))
+        out.append(Pattern._trusted(ladder.levels[n + 1], tuple(map(glued.__getitem__, inverse))))
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             if out[i] == out[j]:
@@ -352,3 +361,21 @@ def build_hierarchy(ladder: FolnerLadder, matrices: Sequence[ManagedMatrix],
         assignments.append(assignment)
         families.append(_assemble(families[n], ladder, n, assignment))
     return BlockHierarchy(ladder, families, assignments)
+
+
+def render_pattern(p: Pattern, mode: str = "text") -> str:
+    """Deterministic rendering; text mode needs a rank-1 interval or rank-2 box
+    support, read in canonical (x-major) order as one row per first coordinate."""
+    if mode == "json":
+        return json.dumps(p.to_json(), sort_keys=True, separators=(",", ":"))
+    if mode != "text":
+        raise ValueError(f"unknown render mode {mode!r}")
+    ctx = p.support.ctx
+    if not isinstance(ctx, Lattice) or ctx.d not in (1, 2):
+        raise RenderUnsupportedError(f"text rendering needs a rank-1 or rank-2 lattice, got {ctx!r}")
+    box = p.support._box
+    if box is None:
+        shape = "a contiguous interval" if ctx.d == 1 else "a full box"
+        raise RenderUnsupportedError(f"support is not {shape}")
+    width = box[2][0] if ctx.d == 2 else len(p.symbols)
+    return "\n".join(" ".join(map(str, p.symbols[i:i + width])) for i in range(0, len(p.symbols), width))

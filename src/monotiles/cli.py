@@ -14,10 +14,10 @@ from .analysis import (
     return_times,
     scan_occurrences,
 )
-from .blocks import BlockHierarchy, Pattern, build_hierarchy, verify_c3
-from .errors import MonotileError, RenderUnsupportedError
+from .blocks import BlockHierarchy, build_hierarchy, render_pattern, verify_c3
+from .errors import MonotileError
 from .folner import FolnerLadder, check_congruent, right_invariance_defect
-from .groups import FiniteSubset, Lattice, context_from_descriptor
+from .groups import FiniteSubset, context_from_descriptor
 from .matrices import ManagedSequence, positivity_horizon, select_subsequence_lemma8
 from .pipeline import (
     DEFAULT_CONFIG,
@@ -31,34 +31,6 @@ from .pipeline import (
 from .simplex import approximate_limit, check_nesting, realize_finite_simplex
 
 __all__ = ["main", "render_pattern"]
-
-
-def render_pattern(p: Pattern, mode: str = "text") -> str:
-    """Deterministic rendering; text mode needs an interval or box support.
-
-    Rows follow the first coordinate ascending, columns the second: a full
-    box in canonical (x-major) order is read row by row as slices.
-    """
-    if mode == "json":
-        return json.dumps(p.to_json(), sort_keys=True, separators=(",", ":"))
-    if mode != "text":
-        raise ValueError(f"unknown render mode {mode!r}")
-    ctx = p.support.ctx
-    if not isinstance(ctx, Lattice) or ctx.d not in (1, 2):
-        raise RenderUnsupportedError(f"text rendering needs a rank-1 or rank-2 lattice, got {ctx!r}")
-    cells = p.support.elements
-    if ctx.d == 1:
-        xs = [g[0] for g in cells]
-        if xs != list(range(xs[0], xs[0] + len(xs))):
-            raise RenderUnsupportedError("support is not a contiguous interval")
-        return " ".join(str(s) for s in p.symbols)
-    xs = sorted({g[0] for g in cells})
-    ys = sorted({g[1] for g in cells})
-    if (xs != list(range(xs[0], xs[0] + len(xs)))
-            or ys != list(range(ys[0], ys[0] + len(ys)))
-            or len(cells) != len(xs) * len(ys)):
-        raise RenderUnsupportedError("support is not a full box")
-    return "\n".join(" ".join(map(str, p.symbols[i:i + len(ys)])) for i in range(0, len(cells), len(ys)))
 
 
 def _print(data, fmt: str, text_fn=None) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from . import _boxes
 from ._intlin import ZModule
 from .errors import EncodingError, InvarianceUnreachableError, NotCosetRepsError
 from .groups import (
@@ -85,32 +86,35 @@ class FolnerLadder:
     def tiling(self, n: int) -> "array | Certificate":
         """Glue-order index of F_{n+1} = J_n * F_n, or its first violation.
 
-        Walks c = J_n[j] and f = F_n[i] in canonical order, one product per
-        cell, and returns `order` with order[j * |F_n| + i] the canonical
-        index in F_{n+1} of c * f.  A translate escaping F_{n+1}, an overlap
-        or an uncovered cell comes back as a failed Certificate.
+        order[j * |F_n| + i] is the canonical index in F_{n+1} of c * f for
+        c = J_n[j] and f = F_n[i], by `_boxes.tiling` on lattice boxes.  Else
+        one product per cell; a translate escaping F_{n+1}, an overlap or an
+        uncovered cell comes back as a failed Certificate.
         """
         if n in self._tilings:
             return self._tilings[n]
         glue, lower, upper = self.glue[n], self.levels[n], self.levels[n + 1]
-        mul = self.ctx.mul
-        where = {g: q for q, g in enumerate(upper.elements)}
-        hit = bytearray(len(upper))
-        order = array("l")
-        for c in glue:
-            for f in lower:
-                x = mul(c, f)
-                q = where.get(x)
-                if q is None:
-                    return Certificate.fail(self.ctx, "translate-escapes-next-level", (c, f, x), level=n)
-                if hit[q]:
-                    prev = glue.elements[order.index(q) // len(lower)]
-                    return Certificate.fail(self.ctx, "translates-overlap", (prev, c, x), level=n)
-                hit[q] = 1
-                order.append(q)
-        if len(order) != len(upper):
-            return Certificate.fail(self.ctx, "next-level-not-covered", (upper.elements[hit.index(0)],),
-                                    level=n)
+        order = _boxes.tiling(glue, lower, upper) if lower._box and upper._box else None
+        if order is None:
+            mul = self.ctx.mul
+            where = {g: q for q, g in enumerate(upper.elements)}
+            hit = bytearray(len(upper))
+            order = array("l")
+            for c in glue:
+                for f in lower:
+                    x = mul(c, f)
+                    q = where.get(x)
+                    if q is None:
+                        return Certificate.fail(self.ctx, "translate-escapes-next-level", (c, f, x),
+                                                level=n)
+                    if hit[q]:
+                        prev = glue.elements[order.index(q) // len(lower)]
+                        return Certificate.fail(self.ctx, "translates-overlap", (prev, c, x), level=n)
+                    hit[q] = 1
+                    order.append(q)
+            if len(order) != len(upper):
+                return Certificate.fail(self.ctx, "next-level-not-covered", (upper.elements[hit.index(0)],),
+                                        level=n)
         self._tilings[n] = order
         return order
 
@@ -152,11 +156,13 @@ class FolnerLadder:
 
 
 def right_invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:
-    """1 - |{g in F : gK subset of F}| / |F|, computed exactly."""
+    """1 - |{g in F : gK subset of F}| / |F|, exactly (in closed form on a box)."""
     if len(F) == 0:
         raise ValueError("invariance defect of the empty window is undefined")
     if F.ctx != K.ctx:
         raise ValueError("window and test set live in different groups")
+    if F._box is not None:
+        return 1 - Fraction(_boxes.kept(F._box, K.elements), len(F))
     mul, cells = F.ctx.mul, F.as_set
     good = F.elements
     for k in K:
@@ -167,12 +173,12 @@ def right_invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:
 
 
 def folner_defect(F: FiniteSubset, g) -> Fraction:
-    """|Fg \\ F| / |F| for one group element g: the share of f in F with fg outside F."""
+    """|Fg \\ F| / |F| for one group element g: the share of f in F with fg
+    outside F, which is the invariance defect of {g}."""
     if len(F) == 0:
         raise ValueError("Folner defect of the empty window is undefined")
     F.ctx.validate(g)
-    mul, cells = F.ctx.mul, F.as_set
-    return Fraction(sum(1 for f in F.elements if mul(f, g) not in cells), len(F))
+    return right_invariance_defect(F, FiniteSubset._trusted(F.ctx, [g]))
 
 
 def check_congruent(ladder: FolnerLadder) -> Certificate:

@@ -9,9 +9,11 @@ deterministically within one context.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .errors import EncodingError, NotCosetRepsError, UnsupportedGroupError
@@ -475,6 +477,10 @@ class Certificate:
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
+        if not (isinstance(data, dict) and {"ok", "reason", "witness"} <= data.keys()
+                and type(data["ok"]) is bool and isinstance(data["reason"], (str, type(None)))
+                and isinstance(data["witness"], (list, type(None)))):
+            raise EncodingError("a certificate needs a bool ok, a str/null reason and a list/null witness")
         detail = {k: v for k, v in data.items() if k not in ("ok", "reason", "witness")}
         return Certificate(data["ok"], data["reason"], data["witness"], detail)
 
@@ -495,7 +501,6 @@ class FiniteSubset:
             raise ValueError("finite subset contains duplicate elements")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "elements", tuple(unique))
-        object.__setattr__(self, "_index", None)
 
     @classmethod
     def _trusted(cls, ctx: GroupContext, elements: Iterable) -> "FiniteSubset":
@@ -503,16 +508,26 @@ class FiniteSubset:
         self = object.__new__(cls)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "elements", tuple(sorted(elements)))
-        object.__setattr__(self, "_index", None)
         return self
 
-    @property
+    @cached_property
     def as_set(self) -> frozenset:
-        idx = object.__getattribute__(self, "_index")
-        if idx is None:
-            idx = frozenset(self.elements)
-            object.__setattr__(self, "_index", idx)
-        return idx
+        return frozenset(self.elements)
+
+    @cached_property
+    def _box(self) -> tuple | None:
+        """(lo, hi, strides) when this is a full box of a lattice, else None: the
+        cell lo + x then has canonical index sum(x_k * strides_k) (mixed radix).
+        Found from all cells' coordinate-wise min and max, not the first and last."""
+        if not (isinstance(self.ctx, Lattice) and self.elements):
+            return None
+        axes = [operator.itemgetter(k) for k in range(self.ctx.d)]
+        lo = tuple(min(map(axis, self.elements)) for axis in axes)
+        hi = tuple(max(map(axis, self.elements)) for axis in axes)
+        sides = [b - a + 1 for a, b in zip(lo, hi)]
+        if math.prod(sides) != len(self.elements):
+            return None
+        return lo, hi, tuple(math.prod(sides[k + 1:]) for k in range(len(sides)))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -4,8 +4,8 @@ Builders, `product_set`, `iterated_glue` and `group_ladder` build their
 subsets through the internal `FiniteSubset._trusted`, which only sorts.
 The validating public constructor is the oracle: every level and glue set
 they return must equal its re-validated copy.  The JSON loaders of
-hierarchies, managed matrices and managed sequences are strict, so random
-or mutated JSON may only raise `ValueError` subclasses.
+hierarchies, managed matrices, managed sequences and certificates are
+strict, so random or mutated JSON may only raise `ValueError` subclasses.
 """
 
 import json
@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from monotiles import (
     BlockHierarchy,
+    Certificate,
     Cyclic,
     DirectProduct,
     FiniteSubset,
@@ -142,6 +143,8 @@ LOADERS = {
     "sequence": (ManagedSequence.from_json, ManagedSequence([TERNARY] * 2).to_json()),
     "scaled-sequence": (ManagedSequence.from_json, ManagedSequence([TERNARY] * 2, base_scale=3).to_json()),
     "matrix": (ManagedMatrix.from_json, TERNARY.to_json()),
+    "certificate": (Certificate.from_json,
+                    Certificate.fail(Lattice(1), "translates-overlap", [(0,), 2], level=1).to_json()),
 }
 
 
@@ -219,3 +222,17 @@ def test_hierarchy_loader_rejects_malformed_documents(doc):
 def test_matrix_loaders_reject_malformed_documents(loader, doc):
     with pytest.raises(EncodingError):
         loader(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"ok": "yes", "reason": None, "witness": None},
+    {"ok": 1, "reason": None, "witness": None},
+    {"ok": False, "reason": 5, "witness": None},
+    {"ok": False, "reason": "r", "witness": {"g": 1}},
+    {"ok": True, "witness": None},
+])
+def test_certificate_loader_rejects_malformed_documents(doc):
+    with pytest.raises(EncodingError):
+        Certificate.from_json(doc)
