@@ -47,7 +47,6 @@ from .folner import (
     check_congruent,
     compose_exact_sequence,
     extend_virtually,
-    first_level_containing,
     folner_defect,
     group_ladder,
     iterated_glue,

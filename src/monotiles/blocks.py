@@ -13,7 +13,7 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import (AugmentationError, DistinctnessError, EncodingError, InfeasibleError,
-                     RenderUnsupportedError, UnsupportedGroupError)
+                     RenderUnsupportedError)
 from .folner import FolnerLadder
 from .groups import Certificate, FiniteSubset, Lattice
 from .matrices import ManagedMatrix
@@ -37,7 +37,9 @@ class Pattern:
     __slots__ = ("support", "symbols")
 
     def __init__(self, support: FiniteSubset, symbols: Sequence[int]):
-        symbols = tuple(map(int, symbols))
+        symbols = tuple(symbols)
+        if any(type(s) is not int for s in symbols):
+            raise ValueError("symbols must be ints, not bools, floats or strings")
         if len(symbols) != len(support):
             raise ValueError(f"{len(support)} cells but {len(symbols)} symbols")
         if symbols and min(symbols) < 0:
@@ -79,6 +81,8 @@ class Assignment:
             if len(row) != len(self.cosets):
                 raise ValueError(f"assignment {k} covers {len(row)} of {len(self.cosets)} cosets")
             for c, v in zip(self.cosets.elements, row):
+                if type(v) is not int:
+                    raise ValueError(f"assignment {k} has a non-int block index {v!r}")
                 if c == ident and v != 1:
                     raise ValueError(f"assignment {k} must place block 1 on the identity coset")
                 if c != ident and v < 2:
@@ -107,8 +111,7 @@ def base_blocks(k0: int, F0: FiniteSubset) -> list[Pattern]:
     return [Pattern(F0, tuple(k if g == ident else 0 for g in F0.elements)) for k in range(1, k0 + 1)]
 
 
-def assignment_from_matrix(mtilde: ManagedMatrix, cosets: FiniteSubset,
-                           k_n: int | None = None) -> Assignment:
+def assignment_from_matrix(mtilde: ManagedMatrix, cosets: FiniteSubset) -> Assignment:
     """Deterministic coset assignment realizing the prescribed incidence counts.
 
     Column k of the matrix fixes how many cosets receive each lower block
@@ -120,10 +123,7 @@ def assignment_from_matrix(mtilde: ManagedMatrix, cosets: FiniteSubset,
     ident = cosets.ctx.identity()
     if ident not in cosets:
         raise InfeasibleError("glue cosets must contain the identity")
-    if k_n is not None and k_n != mtilde.rows:
-        raise InfeasibleError(f"matrix has {mtilde.rows} rows but {k_n} source blocks")
     ident_pos = cosets.elements.index(ident)
-    rows_means_blocks = mtilde.rows
     maps: list[list[int]] = []
     for k in range(mtilde.cols):
         col = mtilde.column(k)
@@ -132,7 +132,7 @@ def assignment_from_matrix(mtilde: ManagedMatrix, cosets: FiniteSubset,
         if sum(col) != len(cosets):
             raise InfeasibleError(f"column {k + 1} sums to {sum(col)} but there are {len(cosets)} cosets")
         dispensed: list[int] = []
-        for idx in range(2, rows_means_blocks + 1):
+        for idx in range(2, mtilde.rows + 1):
             dispensed.extend([idx] * col[idx - 1])
         row = []
         it = iter(dispensed)
@@ -194,13 +194,9 @@ def _assemble(family: Sequence[Pattern], ladder: FolnerLadder, n: int,
 
 def _visiting_order(base: FiniteSubset, index: dict) -> list[int]:
     """Canonical indices of the window's cells, breadth-first from the
-    identity over the group's generators, then the cells never reached;
-    plain canonical order for a group without generators."""
+    identity over the group's generators, then the cells never reached."""
     ctx = base.ctx
-    try:
-        gens = ctx.generators()
-    except UnsupportedGroupError:
-        return list(range(len(index)))
+    gens = ctx.generators()
     start = index.get(ctx.identity())
     order = [] if start is None else [start]
     reached = set(order)
@@ -213,7 +209,7 @@ def _visiting_order(base: FiniteSubset, index: dict) -> list[int]:
     return order + [i for i in range(len(index)) if i not in reached]
 
 
-def verify_c3(family: Sequence[Pattern], ctx=None, window: FiniteSubset | None = None) -> Certificate:
+def verify_c3(family: Sequence[Pattern]) -> Certificate:
     """Check that block translates never agree on window overlaps.
 
     For every g in the window and every pair (k, k'): agreement of block k
@@ -226,10 +222,6 @@ def verify_c3(family: Sequence[Pattern], ctx=None, window: FiniteSubset | None =
     """
     base = family[0].support
     _require_window(family, base)
-    if window is not None and window != base:
-        raise ValueError("family not supported on the given window")
-    if ctx is not None and ctx != base.ctx:
-        raise ValueError("family lives over a different group")
     ctx = base.ctx
     mul = ctx.mul
     ident = ctx.identity()
@@ -339,18 +331,15 @@ def _nested_ints(x, depth: int) -> bool:
     return isinstance(x, list) and all(_nested_ints(y, depth - 1) for y in x)
 
 
-def build_hierarchy(ladder: FolnerLadder, matrices: Sequence[ManagedMatrix],
-                    k0: int | None = None) -> BlockHierarchy:
-    """Assemble a hierarchy from incidence matrices over a congruent ladder."""
+def build_hierarchy(ladder: FolnerLadder, matrices: Sequence[ManagedMatrix]) -> BlockHierarchy:
+    """Assemble a hierarchy from incidence matrices over a congruent ladder;
+    the first matrix's row count is the number of base blocks."""
     matrices = list(matrices)
+    if not matrices:
+        raise ValueError("need at least one matrix")
     if len(matrices) > ladder.depth:
         raise ValueError(f"{len(matrices)} matrices exceed ladder depth {ladder.depth}")
-    top = matrices[0].rows if matrices else k0
-    if top is None:
-        raise ValueError("need either matrices or an explicit base block count")
-    if k0 is not None and k0 != top:
-        raise ValueError(f"base block count {k0} conflicts with first matrix rows {top}")
-    families = [base_blocks(top, ladder.levels[0])]
+    families = [base_blocks(matrices[0].rows, ladder.levels[0])]
     assignments = []
     for n, m in enumerate(matrices):
         if m.rows != len(families[n]):

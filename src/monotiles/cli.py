@@ -89,18 +89,17 @@ def _cmd_folner(args) -> int:
         _print(result.to_json(), args.format,
                lambda d: "congruent" if d["ok"] else f"FAIL at level {d['level']}: {d['reason']}")
         return 0 if result.ok else 1
-    if args.action == "defect":
-        ladder = _load_ladder(args.ladder)
-        encoded = json.loads(args.K)
-        if not isinstance(encoded, list):
-            raise MonotileError(f"--K must be a JSON list of element encodings, got {args.K}")
-        elems = [ladder.ctx.decode_json(e) for e in encoded]
-        window = FiniteSubset(ladder.ctx, elems)
-        rows = [{"level": n, "window": window.encode_json(),
-                 "defect": str(right_invariance_defect(F, window))} for n, F in enumerate(ladder.levels)]
-        _print({"window_defects": rows, "element_defects": _defect_table(ladder, elems)}, args.format)
-        return 0
-    raise MonotileError(f"unknown folner action {args.action!r}")
+    # "defect": the only action left, as the subparser admits no other
+    ladder = _load_ladder(args.ladder)
+    encoded = json.loads(args.K)
+    if not isinstance(encoded, list):
+        raise MonotileError(f"--K must be a JSON list of element encodings, got {args.K}")
+    elems = [ladder.ctx.decode_json(e) for e in encoded]
+    window = FiniteSubset(ladder.ctx, elems)
+    rows = [{"level": n, "window": window.encode_json(),
+             "defect": str(right_invariance_defect(F, window))} for n, F in enumerate(ladder.levels)]
+    _print({"window_defects": rows, "element_defects": _defect_table(ladder, elems)}, args.format)
+    return 0
 
 
 def _cmd_blocks(args) -> int:
@@ -127,12 +126,11 @@ def _cmd_blocks(args) -> int:
         _print({"ok": ok, "levels": results}, args.format,
                lambda d: "rigid" if d["ok"] else "FAIL")
         return 0 if ok else 1
-    if args.action == "x0":
-        hierarchy = _load_hierarchy(args.hier)
-        patch = hierarchy.x0_patch(args.level)
-        print(render_pattern(patch, args.render))
-        return 0
-    raise MonotileError(f"unknown blocks action {args.action!r}")
+    # "x0": the only action left, as the subparser admits no other
+    hierarchy = _load_hierarchy(args.hier)
+    patch = hierarchy.x0_patch(args.level)
+    print(render_pattern(patch, args.render))
+    return 0
 
 
 def _cmd_analyze(args) -> int:
@@ -153,14 +151,13 @@ def _cmd_analyze(args) -> int:
         _print(report.to_json(), args.format,
                lambda d: "partitions exact" if d["ok"] else f"FAIL: {d['reason']}")
         return 0 if report.ok else 1
-    if args.action == "boundary":
-        ladder = _load_ladder(args.ladder)
-        g = ladder.ctx.decode_json(json.loads(args.g))
-        levels = _parse_levels(args.levels, ladder.depth)
-        rows = [{"level": n, "mass": str(boundary_mass_bound(ladder, g, n))} for n in levels]
-        _print({"element": json.loads(args.g), "masses": rows}, args.format)
-        return 0
-    raise MonotileError(f"unknown analyze action {args.action!r}")
+    # "boundary": the only action left, as the subparser admits no other
+    ladder = _load_ladder(args.ladder)
+    g = ladder.ctx.decode_json(json.loads(args.g))
+    levels = _parse_levels(args.levels, ladder.depth)
+    rows = [{"level": n, "mass": str(boundary_mass_bound(ladder, g, n))} for n in levels]
+    _print({"element": json.loads(args.g), "masses": rows}, args.format)
+    return 0
 
 
 def _cmd_measures(args) -> int:
@@ -189,33 +186,31 @@ def _cmd_measures(args) -> int:
         boundaries = select_subsequence_lemma8(seq, Fraction(args.K))
         _print({"boundaries": boundaries}, args.format)
         return 0
-    if args.action == "realize":
-        ladder = _load_ladder(args.ladder)
-        result = realize_finite_simplex(args.d, ladder, Fraction(args.tol))
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(result.sequence.to_json(), out / "realized.json")
-        _print({"written": str(out / "realized.json"), "depth": result.depth,
-                "diameters": [str(x) for x in result.diameters]}, args.format)
-        return 0
-    raise MonotileError(f"unknown measures action {args.action!r}")
+    # "realize": the only action left, as the subparser admits no other
+    ladder = _load_ladder(args.ladder)
+    result = realize_finite_simplex(args.d, ladder, Fraction(args.tol))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(result.sequence.to_json(), out / "realized.json")
+    _print({"written": str(out / "realized.json"), "depth": result.depth,
+            "diameters": [str(x) for x in result.diameters]}, args.format)
+    return 0
 
 
 def _cmd_pipeline(args) -> int:
     if args.action == "default-config":
         print(json.dumps(DEFAULT_CONFIG, sort_keys=True, indent=2))
         return 0
-    if args.action == "run":
-        if args.config:
-            config = PipelineConfig.load(args.config)
-        else:
-            config = PipelineConfig.from_json({})
-        report = run_pipeline(config, args.out, verbose=args.verbose)
-        _print(report.artifact_json(), args.format,
-               lambda d: "\n".join(f"{s['name']}: {'ok' if s['ok'] else 'FAIL'}"
-                                   for s in d["stages"]))
-        return 0 if report.ok else 1
-    raise MonotileError(f"unknown pipeline action {args.action!r}")
+    # "run": the only action left, as the subparser admits no other
+    if args.config:
+        config = PipelineConfig.load(args.config)
+    else:
+        config = PipelineConfig.from_json({})
+    report = run_pipeline(config, args.out, verbose=args.verbose)
+    _print(report.artifact_json(), args.format,
+           lambda d: "\n".join(f"{s['name']}: {'ok' if s['ok'] else 'FAIL'}"
+                               for s in d["stages"]))
+    return 0 if report.ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -52,10 +52,6 @@ class HypothesisError(MonotileError, ValueError):
 class SelectionExhaustedError(MonotileError, RuntimeError):
     """No admissible subsequence index exists within the available prefix."""
 
-    def __init__(self, message: str, progress: list[int] | None = None):
-        super().__init__(message)
-        self.progress = progress or []
-
 
 class RenderUnsupportedError(MonotileError, ValueError):
     """The pattern cannot be rendered in the requested mode."""

@@ -16,8 +16,9 @@ from typing import Callable, Sequence
 
 from . import _boxes
 from ._intlin import ZModule
-from .errors import EncodingError, InvarianceUnreachableError, NotCosetRepsError
+from .errors import EncodingError, InfeasibleError, InvarianceUnreachableError, NotCosetRepsError
 from .groups import (
+    MAX_CELLS,
     Certificate,
     FiniteSubset,
     GroupContext,
@@ -34,7 +35,6 @@ __all__ = [
     "folner_defect",
     "check_congruent",
     "iterated_glue",
-    "first_level_containing",
     "build_lattice_ladder",
     "build_pruefer_ladder",
     "build_abelian_chain_ladder",
@@ -200,27 +200,19 @@ def iterated_glue(ladder: FolnerLadder, n: int, m: int) -> FiniteSubset:
     """All products c_{m-1} * ... * c_n of glue digits; tiles F_m by F_n-translates."""
     if not 0 <= n <= m <= ladder.depth:
         raise ValueError(f"need 0 <= n <= m <= {ladder.depth}, got n={n}, m={m}")
-    mul = ladder.ctx.mul
-    acc = [ladder.ctx.identity()]
-    for i in range(m - 1, n - 1, -1):
-        acc = [mul(a, c) for a in acc for c in ladder.glue[i]]
-    unique = set(acc)
-    if len(unique) != len(acc):
-        raise NotCosetRepsError(f"glue products between levels {n} and {m} collide")
-    return FiniteSubset._trusted(ladder.ctx, unique)
-
-
-def first_level_containing(ladder: FolnerLadder, g) -> int | None:
-    """Smallest n with g in F_n, or None within the built prefix."""
-    ladder.ctx.validate(g)
-    for n, F in enumerate(ladder.levels):
-        if g in F:
-            return n
-    return None
+    return product_set(FiniteSubset._trusted(ladder.ctx, [ladder.ctx.identity()]), *ladder.glue[n:m][::-1])
 
 
 # ---------------------------------------------------------------------------
 # builders
+
+
+def _check_budget(base: int, exponent: int) -> None:
+    """Raise InfeasibleError before a top level of base**exponent cells over
+    MAX_CELLS is built.  For base >= 2 an exponent of MAX_CELLS.bit_length()
+    or more always exceeds it, so a huge depth never builds the power."""
+    if exponent >= MAX_CELLS.bit_length() or base**exponent > MAX_CELLS:
+        raise InfeasibleError(f"top level would hold {base}**{exponent} cells, over the budget of {MAX_CELLS}")
 
 
 def build_lattice_ladder(d: int, depth: int, base: int = 3) -> FolnerLadder:
@@ -232,6 +224,7 @@ def build_lattice_ladder(d: int, depth: int, base: int = 3) -> FolnerLadder:
     if type(base) is not int or base < 3 or base % 2 == 0:
         raise ValueError("box base must be an odd integer >= 3")
     ctx = Lattice(d)
+    _check_budget(base, depth * d)
     half_digits = (base - 1) // 2
     levels = []
     glue = []
@@ -249,6 +242,7 @@ def build_pruefer_ladder(p: int, depth: int) -> FolnerLadder:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     ctx = Pruefer(p)
+    _check_budget(p, depth)
     levels = [FiniteSubset._trusted(ctx, (Fraction(m, p**n) for m in range(p**n))) for n in range(depth + 1)]
     glue = [FiniteSubset._trusted(ctx, (Fraction(j, p ** (n + 1)) for j in range(p))) for n in range(depth)]
     return FolnerLadder(ctx, levels, glue)
@@ -307,11 +301,9 @@ def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: i
                     lifts.append(mul(lifts[-1], g))
                 step_sets.append(lifts)
             consumed.append(g)
-        step = FiniteSubset(ctx, [ident])
-        for part in step_sets:
-            step = product_set(step, FiniteSubset(ctx, part), require_unique=True)
+        step = product_set(FiniteSubset(ctx, [ident]), *(FiniteSubset(ctx, part) for part in step_sets))
         glue.append(step)
-        levels.append(product_set(step, levels[-1], require_unique=True))
+        levels.append(product_set(step, levels[-1]))
     info = {"generators": [ctx.encode_json(g) for g in consumed],
             "quotient_orders": quotient_orders}
     return FolnerLadder(ctx, levels, glue, info)
@@ -327,8 +319,6 @@ def compose_exact_sequence(
     section: Callable,
     projection: Callable,
     targets: Sequence[tuple[FiniteSubset, Fraction]],
-    *,
-    max_level_size: int | None = 5_000_000,
 ) -> FolnerLadder:
     """Compose subgroup and quotient ladders through a section of G -> Q.
 
@@ -349,21 +339,20 @@ def compose_exact_sequence(
             raise ValueError(f"projection(section({q!r})) != {q!r}: not a section")
 
     # lifted tile tower over the quotient ladder
+    lifted = [FiniteSubset(ctx, (section(d) for d in J)) for J in ladder_quot.glue]
     towers: list[FiniteSubset] = [FiniteSubset(ctx, [ident])]
-    lifted_digits: list[list] = []
-    for i in range(ladder_quot.depth):
-        digits = [section(d) for d in ladder_quot.glue[i]]
-        lifted_digits.append(digits)
-        towers.append(product_set(FiniteSubset(ctx, digits), towers[-1], require_unique=True))
+    for digits in lifted:
+        towers.append(product_set(digits, towers[-1]))
+    # set(q_level), not the cached q_level.as_set, which would stay alive through the search
     for q_level, tower in zip(ladder_quot.levels, towers):
-        if {projection(t) for t in tower} != q_level.as_set:
+        if {projection(t) for t in tower} != set(q_level):
             raise ValueError("lifted tower does not project onto the quotient tiles")
 
     # commutation certificate: subgroup windows must commute with every lift
     sub_elems = set(ladder_sub.levels[0].elements)
     for J in ladder_sub.glue:
         sub_elems.update(J.elements)
-    lift_elems = {d for digits in lifted_digits for d in digits}
+    lift_elems = {d for digits in lifted for d in digits}
     for u in sub_elems:
         for t in lift_elems:
             if ctx.mul(u, t) != ctx.mul(t, u):
@@ -374,7 +363,6 @@ def compose_exact_sequence(
     m_prev, q_prev = 0, 0
     m_indices, q_indices, achieved = [0], [0], []
     glue = []
-    mul = ctx.mul
     for s, (K, eps) in enumerate(targets, start=1):
         if K.ctx != ctx:
             raise ValueError("invariance target lives in the wrong group")
@@ -385,11 +373,7 @@ def compose_exact_sequence(
             if right_invariance_defect(ladder_quot.levels[q], projected) > eps / 2:
                 continue
             for m in range(m_prev + 1, ladder_sub.depth + 1):
-                size = len(ladder_sub.levels[m]) * len(towers[q])
-                if max_level_size is not None and size > max_level_size:
-                    raise InvarianceUnreachableError(
-                        f"composed level would hold {size} elements (cap {max_level_size})")
-                level = product_set(ladder_sub.levels[m], towers[q], require_unique=True)
+                level = product_set(ladder_sub.levels[m], towers[q])
                 defect = right_invariance_defect(level, K)
                 if best is None or defect < best:
                     best = defect
@@ -402,14 +386,7 @@ def compose_exact_sequence(
             raise InvarianceUnreachableError(
                 f"no indices meet target {s} (eps = {eps}) within the given ladders", achieved=best)
         m_s, q_s, defect, level = found
-        digit_products = [ident]
-        for i in range(q_s - 1, q_prev - 1, -1):
-            digit_products = [mul(e, d) for e in digit_products for d in lifted_digits[i]]
-        C = iterated_glue(ladder_sub, m_prev, m_s)
-        step = {mul(c, e) for c in C for e in digit_products}
-        if len(step) != len(C) * len(digit_products):
-            raise NotCosetRepsError("composed glue digits collide")
-        glue.append(FiniteSubset._trusted(ctx, step))
+        glue.append(product_set(iterated_glue(ladder_sub, m_prev, m_s), *lifted[q_prev:q_s][::-1]))
         levels.append(level)
         m_prev, q_prev = m_s, q_s
         m_indices.append(m_s)
@@ -419,23 +396,17 @@ def compose_exact_sequence(
     return FolnerLadder(ctx, levels, glue, info)
 
 
-def build_heisenberg_ladder(
-    targets: Sequence[tuple[FiniteSubset, Fraction]],
-    *,
-    center_depth: int = 10,
-    plane_depth: int = 5,
-    max_level_size: int | None = 5_000_000,
-) -> FolnerLadder:
-    """Compose the central Z ladder with the Z^2 quotient ladder of heisenberg3."""
+def build_heisenberg_ladder(targets: Sequence[tuple[FiniteSubset, Fraction]]) -> FolnerLadder:
+    """Compose the central Z ladder (depth 10) with the Z^2 quotient ladder
+    (depth 5) of heisenberg3."""
     ctx = Heisenberg()
-    center = map_ladder(build_lattice_ladder(1, center_depth), ctx, lambda t: (0, 0, t[0]))
-    plane = build_lattice_ladder(2, plane_depth)
+    center = map_ladder(build_lattice_ladder(1, 10), ctx, lambda t: (0, 0, t[0]))
+    plane = build_lattice_ladder(2, 5)
     return compose_exact_sequence(
         center, plane,
         section=lambda q: (q[0], q[1], 0),
         projection=lambda g: (g[0], g[1]),
         targets=targets,
-        max_level_size=max_level_size,
     )
 
 
@@ -445,7 +416,7 @@ def extend_virtually(base: FolnerLadder, coset_reps: FiniteSubset) -> FolnerLadd
         raise ValueError("coset representatives live in a different group context")
     if base.ctx.identity() not in coset_reps:
         raise NotCosetRepsError("transversal must contain the identity")
-    levels = [product_set(U, coset_reps, require_unique=True) for U in base.levels]
+    levels = [product_set(U, coset_reps) for U in base.levels]
     info = {"extension_reps": coset_reps.encode_json()}
     return FolnerLadder(base.ctx, levels, base.glue, info)
 

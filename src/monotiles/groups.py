@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .errors import EncodingError, NotCosetRepsError, UnsupportedGroupError
+from .errors import EncodingError, InfeasibleError, NotCosetRepsError, UnsupportedGroupError
 
 __all__ = [
     "Certificate",
@@ -545,13 +545,22 @@ class FiniteSubset:
         return f"FiniteSubset({len(self.elements)} elements of {self.ctx.kind})"
 
 
-def product_set(A: FiniteSubset, B: FiniteSubset, *, require_unique: bool = False) -> FiniteSubset:
-    """The product set A * B; optionally insist all products are distinct."""
-    if A.ctx != B.ctx:
+# Largest subset a builder or product_set materializes: no caller needs a
+# different value, and the largest scale-ladder level holds 1,953,125 cells.
+MAX_CELLS = 5_000_000
+
+
+def product_set(A: FiniteSubset, *factors: FiniteSubset) -> FiniteSubset:
+    """The product set A * B_1 * ... * B_k, whose products must all be distinct."""
+    if any(B.ctx != A.ctx for B in factors):
         raise ValueError("product of subsets of different groups")
+    size = len(A) * math.prod(map(len, factors))
+    if size > MAX_CELLS:
+        raise InfeasibleError(f"product set would hold {size} cells, over the budget of {MAX_CELLS}")
     mul = A.ctx.mul
-    products = [mul(a, b) for a in A.elements for b in B.elements]
-    unique = set(products)
-    if require_unique and len(unique) != len(products):
+    products = A.elements
+    for B in factors:
+        products = [mul(a, b) for a in products for b in B.elements]
+    if len(set(products)) != len(products):
         raise NotCosetRepsError("product set has colliding factorizations")
-    return FiniteSubset._trusted(A.ctx, unique)
+    return FiniteSubset._trusted(A.ctx, products)

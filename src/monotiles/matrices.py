@@ -23,7 +23,9 @@ class ManagedMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
+        if any(type(x) is not int for r in rows for x in r):
+            raise ValueError("managed matrix entries must be ints")
         if not rows or not rows[0]:
             raise ValueError("managed matrix must be nonempty")
         width = len(rows[0])
@@ -171,8 +173,7 @@ def select_subsequence_lemma8(ms: ManagedSequence, bound) -> list[int]:
                 break
         if nxt is None:
             if len(boundaries) == 1:
-                raise SelectionExhaustedError(
-                    "no admissible grouping boundary within the sequence", progress=boundaries)
+                raise SelectionExhaustedError("no admissible grouping boundary within the sequence")
             break  # certified prefix ends here; trailing matrices stay ungrouped
         boundaries.append(nxt)
     return boundaries

@@ -21,7 +21,7 @@ from .analysis import (
     scan_occurrences,
     syndeticity_window,
 )
-from .blocks import BlockHierarchy, augment_matrix, build_hierarchy, verify_c3
+from .blocks import augment_matrix, build_hierarchy, verify_c3
 from .errors import ConfigError, MonotileError
 from .folner import (
     FolnerLadder,
@@ -296,151 +296,133 @@ def build_ladder_from_config(group: dict, ladder_cfg: dict) -> FolnerLadder:
     raise ConfigError(f"unknown ladder route {route!r}")
 
 
+def _stages(config: PipelineConfig, emit):
+    """The six stages in STAGES order: each yields its detail dict or raises,
+    and locals carry the ladder, the sequence and the hierarchy onward."""
+    # build-ladder
+    ladder = build_ladder_from_config(config.group, config.ladder)
+    emit("ladder", ladder.to_json())
+    yield {"levels": [len(F) for F in ladder.levels],
+           "ratios": [ladder.ratio(n) for n in range(ladder.depth)]}
+
+    # check-congruence
+    result = check_congruent(ladder)
+    if not result.ok:
+        raise _StageFailed(f"congruence fails at level {result.detail['level']}: {result.reason}",
+                           result.to_json())
+    yield {"congruent": True, "defects": _defect_table(ladder, ladder.ctx.generators())}
+
+    # build-matrices
+    detail: dict = {}
+    realized = None
+    if "realize" in config.matrices:
+        realize_cfg = config.matrices["realize"]
+        realized = realize_finite_simplex(realize_cfg["extreme_points"], ladder,
+                                          Fraction(realize_cfg["tolerance"]))
+        seq = realized.sequence
+        detail["realized_depth"] = realized.depth
+        detail["cluster_diameters"] = [str(x) for x in realized.diameters]
+    else:
+        path = config.base_dir / config.matrices["file"]
+        with open(path) as fh:
+            seq = ManagedSequence.from_json(json.load(fh))
+    if len(seq) < 1:
+        raise _StageFailed("matrix sequence is empty")
+    emit("matrices", seq.to_json())
+    detail["matrices"] = len(seq)
+    detail["ratios"] = [seq[i].ratio for i in range(len(seq))]
+    yield detail
+
+    # build-hierarchy
+    boundaries = select_subsequence_lemma8(seq, config.lemma8_bound)
+    if len(boundaries) - 1 < config.hierarchy_depth:
+        raise _StageFailed(
+            f"grouping yields {len(boundaries) - 1} usable levels, "
+            f"need {config.hierarchy_depth}", {"boundaries": boundaries})
+    boundaries = boundaries[:config.hierarchy_depth + 1]
+    grouped = group_matrices(seq, boundaries)
+    augmented = [augment_matrix(grouped[i]) for i in range(len(grouped))]
+    tiled = group_ladder(ladder, boundaries)
+    h = build_hierarchy(tiled, augmented)
+    emit("hierarchy", h.to_json())
+    yield {"boundaries": boundaries,
+           "block_counts": [len(f) for f in h.families],
+           "window_sizes": [len(F) for F in tiled.levels[:len(h.families)]]}
+
+    # verify-dynamics
+    detail = {"c3_levels": [], "pairs": [], "kr": []}
+    for lvl in range(h.depth + 1):
+        r = verify_c3(h.family(lvl))
+        if not r.ok:
+            raise _StageFailed(f"overlap rigidity fails at level {lvl}", r.to_json())
+        detail["c3_levels"].append(lvl)
+    for n, m in config.analysis.get("pairs", []):
+        algebraic = return_times(h, n, m)
+        scanned = scan_occurrences(h, n, m)
+        size_ratio = len(h.ladder.levels[m]) // len(h.ladder.levels[n])
+        if scanned.elements != algebraic.elements or len(algebraic) != size_ratio:
+            raise _StageFailed(f"return-time oracles disagree at ({n}, {m})")
+        detail["pairs"].append({"levels": [n, m], "count": len(algebraic)})
+    for n, m in config.analysis.get("kr", []):
+        r = check_partitions(h, n, m)
+        if not r.ok:
+            raise _StageFailed(f"tower partition fails at ({n}, {m}): {r.reason}", r.to_json())
+        detail["kr"].append(r.to_json())
+    if h.depth >= 2:
+        syn = syndeticity_window(h, CylinderId(0, 1), h.depth)
+        if not syn.ok:
+            raise _StageFailed(f"syndeticity window fails: {syn.reason}", syn.to_json())
+        detail["syndeticity"] = syn.to_json()
+    gens = ladder.ctx.generators()
+    detail["boundary_mass"] = {
+        json.dumps(ladder.ctx.encode_json(g)): [
+            str(boundary_mass_bound(ladder, g, lvl))
+            for lvl in config.analysis.get("boundary_levels", [])
+        ]
+        for g in gens
+    }
+    yield detail
+
+    # measure-limits
+    detail = {}
+    for n in range(h.depth):
+        recounted = incidence_from_hierarchy(h, n)
+        if recounted != augmented[n]:
+            raise _StageFailed(f"incidence round-trip fails at level {n}",
+                               {"expected": augmented[n].to_json(),
+                                "got": recounted.to_json()})
+    detail["round_trip_levels"] = h.depth
+    certificates = []
+    for d in range(1, len(seq)):
+        cert = check_nesting(seq, 0, d)
+        if not cert.ok:
+            raise _StageFailed(f"nesting certificate fails at depth {d}", cert.to_json())
+        certificates.append({"depth": d, "method": cert.detail["method"]})
+    detail["nesting"] = certificates
+    if realized is not None:
+        tol = Fraction(config.matrices["realize"]["tolerance"])
+        diams = tail_cluster_diameters(seq, 0, len(seq))
+        if any(x > tol for x in diams):
+            raise _StageFailed("cluster diameters exceed tolerance",
+                               {"diameters": [str(x) for x in diams]})
+        detail["cluster_diameters"] = [str(x) for x in diams]
+        detail["tolerance"] = str(tol)
+    yield detail
+
+
 def run_pipeline(config: PipelineConfig, out_dir: Path | str = ".",
                  verbose: bool = False) -> RunReport:
     """Run all six stages, writing artifacts as they are produced."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport()
-    state: dict = {}
 
     def emit(name: str, data) -> None:
         fname = config.artifacts[name]
         write_json(data, out / fname)
         report.artifacts[name] = fname
 
-    def stage_build_ladder() -> dict:
-        ladder = build_ladder_from_config(config.group, config.ladder)
-        state["ladder"] = ladder
-        emit("ladder", ladder.to_json())
-        return {"levels": [len(F) for F in ladder.levels],
-                "ratios": [ladder.ratio(n) for n in range(ladder.depth)]}
-
-    def stage_check_congruence() -> dict:
-        ladder = state["ladder"]
-        result = check_congruent(ladder)
-        if not result.ok:
-            raise _StageFailed(f"congruence fails at level {result.detail['level']}: {result.reason}",
-                               result.to_json())
-        return {"congruent": True, "defects": _defect_table(ladder, ladder.ctx.generators())}
-
-    def stage_build_matrices() -> dict:
-        ladder = state["ladder"]
-        detail: dict = {}
-        if "realize" in config.matrices:
-            realize_cfg = config.matrices["realize"]
-            realized = realize_finite_simplex(realize_cfg["extreme_points"], ladder,
-                                              Fraction(realize_cfg["tolerance"]))
-            state["sequence"] = realized.sequence
-            state["realized"] = realized
-            detail["realized_depth"] = realized.depth
-            detail["cluster_diameters"] = [str(x) for x in realized.diameters]
-        else:
-            path = config.base_dir / config.matrices["file"]
-            with open(path) as fh:
-                state["sequence"] = ManagedSequence.from_json(json.load(fh))
-        seq = state["sequence"]
-        if len(seq) < 1:
-            raise _StageFailed("matrix sequence is empty")
-        emit("matrices", seq.to_json())
-        detail["matrices"] = len(seq)
-        detail["ratios"] = [seq[i].ratio for i in range(len(seq))]
-        return detail
-
-    def stage_build_hierarchy() -> dict:
-        ladder, seq = state["ladder"], state["sequence"]
-        boundaries = select_subsequence_lemma8(seq, config.lemma8_bound)
-        if len(boundaries) - 1 < config.hierarchy_depth:
-            raise _StageFailed(
-                f"grouping yields {len(boundaries) - 1} usable levels, "
-                f"need {config.hierarchy_depth}", {"boundaries": boundaries})
-        boundaries = boundaries[:config.hierarchy_depth + 1]
-        grouped = group_matrices(seq, boundaries)
-        augmented = [augment_matrix(grouped[i]) for i in range(len(grouped))]
-        tiled = group_ladder(ladder, boundaries)
-        hierarchy = build_hierarchy(tiled, augmented)
-        state["hierarchy"] = hierarchy
-        state["augmented"] = augmented
-        emit("hierarchy", hierarchy.to_json())
-        return {"boundaries": boundaries,
-                "block_counts": [len(f) for f in hierarchy.families],
-                "window_sizes": [len(F) for F in tiled.levels[:len(hierarchy.families)]]}
-
-    def stage_verify_dynamics() -> dict:
-        h: BlockHierarchy = state["hierarchy"]
-        detail: dict = {"c3_levels": [], "pairs": [], "kr": []}
-        for lvl in range(h.depth + 1):
-            r = verify_c3(h.family(lvl))
-            if not r.ok:
-                raise _StageFailed(f"overlap rigidity fails at level {lvl}", r.to_json())
-            detail["c3_levels"].append(lvl)
-        for n, m in config.analysis.get("pairs", []):
-            algebraic = return_times(h, n, m)
-            scanned = scan_occurrences(h, n, m)
-            size_ratio = len(h.ladder.levels[m]) // len(h.ladder.levels[n])
-            if scanned.elements != algebraic.elements or len(algebraic) != size_ratio:
-                raise _StageFailed(f"return-time oracles disagree at ({n}, {m})")
-            detail["pairs"].append({"levels": [n, m], "count": len(algebraic)})
-        for n, m in config.analysis.get("kr", []):
-            r = check_partitions(h, n, m)
-            if not r.ok:
-                raise _StageFailed(f"tower partition fails at ({n}, {m}): {r.reason}", r.to_json())
-            detail["kr"].append(r.to_json())
-        if h.depth >= 2:
-            syn = syndeticity_window(h, CylinderId(0, 1), h.depth)
-            if not syn.ok:
-                raise _StageFailed(f"syndeticity window fails: {syn.reason}", syn.to_json())
-            detail["syndeticity"] = syn.to_json()
-        ladder = state["ladder"]
-        gens = ladder.ctx.generators()
-        detail["boundary_mass"] = {
-            json.dumps(ladder.ctx.encode_json(g)): [
-                str(boundary_mass_bound(ladder, g, lvl))
-                for lvl in config.analysis.get("boundary_levels", [])
-            ]
-            for g in gens
-        }
-        return detail
-
-    def stage_measure_limits() -> dict:
-        h: BlockHierarchy = state["hierarchy"]
-        seq: ManagedSequence = state["sequence"]
-        augmented = state["augmented"]
-        detail: dict = {}
-        for n in range(h.depth):
-            recounted = incidence_from_hierarchy(h, n)
-            if recounted != augmented[n]:
-                raise _StageFailed(f"incidence round-trip fails at level {n}",
-                                   {"expected": augmented[n].to_json(),
-                                    "got": recounted.to_json()})
-        detail["round_trip_levels"] = h.depth
-        certificates = []
-        for d in range(1, len(seq)):
-            cert = check_nesting(seq, 0, d)
-            if not cert.ok:
-                raise _StageFailed(f"nesting certificate fails at depth {d}", cert.to_json())
-            certificates.append({"depth": d, "method": cert.detail["method"]})
-        detail["nesting"] = certificates
-        if "realized" in state:
-            realized = state["realized"]
-            tol = Fraction(config.matrices["realize"]["tolerance"])
-            diams = tail_cluster_diameters(seq, 0, len(seq))
-            if any(x > tol for x in diams):
-                raise _StageFailed("cluster diameters exceed tolerance",
-                                   {"diameters": [str(x) for x in diams]})
-            detail["cluster_diameters"] = [str(x) for x in diams]
-            detail["tolerance"] = str(tol)
-        return detail
-
-    bodies = {
-        "build-ladder": stage_build_ladder,
-        "check-congruence": stage_check_congruence,
-        "build-matrices": stage_build_matrices,
-        "build-hierarchy": stage_build_hierarchy,
-        "verify-dynamics": stage_verify_dynamics,
-        "measure-limits": stage_measure_limits,
-    }
-
+    stages = _stages(config, emit)
     failed = False
     for name in STAGES:
         if failed:
@@ -449,8 +431,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str = ".",
             continue
         started = time.perf_counter()
         try:
-            detail = bodies[name]()
-            report.stages.append(StageResult(name, True, detail))
+            report.stages.append(StageResult(name, True, next(stages)))
         except _StageFailed as e:
             report.stages.append(StageResult(name, False, e.detail, e.witness))
             failed = True

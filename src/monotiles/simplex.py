@@ -41,9 +41,8 @@ class SimplexPoint:
 
     def __init__(self, coordinates, scale: int):
         coords = tuple(Fraction(c) for c in coordinates)
-        scale = int(scale)
-        if scale < 1:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if type(scale) is not int or scale < 1:
+            raise ValueError(f"scale must be a positive int, got {scale!r}")
         if any(c < 0 for c in coords):
             raise ValueError("coordinates must be nonnegative")
         if sum(coords) != Fraction(1, scale):
@@ -61,10 +60,6 @@ class SimplexPoint:
 
     def to_json(self) -> dict:
         return {"coordinates": [str(c) for c in self.coordinates], "scale": self.scale}
-
-    @staticmethod
-    def from_json(data: dict) -> "SimplexPoint":
-        return SimplexPoint([Fraction(c) for c in data["coordinates"]], data["scale"])
 
 
 def standard_vertices(k: int, scale: int) -> list[SimplexPoint]:

@@ -76,11 +76,12 @@ def test_assignment_from_matrix_frozen_example():
 
 
 def test_assignment_from_matrix_accepts_consistent_row_count():
-    ladder = _ladder(1)
-    a = assignment_from_matrix(TERNARY, ladder.glue[0], k_n=3)
+    ladder = _ladder(2)
+    a = assignment_from_matrix(TERNARY, ladder.glue[0])
     assert a.block_count == 3
-    with pytest.raises(InfeasibleError):
-        assignment_from_matrix(TERNARY, ladder.glue[0], k_n=4)
+    four_rows = ManagedMatrix([[1, 1, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="4 rows but level 1 has 3 blocks"):
+        build_hierarchy(ladder, [TERNARY, four_rows])
 
 
 def test_assignment_from_matrix_rejects_bad_columns():
@@ -127,7 +128,7 @@ def test_verify_c3_rejects_blocks_on_different_windows():
 def test_verify_c3_passes_on_built_family():
     h = build_hierarchy(_ladder(2), [TERNARY, TERNARY])
     assert verify_c3(h.family(1)).ok
-    assert verify_c3(h.family(2), h.ladder.ctx, h.ladder.levels[2]).ok
+    assert verify_c3(h.family(2)).ok
 
 
 def test_verify_c3_rejects_constant_block():
@@ -150,9 +151,9 @@ def test_verify_c3_rejects_duplicate_blocks():
 
 def test_verify_c3_rejects_mismatched_window():
     ladder = _ladder(2)
-    fam = base_blocks(3, ladder.levels[0])
-    with pytest.raises(ValueError):
-        verify_c3(fam, window=ladder.levels[1])
+    fam = base_blocks(3, ladder.levels[0]) + [Pattern(ladder.levels[1], (4, 1, 4))]
+    with pytest.raises(ValueError, match="family blocks must share one support window"):
+        verify_c3(fam)
 
 
 def test_augment_matrix_frozen_example():
@@ -184,8 +185,8 @@ def test_build_hierarchy_validates_matrix_fit():
         build_hierarchy(ladder, [TERNARY] * 3)  # deeper than the ladder
     with pytest.raises(ValueError):
         build_hierarchy(ladder, [ManagedMatrix([[1, 1], [4, 4]])])  # ratio 5 vs |J| = 3
-    with pytest.raises(ValueError):
-        build_hierarchy(ladder, [TERNARY], k0=4)
+    with pytest.raises(ValueError, match="at least one matrix"):
+        build_hierarchy(ladder, [])
 
 
 def test_hierarchy_json_round_trip():

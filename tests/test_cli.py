@@ -228,6 +228,7 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     (None, ["blocks", "x0", "{empty-family}", "--level", "1"]),
     (None, ["measures", "check", "{matrices-5}"]),
     (None, ["measures", "check", "{int-matrix}"]),
+    (None, ["folner", "build", "--group", '{"kind":"lattice","d":3}', "--depth", "8"]),  # 3**24 cells
 ]
 
 # malformed copies of the built ladder file

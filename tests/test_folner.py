@@ -18,7 +18,6 @@ from monotiles import (
     check_congruent,
     compose_exact_sequence,
     extend_virtually,
-    first_level_containing,
     folner_defect,
     group_ladder,
     iterated_glue,
@@ -153,21 +152,13 @@ def test_abelian_chain_ladder_on_rationals():
     ladder = build_abelian_chain_ladder(ctx, [Fraction(1), Fraction(1, 2), Fraction(1, 6)], 4)
     assert check_congruent(ladder).ok
     assert ladder.info["quotient_orders"] == [None, 2, 3]
-    assert first_level_containing(ladder, Fraction(1, 6)) is not None
+    assert Fraction(1, 6) in ladder.levels[-1]
 
 
 def test_abelian_chain_ladder_on_lattice():
     ladder = build_abelian_chain_ladder(Lattice(1), [(1,)], 3)
     assert check_congruent(ladder).ok
     assert [len(F) for F in ladder.levels] == [1, 3, 9, 27]
-
-
-def test_first_level_containing():
-    ladder = build_lattice_ladder(1, 3)
-    assert first_level_containing(ladder, (0,)) == 0
-    assert first_level_containing(ladder, (2,)) == 2
-    assert first_level_containing(ladder, (13,)) == 3
-    assert first_level_containing(ladder, (100,)) is None
 
 
 def test_map_ladder_and_extend_virtually():
@@ -223,12 +214,12 @@ def test_compose_exact_sequence_heisenberg_small():
     )
     assert ladder.depth == 2
     assert check_congruent(ladder).ok
-    convenience = build_heisenberg_ladder(heisenberg_targets(2), center_depth=6, plane_depth=4)
+    convenience = build_heisenberg_ladder(heisenberg_targets(2))  # center depth 10, plane depth 5
     assert convenience.levels == ladder.levels
 
 
 def test_heisenberg_ladder_defects_meet_targets():
     targets = heisenberg_targets(2)
-    ladder = build_heisenberg_ladder(targets, center_depth=6, plane_depth=4)
+    ladder = build_heisenberg_ladder(targets)
     for n, (window, eps) in enumerate(targets, start=1):
         assert right_invariance_defect(ladder.levels[n], window) <= eps

@@ -17,7 +17,7 @@ from monotiles import (
     product_set,
     standard_generators,
 )
-from monotiles.errors import UnsupportedGroupError
+from monotiles.errors import NotCosetRepsError, UnsupportedGroupError
 
 
 def test_lattice_law():
@@ -139,10 +139,11 @@ def test_finite_subset_translate_and_invert():
 def test_product_set_union_and_uniqueness():
     ctx = Lattice(1)
     A = FiniteSubset(ctx, [(0,), (1,)])
-    B = FiniteSubset(ctx, [(0,), (1,)])
-    assert product_set(A, B).as_set == {(0,), (1,), (2,)}
-    with pytest.raises(ValueError):
-        product_set(A, B, require_unique=True)
+    B = FiniteSubset(ctx, [(0,), (2,)])
+    assert product_set(A, B).as_set == {(0,), (1,), (2,), (3,)}
+    assert product_set(A).elements == A.elements
+    with pytest.raises(NotCosetRepsError):
+        product_set(A, A)  # 0 + 1 = 1 + 0
 
 
 def test_standard_generators():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monotiles import (
+    Assignment,
     BlockHierarchy,
     Certificate,
     Cyclic,
@@ -24,7 +25,9 @@ from monotiles import (
     Lattice,
     ManagedMatrix,
     ManagedSequence,
+    Pattern,
     Pruefer,
+    SimplexPoint,
     build_abelian_chain_ladder,
     build_hierarchy,
     build_lattice_ladder,
@@ -32,7 +35,7 @@ from monotiles import (
     group_ladder,
     iterated_glue,
 )
-from monotiles.errors import EncodingError
+from monotiles.errors import EncodingError, NotCosetRepsError
 from monotiles.groups import product_set
 from test_tiling import PROPERTY
 
@@ -88,8 +91,13 @@ def _elements(ctx):
 def test_product_set_equals_validated_construction(ctx, data):
     A = FiniteSubset(ctx, data.draw(st.sets(_elements(ctx), min_size=1, max_size=12)))
     B = FiniteSubset(ctx, data.draw(st.sets(_elements(ctx), min_size=1, max_size=12)))
+    products = [ctx.mul(a, b) for a in A for b in B]
+    if len(set(products)) < len(products):
+        with pytest.raises(NotCosetRepsError):
+            product_set(A, B)
+        return
     assert_revalidates(product_set(A, B))
-    assert set(product_set(A, B)) == {ctx.mul(a, b) for a in A for b in B}
+    assert set(product_set(A, B)) == set(products)
 
 
 ABELIAN_CHAINS = [
@@ -126,6 +134,24 @@ def test_public_constructor_still_validates():
         FiniteSubset(Lattice(1), [(0,), (1,), (0,)])
     with pytest.raises(ValueError, match="odd integer"):
         build_lattice_ladder(1, 2, base=5.0)
+
+
+# each used to pass through int() (or not be checked at all) and be accepted
+NON_INT_INPUTS = {
+    "pattern-float-and-str": lambda F, J: Pattern(F, [1.9, "2"]),
+    "pattern-bools": lambda F, J: Pattern(F, [True, False]),
+    "matrix-floats": lambda F, J: ManagedMatrix([[1.9, 2], [2, 1.9]]),
+    "simplex-scale-float": lambda F, J: SimplexPoint(["1/2", "1/2"], 1.9),
+    "assignment-floats": lambda F, J: Assignment(J, ((2.5, 1, 3.0),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INT_INPUTS))
+def test_public_constructors_require_exact_ints(name):
+    ladder = build_lattice_ladder(1, 1)
+    pair = FiniteSubset(Lattice(1), [(0,), (1,)])
+    with pytest.raises(ValueError):
+        NON_INT_INPUTS[name](pair, ladder.glue[0])
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_simplex_point_distance_and_json():
     a = SimplexPoint([Fraction(1, 2), Fraction(1, 2)], 1)
     b = SimplexPoint([Fraction(1, 4), Fraction(3, 4)], 1)
     assert a.l1_distance(b) == Fraction(1, 2)
-    assert SimplexPoint.from_json(a.to_json()) == a
+    assert a.to_json() == {"coordinates": ["1/2", "1/2"], "scale": 1}
 
 
 def test_standard_vertices():

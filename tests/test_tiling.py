@@ -75,7 +75,7 @@ ladder_kinds = st.sampled_from(sorted(FAR))
 def reference_assemble(family, cosets, assignment):
     """Per-cell assembly: one product and one index lookup per glued cell."""
     base = family[0].support
-    support = product_set(cosets, base, require_unique=True)
+    support = product_set(cosets, base)
     idx = {g: i for i, g in enumerate(support.elements)}
     mul = cosets.ctx.mul
     out = []
@@ -91,7 +91,7 @@ def reference_assemble(family, cosets, assignment):
 def assemble_level(family, cosets, assignment):
     """The library's tiled assembly over the two-level ladder (F, J * F)."""
     base = family[0].support
-    ladder = FolnerLadder(cosets.ctx, [base, product_set(cosets, base, require_unique=True)], [cosets])
+    ladder = FolnerLadder(cosets.ctx, [base, product_set(cosets, base)], [cosets])
     return _assemble(family, ladder, 0, assignment)
 
 
