@@ -1,5 +1,9 @@
-"""Index arithmetic on full boxes of Z^d, in the mixed radix of `FiniteSubset._box`;
-callers keep their product loops for every other window."""
+"""Index arithmetic on windows whose canonical order has a closed form: full
+boxes of Z^d (mixed radix, `FiniteSubset._box`), fibred Heisenberg windows
+(one run of central coordinates per plane point, `FiniteSubset._fibres`) and
+Pruefer subgroups {i/N} (`FiniteSubset._cyclic`, the i-th cell is i/N).
+Each entry point returns None on other windows; callers then keep their
+product loops."""
 
 from __future__ import annotations
 
@@ -7,11 +11,38 @@ import math
 import operator
 from array import array
 
+_EMPTY = (0, 1, 0)  # (start, lo, hi) of a missing fibre: no central coordinate fits
+
 
 def tiling(glue, lower, upper) -> array | None:
-    """FolnerLadder.tiling on two boxes, or None when the translates escape,
-    overlap or leave a gap.  Each row of c + lower (along the last axis) is a
-    run of indices from rank(c + f), f its first cell."""
+    """FolnerLadder.tiling by rank on boxes, fibres or subgroups, or None when
+    the windows have none of these shapes or the translates escape, overlap or
+    leave a gap."""
+    if lower._box and upper._box:
+        return _box_tiling(glue, lower, upper)
+    if lower._fibres and upper._fibres:
+        return _fibre_tiling(glue, lower, upper)
+    if lower._cyclic and upper._cyclic:
+        return _cyclic_tiling(glue, lower, upper)
+    return None
+
+
+def kept(F, K) -> int | None:
+    """|{f in F : f * k in F for every k in K}| on a box, fibred window or
+    subgroup F, else None."""
+    if F._box:
+        return _box_kept(F._box, K)
+    if F._fibres:
+        return _fibre_kept(F, K)
+    if F._cyclic:
+        # f + k stays in the subgroup exactly when k does
+        return len(F) if all(F._cyclic % k.denominator == 0 for k in K) else 0
+    return None
+
+
+def _box_tiling(glue, lower, upper) -> array | None:
+    """Each row of c + lower (along the last axis) is a run of indices from
+    rank(c + f), f its first cell."""
     (lo, hi, _), (ulo, uhi, strides) = lower._box, upper._box
     run = hi[-1] - lo[-1] + 1
     ones = b"\x01" * run
@@ -30,20 +61,99 @@ def tiling(glue, lower, upper) -> array | None:
     return order if len(order) == len(upper) else None
 
 
-def kept(box: tuple, K) -> int:
-    """|{f in box : f + k in box for every k in K}|, axis by axis: each column
-    of K, with 0 appended, shrinks the side by its spread."""
+def _fibre_tiling(glue, lower, upper) -> array | None:
+    """The centre shifts a fibre along itself, c * (a, b, t) = c * (a, b, lo)
+    + (0, 0, t - lo), so each translated fibre is one product and a run of
+    indices in the upper fibre over the same plane point."""
+    mul, fibres = upper.ctx.mul, upper._fibres
+    hit = bytearray(len(upper))
+    order = array("l")
+    for c in glue:
+        for (a, b), (_, lo, hi) in lower._fibres.items():
+            x, y, z = mul(c, (a, b, lo))
+            start, tlo, thi = fibres.get((x, y), _EMPTY)
+            q, run = start + z - tlo, hi - lo + 1
+            if z < tlo or z + run - 1 > thi or hit.find(1, q, q + run) >= 0:
+                return None
+            hit[q:q + run] = b"\x01" * run
+            order.extend(range(q, q + run))
+    return order if len(order) == len(upper) else None
+
+
+def _cyclic_tiling(glue, lower, upper) -> array | None:
+    """c + i/N has rank (c * M + i * M/N) mod M in {j/M}; the ranks of c + lower
+    form the coset of c * M modulo M/N, so translates are disjoint or equal."""
+    n, m = lower._cyclic, upper._cyclic
+    if m % n:
+        return None
+    step = m // n
+    cosets = set()
+    order = array("l")
+    for c in glue:
+        if m % c.denominator:
+            return None
+        r = c.numerator * (m // c.denominator)
+        if r % step in cosets:
+            return None
+        cosets.add(r % step)
+        order.extend(range(r, m, step))
+        order.extend(range(r % step, r, step))
+    return order if len(order) == m else None
+
+
+def _box_kept(box: tuple, K) -> int:
+    """Axis by axis: each column of K, with 0 appended, shrinks the side by
+    its spread."""
     lo, hi, _ = box
     columns = zip(*K, (0,) * len(lo))
     return math.prod(max(0, b - a + 1 - max(col) + min(col)) for a, b, col in zip(lo, hi, columns))
 
 
+def _fibre_kept(F, K) -> int:
+    """(a, b, t) * k = (a, b, lo) * k + (0, 0, t - lo): per fibre and k one
+    product, and the kept t form the intersection of the shifted intervals."""
+    mul, fibres = F.ctx.mul, F._fibres
+    count = 0
+    for (a, b), (_, lo, hi) in fibres.items():
+        low, high = lo, hi
+        for k in K:
+            x, y, z = mul((a, b, lo), k)
+            _, tlo, thi = fibres.get((x, y), _EMPTY)
+            low, high = max(low, lo + tlo - z), min(high, lo + thi - z)
+            if low > high:
+                break
+        count += max(0, high - low + 1)
+    return count
+
+
 def windows(small, big):
-    """analysis._windows when both windows are boxes: the window at the i-th
-    cell v of big is the row i + offsets, kept when v + small lies inside big."""
+    """analysis._windows by rank when both windows are boxes or both are
+    subgroups, else None."""
+    if small._box and big._box:
+        return _box_windows(small, big)
+    if small._cyclic and big._cyclic:
+        return _cyclic_windows(small, big)
+    return None
+
+
+def _box_windows(small, big):
+    """The window at the i-th cell v of big is the row i + offsets, kept when
+    v + small lies inside big."""
     (lo, hi, _), (blo, bhi, strides) = small._box, big._box
     offsets = [sum(map(operator.mul, u, strides)) for u in small.elements]
     low, high = tuple(map(operator.sub, blo, lo)), tuple(map(operator.sub, bhi, hi))
     for i, v in enumerate(big.elements):
         if all(map(operator.le, low, v)) and all(map(operator.le, v, high)):
             yield v, [i + o for o in offsets]
+
+
+def _cyclic_windows(small, big):
+    """The window at the i-th cell of big is the row (i + o) mod M for o in
+    0, M/N, ...; every window fits when the small subgroup lies inside the
+    big one, and none does otherwise."""
+    n, m = small._cyclic, big._cyclic
+    if m % n:
+        return
+    step = m // n
+    for i, v in enumerate(big.elements):
+        yield v, [*range(i, m, step), *range(i % step, i, step)]

@@ -82,17 +82,18 @@ def return_times(h: BlockHierarchy, n: int, m: int) -> FiniteSubset:
 def _windows(ladder: FolnerLadder, n: int, m: int):
     """Yield each position v in F_m whose translated window v * F_n lies
     inside F_m, with the canonical indices in F_m of its cells v * u (F_n
-    order): by rank on boxes, else one product per window cell."""
-    if ladder.levels[n]._box and ladder.levels[m]._box:
-        yield from _boxes.windows(ladder.levels[n], ladder.levels[m])
+    order): by rank on boxes and Pruefer subgroups, else one product per
+    window cell."""
+    small, big = ladder.levels[n], ladder.levels[m]
+    rows = _boxes.windows(small, big)
+    if rows is not None:
+        yield from rows
         return
-    cells = ladder.levels[m].elements
     mul = ladder.ctx.mul
-    index = {g: i for i, g in enumerate(cells)}
-    base = ladder.levels[n].elements
-    for v in cells:
+    index = {g: i for i, g in enumerate(big.elements)}
+    for v in big.elements:
         row = []
-        for u in base:
+        for u in small.elements:
             j = index.get(mul(v, u))
             if j is None:
                 break

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,14 +88,15 @@ class FolnerLadder:
         """Glue-order index of F_{n+1} = J_n * F_n, or its first violation.
 
         order[j * |F_n| + i] is the canonical index in F_{n+1} of c * f for
-        c = J_n[j] and f = F_n[i], by `_boxes.tiling` on lattice boxes.  Else
-        one product per cell; a translate escaping F_{n+1}, an overlap or an
-        uncovered cell comes back as a failed Certificate.
+        c = J_n[j] and f = F_n[i], by `_boxes.tiling` on lattice boxes, fibred
+        Heisenberg windows and Pruefer subgroups.  Else, or when that finds a
+        violation, one product per cell; a translate escaping F_{n+1}, an
+        overlap or an uncovered cell comes back as a failed Certificate.
         """
         if n in self._tilings:
             return self._tilings[n]
         glue, lower, upper = self.glue[n], self.levels[n], self.levels[n + 1]
-        order = _boxes.tiling(glue, lower, upper) if lower._box and upper._box else None
+        order = _boxes.tiling(glue, lower, upper)
         if order is None:
             mul = self.ctx.mul
             where = {g: q for q, g in enumerate(upper.elements)}
@@ -156,14 +158,17 @@ class FolnerLadder:
 
 
 def right_invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:
-    """1 - |{g in F : gK subset of F}| / |F|, exactly (in closed form on a box)."""
+    """1 - |{g in F : gK subset of F}| / |F|, exactly (by `_boxes.kept` on a
+    box, fibred window or subgroup, else one product per cell and k)."""
     if len(F) == 0:
         raise ValueError("invariance defect of the empty window is undefined")
     if F.ctx != K.ctx:
         raise ValueError("window and test set live in different groups")
-    if F._box is not None:
-        return 1 - Fraction(_boxes.kept(F._box, K.elements), len(F))
-    mul, cells = F.ctx.mul, F.as_set
+    kept = _boxes.kept(F, K.elements)
+    if kept is not None:
+        return 1 - Fraction(kept, len(F))
+    # a set local to the call: the cached F.as_set would stay on F for its lifetime
+    mul, cells = F.ctx.mul, set(F.elements)
     good = F.elements
     for k in K:
         good = [f for f in good if mul(f, k) in cells]
@@ -273,11 +278,20 @@ def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: i
     ident = ctx.identity()
     ctx.coordinates(ident)  # rejects non-abelian contexts up front
     mul, inv = ctx.mul, ctx.inv
+    consumed = list(generators)[:depth]
+    for g in consumed:
+        ctx.validate(g)
+    quotient_orders = [_quotient_order(ctx, consumed[:i], g) for i, g in enumerate(consumed)]
+    if depth > len(consumed) and None not in quotient_orders:
+        # every level past the last generator is a copy of it: bound the ladder's total cells
+        sizes = list(itertools.accumulate(quotient_orders, operator.mul, initial=1))
+        total = sum(sizes) + (depth - len(consumed)) * sizes[-1]
+        if total > MAX_CELLS:
+            raise InfeasibleError(f"a ladder of depth {depth} would hold {total} cells, "
+                                  f"over the budget of {MAX_CELLS}")
     levels = [FiniteSubset(ctx, [ident])]
     glue = []
-    consumed: list = []
     infinite_dirs: list[dict] = []  # {"g": generator, "w": window exponent}
-    quotient_orders: list[int | None] = []
     for n in range(1, depth + 1):
         step_sets: list[list] = []
         for d in infinite_dirs:
@@ -287,11 +301,8 @@ def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: i
                 jump = mul(jump, d["g"])
             step_sets.append([inv(jump), ident, jump])
             d["w"] += 1
-        if len(consumed) < len(generators):
-            g = generators[len(consumed)]
-            ctx.validate(g)
-            order = _quotient_order(ctx, consumed, g)
-            quotient_orders.append(order)
+        if n <= len(consumed):
+            g, order = consumed[n - 1], quotient_orders[n - 1]
             if order is None:
                 step_sets.append([inv(g), ident, g])
                 infinite_dirs.append({"g": g, "w": 1})
@@ -300,7 +311,6 @@ def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: i
                 for _ in range(order - 1):
                     lifts.append(mul(lifts[-1], g))
                 step_sets.append(lifts)
-            consumed.append(g)
         step = product_set(FiniteSubset(ctx, [ident]), *(FiniteSubset(ctx, part) for part in step_sets))
         glue.append(step)
         levels.append(product_set(step, levels[-1]))

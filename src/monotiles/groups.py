@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -528,6 +529,33 @@ class FiniteSubset:
         if math.prod(sides) != len(self.elements):
             return None
         return lo, hi, tuple(math.prod(sides[k + 1:]) for k in range(len(sides)))
+
+    @cached_property
+    def _fibres(self) -> dict | None:
+        """{(a, b): (start, lo, hi)} when this is a Heisenberg window whose cells
+        over each plane point (a, b) are one run (a, b, lo..hi), at canonical
+        indices start.., else None.  Each fibre's end is one bisect."""
+        if not (isinstance(self.ctx, Heisenberg) and self.elements):
+            return None
+        cells, fibres, start = self.elements, {}, 0
+        while start < len(cells):
+            a, b, lo = cells[start]
+            end = bisect_right(cells, (a, b, math.inf), start)
+            hi = cells[end - 1][2]
+            if hi - lo != end - 1 - start:
+                return None
+            fibres[a, b] = (start, lo, hi)
+            start = end
+        return fibres
+
+    @cached_property
+    def _cyclic(self) -> int | None:
+        """N when this is the Pruefer subgroup {i/N : 0 <= i < N}, whose i-th
+        cell is i/N, else None: N distinct cells whose denominators divide N."""
+        n = len(self.elements)
+        if not (isinstance(self.ctx, Pruefer) and n and all(n % g.denominator == 0 for g in self.elements)):
+            return None
+        return n
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -1,17 +1,21 @@
-"""Box-native index arithmetic against the product loops it replaces.
+"""Index arithmetic against the product loops it replaces.
 
-On a lattice box in canonical order a cell's index is a mixed-radix number,
-so `FolnerLadder.tiling`, `analysis._windows`, `folner_defect` and
+On a lattice box in canonical order a cell's index is a mixed-radix number;
+in a fibred Heisenberg window the cells over each plane point are one run of
+central coordinates, which the centre shifts along itself; and the Pruefer
+subgroup {i/N} holds i/N at index i.  So `FolnerLadder.tiling`,
+`analysis._windows` (boxes and subgroups), `folner_defect` and
 `right_invariance_defect` compute by rank instead of by group products.  The
 product loops stay in the program for other windows; the references below
-are those loops, copied.  Each box result must equal its reference, a planted
-non-tiling must give the same failed certificate, and windows that are no
-box (or live in Pruefer and Heisenberg groups) must take the generic path.
+are those loops, copied.  Each fast result must equal its reference, a
+planted non-tiling must give the same failed certificate, and windows of
+none of these shapes must take the generic path.
 """
 
 import itertools
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,16 +27,22 @@ from monotiles import (
     Heisenberg,
     Lattice,
     ManagedMatrix,
+    Pruefer,
+    build_heisenberg_ladder,
     build_hierarchy,
     build_lattice_ladder,
     build_pruefer_ladder,
     check_congruent,
+    compose_exact_sequence,
     folner_defect,
+    group_ladder,
     return_times,
     right_invariance_defect,
     scan_occurrences,
 )
 from monotiles.analysis import _windows
+from monotiles.pipeline import heisenberg_targets
+from test_defect_oracles import _heisenberg_parts as heisenberg_parts
 from test_tiling import PROPERTY
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
@@ -129,16 +139,26 @@ def two_levels(lower, upper, glue=None):
 
 
 @pytest.fixture
-def lattice_muls(monkeypatch):
+def muls(monkeypatch):
+    """muls(cls) is a list that grows by one entry per cls.mul call from then on."""
+
+    def count(cls):
+        calls, mul = [], cls.mul
+
+        def counted(self, g, h):
+            calls.append(1)
+            return mul(self, g, h)
+
+        monkeypatch.setattr(cls, "mul", counted)
+        return calls
+
+    return count
+
+
+@pytest.fixture
+def lattice_muls(muls):
     """A list that grows by one entry per Lattice.mul call."""
-    calls, mul = [], Lattice.mul
-
-    def counted(self, g, h):
-        calls.append(1)
-        return mul(self, g, h)
-
-    monkeypatch.setattr(Lattice, "mul", counted)
-    return calls
+    return muls(Lattice)
 
 
 def test_box_descriptor_is_mixed_radix():
@@ -248,3 +268,256 @@ def test_box_scans_and_defects_make_no_products(lattice_muls):
     assert lattice_muls == []
     for (n, m), scanned in scans.items():
         assert scanned == return_times(h, n, m)
+
+
+# ---------------------------------------------------------------------------
+# fibred Heisenberg windows and Pruefer subgroups
+
+HEISENBERG = Heisenberg()
+heisenberg_elements = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
+@st.composite
+def fibred(draw, gap=False, length=None):
+    """A Heisenberg window of runs (a, b, lo..hi) over random plane points, all
+    `length` cells long if given; with `gap`, the first fibre (at least three
+    cells long) loses its second cell, so the window is no longer fibred."""
+    points = draw(st.sets(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6))
+    cells = []
+    for a, b in sorted(points):
+        lo = draw(st.integers(-4, 4))
+        run = length or draw(st.integers(3 if gap and not cells else 1, 5))
+        cells += [(a, b, t) for t in range(lo, lo + run)]
+    if gap:
+        del cells[1]
+    return FiniteSubset(HEISENBERG, cells)
+
+
+def pruefer_elements(p, e=4):
+    return st.builds(lambda i, j: Fraction(i % p**j, p**j), st.integers(0, p**e), st.integers(0, e))
+
+
+def subgroup(p, N):
+    return FiniteSubset(Pruefer(p), (Fraction(i, N) for i in range(N)))
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@lru_cache(maxsize=None)
+def plant_ladder(kind):
+    if kind == "heisenberg":
+        return compose_exact_sequence(*heisenberg_parts(6, 4), heisenberg_targets(2))
+    return group_ladder(build_pruefer_ladder(3, 4), [0, 1, 3, 4])
+
+
+def same(got, want):
+    """Two tiling results agree: equal orders or equal failed certificates."""
+    if isinstance(want, Certificate):
+        return isinstance(got, Certificate) and got.to_json() == want.to_json()
+    return isinstance(got, array) and got == want
+
+
+@PROPERTY
+@given(gap=st.booleans(), data=st.data())
+def test_fibre_defects_equal_the_product_loops(gap, data):
+    F = data.draw(fibred(gap))
+    assert (F._fibres is None) is gap
+    g = data.draw(heisenberg_elements)
+    K = FiniteSubset(HEISENBERG, data.draw(st.sets(heisenberg_elements, max_size=4)))
+    assert folner_defect(F, g) == product_folner_defect(F, g)
+    assert right_invariance_defect(F, K) == product_invariance_defect(F, K)
+
+
+@PROPERTY
+@given(p=st.sampled_from([2, 3, 6]), data=st.data())
+def test_pruefer_defects_equal_the_product_loops(p, data):
+    if data.draw(st.booleans()):
+        F = subgroup(p, data.draw(st.sampled_from(divisors(p**3))))
+    else:
+        F = FiniteSubset(Pruefer(p), data.draw(st.sets(pruefer_elements(p, 3), min_size=1, max_size=12)))
+    is_subgroup = set(F) == {Fraction(i, len(F)) for i in range(len(F))}
+    assert (F._cyclic == len(F)) if is_subgroup else (F._cyclic is None)
+    g = data.draw(pruefer_elements(p))
+    K = FiniteSubset(F.ctx, data.draw(st.sets(pruefer_elements(p), max_size=4)))
+    assert folner_defect(F, g) == product_folner_defect(F, g)
+    assert right_invariance_defect(F, K) == product_invariance_defect(F, K)
+
+
+TILING_KINDS = ["tiling", "shifted-digit", "missing-digit", "free-digits"]
+
+
+@PROPERTY
+@given(kind=st.sampled_from(TILING_KINDS), data=st.data())
+def test_fibre_tiling_equals_the_product_loop(kind, data):
+    """Glue digits that tile: plane parts 5 apart, so translates of different
+    lower fibres never share a plane point, each stacking `stack` translates
+    L apart along the centre over fibres of length L.  Then one digit moves
+    along the centre by less than L (an overlap, or an escape) or is dropped
+    (a gap), or all digits are drawn freely."""
+    L = data.draw(st.integers(1, 4))
+    lower = data.draw(fibred(length=L))
+    planes = data.draw(st.sets(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=1, max_size=3))
+    stack = data.draw(st.integers(1, 3))
+    digits = [(5 * x, 5 * y, z + L * j) for x, y in planes for z in [data.draw(st.integers(-3, 3))]
+              for j in range(stack)]
+    upper = FiniteSubset(HEISENBERG, (HEISENBERG.mul(c, f) for c in digits for f in lower))
+    i = data.draw(st.integers(0, len(digits) - 1))
+    if kind == "shifted-digit" and L > 1:
+        x, y, z = digits[i]
+        digits[i] = (x, y, z + data.draw(st.sampled_from([1, -1])) * data.draw(st.integers(1, L - 1)))
+    elif kind == "missing-digit":
+        del digits[i]
+    elif kind == "free-digits":
+        digits = data.draw(st.sets(heisenberg_elements, min_size=1, max_size=4))
+    ladder = two_levels(lower, upper, FiniteSubset(HEISENBERG, set(digits)))
+    assert upper._fibres
+    assert same(ladder.tiling(0), product_tiling(ladder, 0))
+
+
+@pytest.mark.parametrize("lower, upper", [
+    # the second translate starts one cell early: it overlaps the first and
+    # leaves the top cell uncovered, so the cell count alone still matches
+    (FiniteSubset(HEISENBERG, [(0, 0, 0), (0, 0, 1)]), FiniteSubset(HEISENBERG, [(0, 0, t) for t in range(4)])),
+    # both translates are {0, 1/2}, and the coset {1/4, 3/4} stays uncovered
+    (subgroup(2, 2), subgroup(2, 4)),
+])
+def test_translates_that_overlap_and_leave_a_gap_are_caught(lower, upper):
+    ladder = two_levels(lower, upper, lower)
+    cert = ladder.tiling(0)
+    assert cert.reason == "translates-overlap"
+    assert same(cert, product_tiling(ladder, 0))
+
+
+@PROPERTY
+@given(p=st.sampled_from([2, 3, 6]), kind=st.sampled_from(TILING_KINDS + ["escaping-digit"]), data=st.data())
+def test_cyclic_tiling_equals_the_product_loop(p, kind, data):
+    """One representative anywhere in each coset of the lower subgroup in the
+    upper one (a tiling); then one of them moves to another coset (an
+    overlap and a gap), leaves the upper subgroup or is dropped, or all
+    digits and both orders are drawn freely."""
+    M = data.draw(st.sampled_from(divisors(p**3)))
+    N = data.draw(st.sampled_from(divisors(M)))
+    step = M // N
+    digits = [Fraction(r + step * data.draw(st.integers(0, N - 1)), M) for r in range(step)]
+    i = data.draw(st.integers(0, step - 1))
+    if kind == "shifted-digit":
+        digits[i] = (digits[i - 1] + Fraction(data.draw(st.integers(0, N - 1)), N)) % 1
+    elif kind == "escaping-digit":
+        digits[i] = (digits[i] + Fraction(1, M * p)) % 1
+    elif kind == "missing-digit":
+        del digits[i]
+    elif kind == "free-digits":
+        M, N = (data.draw(st.sampled_from(divisors(p**3))) for _ in range(2))
+        digits = data.draw(st.sets(pruefer_elements(p), min_size=1, max_size=6))
+    ladder = two_levels(subgroup(p, N), subgroup(p, M), FiniteSubset(Pruefer(p), set(digits)))
+    assert same(ladder.tiling(0), product_tiling(ladder, 0))
+
+
+def test_composed_and_pruefer_ladders_tile_like_the_product_loop():
+    for ladder in (build_heisenberg_ladder(heisenberg_targets(3)), plant_ladder("pruefer"),
+                   build_pruefer_ladder(2, 6)):
+        assert all(F._fibres or F._cyclic for F in ladder.levels)
+        for n in range(ladder.depth):
+            assert same(ladder.tiling(n), product_tiling(ladder, n))
+
+
+@PROPERTY
+@given(p=st.sampled_from([2, 3]), data=st.data())
+def test_pruefer_windows_equal_the_product_loop(p, data):
+    inner = data.draw(st.lists(st.integers(1, 4), unique=True).map(sorted))
+    ladder = group_ladder(build_pruefer_ladder(p, 5), [0, *inner, 5])
+    n = data.draw(st.integers(0, ladder.depth))
+    m = data.draw(st.integers(n, ladder.depth))
+    assert list(_windows(ladder, n, m)) == product_windows(ladder, n, m)
+
+
+def test_pruefer_windows_outside_the_big_subgroup_do_not_fit():
+    # {0, 1/2} does not lie in {0, 1/3, 2/3}: no translate of it fits
+    ladder = two_levels(subgroup(6, 2), subgroup(6, 3))
+    assert list(_windows(ladder, 0, 1)) == product_windows(ladder, 0, 1) == []
+
+
+def _plant(ladder, n, kind, pick):
+    """The ladder with glue digit n changed in the named way, or None when
+    this level has no room to plant it."""
+    ctx, ident = ladder.ctx, ladder.ctx.identity()
+    glue, lower = ladder.glue[n], ladder.levels[n]
+    others = [c for c in glue if c != ident]
+    if not others:
+        return None
+    c = others[pick % len(others)]
+    if kind in ("fibre-end-moved", "fibre-start-moved"):
+        return _moved_fibre_end(ladder, n, kind, pick)
+    if kind == "escaping-digit":
+        far = (10**3, 0, 0) if isinstance(ctx, Heisenberg) else Fraction(1, ctx.p**12)
+        new = [ctx.mul(c, far)]
+    elif kind == "missing-digit":
+        new = []
+    else:  # a lower cell f: the translate f * F_n meets F_n itself
+        cells = [f for f in lower if f != ident and f not in glue]
+        if not cells:
+            return None
+        new = [cells[pick % len(cells)]]
+    digits = FiniteSubset(ctx, [d for d in glue if d != c] + new)
+    return FolnerLadder(ctx, ladder.levels, ladder.glue[:n] + (digits,) + ladder.glue[n + 1:])
+
+
+def _moved_fibre_end(ladder, n, kind, pick):
+    """Level n + 1 with the last cell of one fibre moved to just before the
+    next fibre, or that fibre's first cell moved to just after the last
+    cell of the one before: still fibred, with the same cell count and the
+    same indices, but a translated run now ends (or starts) outside its fibre."""
+    upper = ladder.levels[n + 1]
+    fibres = list((upper._fibres or {}).items())
+    if len(fibres) < 2:
+        return None
+    ((a, b), (_, _, hi)), ((x, y), (_, lo, _)) = fibres[pick % (len(fibres) - 1):][:2]
+    out, into = ((a, b, hi), (x, y, lo - 1)) if kind == "fibre-end-moved" else ((x, y, lo), (a, b, hi + 1))
+    moved = FiniteSubset(ladder.ctx, [g for g in upper if g != out] + [into])
+    assert moved._fibres
+    return FolnerLadder(ladder.ctx, ladder.levels[:n + 1] + (moved,) + ladder.levels[n + 2:], ladder.glue)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["escaping-digit", "missing-digit", "overlapping-digits",
+                             "fibre-end-moved", "fibre-start-moved"]),
+       ladder_kind=st.sampled_from(["heisenberg", "pruefer"]), data=st.data())
+def test_planted_digits_give_the_product_loop_certificate(kind, ladder_kind, data):
+    ladder = plant_ladder(ladder_kind)
+    n = data.draw(st.integers(0, ladder.depth - 1))
+    broken = _plant(ladder, n, kind, data.draw(st.integers(0, 10**3)))
+    if broken is None:
+        return
+    cert = check_congruent(broken)
+    assert not cert.ok
+    assert cert.to_json() == product_check_congruent(broken).to_json()
+    if kind == "missing-digit":
+        assert cert.reason == "next-level-not-covered"
+    elif kind != "overlapping-digits":
+        assert cert.reason == "translate-escapes-next-level"
+
+
+def test_pruefer_subgroup_paths_make_no_products(muls):
+    ladder = group_ladder(build_pruefer_ladder(2, 8), [0, 2, 4, 6, 8])
+    calls = muls(Pruefer)
+    assert check_congruent(ladder).ok
+    h = build_hierarchy(ladder, [ManagedMatrix([[1, 1, 1], [2, 2, 1], [1, 1, 2]])] * 4)
+    scans = {(n, m): scan_occurrences(h, n, m) for n, m in [(0, 4), (1, 2), (2, 4)]}
+    defects = [right_invariance_defect(F, J) for F, J in zip(ladder.levels, ladder.glue)]
+    assert folner_defect(ladder.levels[2], Fraction(1, 32)) == 1
+    assert calls == []
+    assert defects == [1, 1, 1, 1]
+    for (n, m), scanned in scans.items():
+        assert scanned == return_times(h, n, m)
+
+
+def test_fibred_defect_makes_at_most_one_product_per_fibre_and_test_element(muls):
+    F = plant_ladder("heisenberg").levels[-1]
+    K = FiniteSubset(HEISENBERG, HEISENBERG.generators())
+    fibres = F._fibres
+    calls = muls(Heisenberg)
+    defect = right_invariance_defect(F, K)
+    assert 0 < len(calls) <= len(fibres) * len(K)
+    assert defect == product_invariance_defect(F, K)

@@ -229,6 +229,7 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     (None, ["measures", "check", "{matrices-5}"]),
     (None, ["measures", "check", "{int-matrix}"]),
     (None, ["folner", "build", "--group", '{"kind":"lattice","d":3}', "--depth", "8"]),  # 3**24 cells
+    (None, ["folner", "build", "--group", '{"kind":"cyclic","n":3}', "--depth", "100000000"]),  # stalled chain
 ]
 
 # malformed copies of the built ladder file

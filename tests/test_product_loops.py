@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monotiles import (
+    Cyclic,
     FiniteSubset,
     FolnerLadder,
     Heisenberg,
     Lattice,
+    build_abelian_chain_ladder,
     build_lattice_ladder,
     build_pruefer_ladder,
     compose_exact_sequence,
@@ -164,6 +166,27 @@ def test_builders_check_the_budget_before_allocating(monkeypatch):
         build_lattice_ladder(1, 4)
     with pytest.raises(InfeasibleError):
         build_pruefer_ladder(3, 4)
+
+
+def test_stalled_abelian_chain_checks_the_budget_before_building(monkeypatch):
+    # past its last generator a chain with finite quotients repeats its last level
+    def no_products(self, g, h):  # building would take about 20 minutes and tens of GB
+        raise AssertionError("a level was built before the budget check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Cyclic, "mul", no_products)
+        with pytest.raises(InfeasibleError, match="300000001 cells"):
+            build_abelian_chain_ladder(Cyclic(3), [1], 10**8)
+    monkeypatch.setattr(folner, "MAX_CELLS", 13)  # 1 + 3 cells, then three copies of 3
+    assert len(build_abelian_chain_ladder(Cyclic(3), [1], 4).levels) == 5
+    with pytest.raises(InfeasibleError, match="16 cells"):
+        build_abelian_chain_ladder(Cyclic(3), [1], 5)
+    with pytest.raises(InfeasibleError):
+        build_abelian_chain_ladder(Cyclic(3), [], 13)
+    # no copies: 1 + 3 + 6 + 12 cells, which only the per-level budget bounds
+    assert len(build_abelian_chain_ladder(Cyclic(12), [4, 2, 1], 3).levels[-1]) == 12
+    # an infinite quotient keeps growing, so its levels are no copies
+    assert len(build_abelian_chain_ladder(Lattice(1), [(1,)], 3).levels[-1]) == 27
 
 
 def test_composition_stops_at_the_budget(monkeypatch):
