@@ -33,7 +33,7 @@ def kept(F, K) -> int | None:
     if F._box:
         return _box_kept(F._box, K)
     if F._fibres:
-        return _fibre_kept(F, K)
+        return _fibre_kept(F.ctx.mul, F._fibres, K)
     if F._cyclic:
         # f + k stays in the subgroup exactly when k does
         return len(F) if all(F._cyclic % k.denominator == 0 for k in K) else 0
@@ -109,10 +109,10 @@ def _box_kept(box: tuple, K) -> int:
     return math.prod(max(0, b - a + 1 - max(col) + min(col)) for a, b, col in zip(lo, hi, columns))
 
 
-def _fibre_kept(F, K) -> int:
+def _fibre_kept(mul, fibres: dict, K) -> int:
     """(a, b, t) * k = (a, b, lo) * k + (0, 0, t - lo): per fibre and k one
-    product, and the kept t form the intersection of the shifted intervals."""
-    mul, fibres = F.ctx.mul, F._fibres
+    product, and the kept t form the intersection of the shifted intervals.
+    Reads only the fibres, so a window can be scored before it is built."""
     count = 0
     for (a, b), (_, lo, hi) in fibres.items():
         low, high = lo, hi

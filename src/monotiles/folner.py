@@ -338,6 +338,11 @@ def compose_exact_sequence(
     defect filter at eps_s / 2, and m_s the least index above m_{s-1} whose
     composed level meets the full (K_s, eps_s) target.  The quotient index
     may stall; the subgroup index strictly increases.
+
+    The section, the tower's projection and the commutation of the subgroup
+    windows with every lift are checked up front.  A Heisenberg candidate
+    whose U_m is one central run is scored from its fibre runs, and only the
+    chosen one is built (`_score_candidate`); others go through product_set.
     """
     ctx = ladder_sub.ctx
     q_ctx = ladder_quot.ctx
@@ -383,8 +388,7 @@ def compose_exact_sequence(
             if right_invariance_defect(ladder_quot.levels[q], projected) > eps / 2:
                 continue
             for m in range(m_prev + 1, ladder_sub.depth + 1):
-                level = product_set(ladder_sub.levels[m], towers[q])
-                defect = right_invariance_defect(level, K)
+                defect, level = _score_candidate(ladder_sub.levels[m], towers[q], K)
                 if best is None or defect < best:
                     best = defect
                 if defect <= eps:
@@ -396,6 +400,8 @@ def compose_exact_sequence(
             raise InvarianceUnreachableError(
                 f"no indices meet target {s} (eps = {eps}) within the given ladders", achieved=best)
         m_s, q_s, defect, level = found
+        if isinstance(level, dict):
+            level = FiniteSubset._from_fibres(ctx, level)
         glue.append(product_set(iterated_glue(ladder_sub, m_prev, m_s), *lifted[q_prev:q_s][::-1]))
         levels.append(level)
         m_prev, q_prev = m_s, q_s
@@ -406,11 +412,37 @@ def compose_exact_sequence(
     return FolnerLadder(ctx, levels, glue, info)
 
 
+def _score_candidate(U: FiniteSubset, tower: FiniteSubset, K: FiniteSubset):
+    """(defect, level) of the candidate U * tower against K.
+
+    When U is one central Heisenberg run (0, 0, lo..hi), (0, 0, z) * (a, b, c)
+    = (a, b, c + z) makes each tower cell one fibre of the level, in the
+    tower's order, if the tower's plane points are distinct.  The level is
+    then scored from those runs and comes back as its `_fibres` dict, to be
+    built only if chosen; else it is built by product_set."""
+    runs = U._fibres
+    if runs and runs.keys() == {(0, 0)}:
+        _, lo, hi = runs[0, 0]
+        run = hi - lo + 1
+        size = len(tower) * run
+        if size > MAX_CELLS:
+            raise InfeasibleError(f"product set would hold {size} cells, over the budget of {MAX_CELLS}")
+        fibres = {(a, b): (i * run, c + lo, c + hi) for i, (a, b, c) in enumerate(tower.elements)}
+        if len(fibres) == len(tower):
+            return 1 - Fraction(_boxes._fibre_kept(U.ctx.mul, fibres, K.elements), size), fibres
+    level = product_set(U, tower)
+    return right_invariance_defect(level, K), level
+
+
 def build_heisenberg_ladder(targets: Sequence[tuple[FiniteSubset, Fraction]]) -> FolnerLadder:
     """Compose the central Z ladder (depth 10) with the Z^2 quotient ladder
     (depth 5) of heisenberg3."""
     ctx = Heisenberg()
-    center = map_ladder(build_lattice_ladder(1, 10), ctx, lambda t: (0, 0, t[0]))
+    # the central levels (0, 0, -h..h), h = (3**n - 1) / 2, and digits {k * 3**n}: valid by construction
+    center = FolnerLadder(
+        ctx,
+        [FiniteSubset._from_fibres(ctx, {(0, 0): (0, (1 - 3**n) // 2, (3**n - 1) // 2)}) for n in range(11)],
+        [FiniteSubset._trusted(ctx, [(0, 0, -(3**n)), (0, 0, 0), (0, 0, 3**n)]) for n in range(10)])
     plane = build_lattice_ladder(2, 5)
     return compose_exact_sequence(
         center, plane,

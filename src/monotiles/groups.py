@@ -511,6 +511,18 @@ class FiniteSubset:
         object.__setattr__(self, "elements", tuple(sorted(elements)))
         return self
 
+    @classmethod
+    def _from_fibres(cls, ctx: "Heisenberg", fibres: dict) -> "FiniteSubset":
+        """Internal constructor for a Heisenberg window given as its `_fibres`
+        descriptor, runs in canonical order: it emits the cells run by run and
+        keeps the descriptor, so nothing is sorted or searched."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "elements", tuple(
+            (a, b, t) for (a, b), (_, lo, hi) in fibres.items() for t in range(lo, hi + 1)))
+        self.__dict__["_fibres"] = fibres
+        return self
+
     @cached_property
     def as_set(self) -> frozenset:
         return frozenset(self.elements)

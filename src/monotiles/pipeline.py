@@ -109,9 +109,13 @@ def _int_at_least(name: str, value, low: int) -> int:
 
 
 def _fraction(name: str, value) -> Fraction:
+    """Return value as a Fraction, raising ConfigError unless it is a rational
+    string or an int (not a bool): a JSON float is a binary fraction."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ConfigError(f"{name} must be a rational string or an int, got {value!r}")
     try:
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"bad {name} {value!r}: {e}")
 
 
@@ -172,7 +176,8 @@ class PipelineConfig:
             except ValueError as e:
                 raise ConfigError(f"bad abelian generator {g!r}: {e}")
         for key in sorted({"eps_start", "eps_step"} & ladder_cfg.keys()):
-            _fraction(f"heisenberg {key}", ladder_cfg[key])
+            if _fraction(f"heisenberg {key}", ladder_cfg[key]) <= 0:
+                raise ConfigError(f"heisenberg {key} must be positive")
         k0 = _int_at_least("k0", merged["k0"], 3)
         matrices = _known_keys("matrices", merged["matrices"], {"realize", "file"})
         if ("realize" in matrices) == ("file" in matrices):

@@ -89,12 +89,6 @@ class SimplexApproximant:
     depth: int
     vertices: tuple
 
-    def hull_diameter(self) -> Fraction:
-        """Largest pairwise L1 distance among the vertex images."""
-        verts = self.vertices
-        return max((a.l1_distance(b) for i, a in enumerate(verts) for b in verts[i + 1:]),
-                   default=Fraction(0))
-
     def to_json(self) -> dict:
         return {"level": self.level, "depth": self.depth,
                 "vertices": [v.to_json() for v in self.vertices]}

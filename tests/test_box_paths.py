@@ -138,21 +138,30 @@ def two_levels(lower, upper, glue=None):
     return FolnerLadder(lower.ctx, [lower, upper], [glue])
 
 
-@pytest.fixture
-def muls(monkeypatch):
-    """muls(cls) is a list that grows by one entry per cls.mul call from then on."""
-
+def _counter(monkeypatch, name):
     def count(cls):
-        calls, mul = [], cls.mul
+        calls, method = [], getattr(cls, name)
 
-        def counted(self, g, h):
+        def counted(self, *args):
             calls.append(1)
-            return mul(self, g, h)
+            return method(self, *args)
 
-        monkeypatch.setattr(cls, "mul", counted)
+        monkeypatch.setattr(cls, name, counted)
         return calls
 
     return count
+
+
+@pytest.fixture
+def muls(monkeypatch):
+    """muls(cls) is a list that grows by one entry per cls.mul call from then on."""
+    return _counter(monkeypatch, "mul")
+
+
+@pytest.fixture
+def validates(monkeypatch):
+    """validates(cls) is a list that grows by one entry per cls.validate call from then on."""
+    return _counter(monkeypatch, "validate")
 
 
 @pytest.fixture
@@ -413,6 +422,25 @@ def test_cyclic_tiling_equals_the_product_loop(p, kind, data):
         digits = data.draw(st.sets(pruefer_elements(p), min_size=1, max_size=6))
     ladder = two_levels(subgroup(p, N), subgroup(p, M), FiniteSubset(Pruefer(p), set(digits)))
     assert same(ladder.tiling(0), product_tiling(ladder, 0))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_windows_built_from_fibres_equal_the_validating_constructor(data):
+    F = data.draw(fibred())
+    built = FiniteSubset._from_fibres(HEISENBERG, F._fibres)
+    assert built == F
+    assert vars(built)["_fibres"] is F._fibres
+
+
+def test_heisenberg_ladder_makes_few_products_and_validations(muls, validates):
+    targets = heisenberg_targets(3)
+    products = muls(Heisenberg)
+    validations = [validates(Heisenberg), validates(Lattice)]
+    build_heisenberg_ladder(targets)
+    # the lifted towers and the commutation certificate take products; the levels take none
+    assert len(products) < 80_000
+    assert sum(map(len, validations)) < 100
 
 
 def test_composed_and_pruefer_ladders_tile_like_the_product_loop():

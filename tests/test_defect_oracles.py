@@ -27,7 +27,8 @@ from monotiles import (
     map_ladder,
     right_invariance_defect,
 )
-from monotiles.errors import InvarianceUnreachableError
+from monotiles import folner
+from monotiles.errors import InfeasibleError, InvarianceUnreachableError
 from monotiles.groups import product_set
 from monotiles.pipeline import heisenberg_targets
 from test_tiling import PROPERTY
@@ -155,6 +156,69 @@ def test_composition_equals_the_rebuilding_search_on_random_targets(data):
         K = FiniteSubset(Heisenberg(), data.draw(st.sets(heisenberg_elements, min_size=1, max_size=3)))
         targets.append((K, data.draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(7, 8)]))))
     _compare_compositions(_heisenberg_parts(5, 2), targets)  # most of these targets are met
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """The first factor of every product_set call compose_exact_sequence makes from now on."""
+    firsts = []
+
+    def spy(A, *factors):
+        firsts.append(A)
+        return product_set(A, *factors)
+
+    monkeypatch.setattr(folner, "product_set", spy)
+    return firsts
+
+
+def _builds_candidates(firsts, sub):
+    """Some level U_m (m >= 1) of the subgroup ladder went through product_set."""
+    return any(A is U for A in firsts for U in sub.levels[1:])
+
+
+def test_single_run_centre_levels_are_built_from_their_fibres(product_calls):
+    parts = _heisenberg_parts(6, 4)
+    composed = compose_exact_sequence(*parts, heisenberg_targets(2))
+    assert not _builds_candidates(product_calls, parts[0])
+    for ladder in (composed, build_heisenberg_ladder(heisenberg_targets(3))):
+        for F in ladder.levels[1:]:
+            rebuilt = FiniteSubset(ladder.ctx, F.elements)
+            assert rebuilt == F
+            assert "_fibres" in vars(F) and F._fibres == rebuilt._fibres
+
+
+def test_non_interval_centre_falls_back_to_product_set(product_calls):
+    center = map_ladder(build_lattice_ladder(1, 5), Heisenberg(), lambda t: (0, 0, 2 * t[0]))
+    parts = (center, build_lattice_ladder(2, 3), lambda q: (q[0], q[1], 0), lambda g: g[:2])
+    # even central steps: the gaps of (0, 0, 2t) keep the odd ones from ever being met
+    window = FiniteSubset(Heisenberg(), [(1, 0, 0), (-1, 0, 0), (0, 0, 2), (0, 0, -2)])
+    _compare_compositions(parts, [(window, Fraction(1, 2))] * 2)
+    assert _builds_candidates(product_calls, center)
+
+
+def test_tower_with_a_repeated_plane_point_falls_back_to_product_set():
+    ctx = Heisenberg()
+    U = FiniteSubset(ctx, [(0, 0, t) for t in range(-1, 2)])
+    tower = FiniteSubset(ctx, [(0, 0, 0), (0, 0, 3), (1, 0, 0)])
+    K = FiniteSubset(ctx, ctx.generators())
+    defect, level = folner._score_candidate(U, tower, K)
+    assert level == product_set(U, tower)
+    assert defect == reference_right_invariance_defect(level, K)
+
+
+def test_lattice_composition_falls_back_to_product_set(product_calls):
+    ctx = Lattice(3)
+    center = map_ladder(build_lattice_ladder(1, 5), ctx, lambda t: (0, 0, t[0]))
+    parts = (center, build_lattice_ladder(2, 3), lambda q: (q[0], q[1], 0), lambda g: g[:2])
+    window = FiniteSubset(ctx, [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)])
+    _compare_compositions(parts, [(window, Fraction(1, 2)), (window, Fraction(1, 3))])
+    assert _builds_candidates(product_calls, center)
+
+
+def test_over_budget_candidate_raises_the_product_set_error():
+    # the first candidate over MAX_CELLS is a 243-cell centre run over a 3**10-cell tower
+    with pytest.raises(InfeasibleError, match="product set would hold 14348907 cells"):
+        build_heisenberg_ladder(heisenberg_targets(9))
 
 
 def test_heisenberg_ladder_json_is_unchanged():

@@ -80,6 +80,13 @@ MALFORMED = [
     {"group": {"kind": "rationals"}, "ladder": {"route": "abelian", "depth": 3, "generators": ["1/0"]}},
     {"group": {"kind": "direct_product", "factors": [{"kind": "lattice", "d": 1}, {"kind": "cyclic", "n": 3}]},
      "ladder": {"route": "abelian", "depth": 3, "generators": [5]}},
+    {"lemma8_bound": True},
+    {"lemma8_bound": 0.1},
+    {"matrices": {"realize": {"extreme_points": 2, "tolerance": 0.01}}},
+    {"group": {"kind": "heisenberg3"}, "ladder": {"route": "heisenberg", "depth": 2, "eps_start": "0"}},
+    {"group": {"kind": "heisenberg3"}, "ladder": {"route": "heisenberg", "depth": 2, "eps_start": "-1/2"}},
+    {"group": {"kind": "heisenberg3"}, "ladder": {"route": "heisenberg", "depth": 2, "eps_step": "0"}},
+    {"group": {"kind": "heisenberg3"}, "ladder": {"route": "heisenberg", "depth": 2, "eps_start": 0.5}},
 ]
 
 
