@@ -3,9 +3,7 @@ them, and exact finite-depth approximants of their invariant-measure simplex.
 """
 
 from .analysis import (
-    CosetAddress,
     CylinderId,
-    address,
     boundary_mass_bound,
     check_partitions,
     return_times,
@@ -33,7 +31,6 @@ from .errors import (
     InvarianceUnreachableError,
     MonotileError,
     NotCosetRepsError,
-    OutOfWindowError,
     RenderUnsupportedError,
     SelectionExhaustedError,
     UnsupportedGroupError,

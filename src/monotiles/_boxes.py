@@ -128,7 +128,7 @@ def _fibre_kept(mul, fibres: dict, K) -> int:
 
 def windows(small, big):
     """analysis._windows by rank when both windows are boxes or both are
-    subgroups, else None."""
+    subgroups, else None: (i, row) for the i-th cell of big."""
     if small._box and big._box:
         return _box_windows(small, big)
     if small._cyclic and big._cyclic:
@@ -144,7 +144,7 @@ def _box_windows(small, big):
     low, high = tuple(map(operator.sub, blo, lo)), tuple(map(operator.sub, bhi, hi))
     for i, v in enumerate(big.elements):
         if all(map(operator.le, low, v)) and all(map(operator.le, v, high)):
-            yield v, [i + o for o in offsets]
+            yield i, [i + o for o in offsets]
 
 
 def _cyclic_windows(small, big):
@@ -155,5 +155,5 @@ def _cyclic_windows(small, big):
     if m % n:
         return
     step = m // n
-    for i, v in enumerate(big.elements):
-        yield v, [*range(i, m, step), *range(i % step, i, step)]
+    for i in range(m):
+        yield i, [*range(i, m, step), *range(i % step, i, step)]

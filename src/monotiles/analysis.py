@@ -2,14 +2,14 @@
 
 Return-time sets are computed twice: algebraically from glue digits and
 independently by sliding-window scans over the distinguished patch.  Tower
-partition checks (tiling exactness and refinement) compare observed window
-contents against address-predicted blocks, so single-symbol corruption is
-always detected.
+partition checks (tiling exactness and refinement) work on canonical indices
+of the level-m window: each cell's claimed (offset, block) must equal its
+tower label, read off the glue orders and assignments, so single-symbol
+corruption is always detected.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -17,35 +17,17 @@ from operator import add
 
 from . import _boxes
 from .blocks import BlockHierarchy, Pattern
-from .errors import OutOfWindowError
 from .folner import FolnerLadder, folner_defect, iterated_glue
 from .groups import Certificate, FiniteSubset, Lattice
 
 __all__ = [
-    "CosetAddress",
     "CylinderId",
-    "address",
     "return_times",
     "scan_occurrences",
     "check_partitions",
     "boundary_mass_bound",
     "syndeticity_window",
 ]
-
-
-@dataclass(frozen=True)
-class CosetAddress:
-    """Digit expansion of a window element across ladder levels.
-
-    digits run top-down (levels m-1, ..., n); the residual lies in the
-    level-n window, and the element is the product of the digits, then the
-    residual.
-    """
-
-    digits: tuple
-    residual: object
-    low: int
-    high: int
 
 
 @dataclass(frozen=True)
@@ -60,30 +42,16 @@ class CylinderId:
             raise ValueError(f"bad cylinder ({self.level}, {self.block_index})")
 
 
-def address(ladder: FolnerLadder, v, n: int, m: int) -> CosetAddress:
-    """Unique glue digits c_{m-1}, ..., c_n and residual with v = product * residual."""
-    if not 0 <= n <= m <= ladder.depth:
-        raise ValueError(f"need 0 <= n <= m <= {ladder.depth}, got n={n}, m={m}")
-    if v not in ladder.levels[m]:
-        raise OutOfWindowError(f"{v!r} lies outside level {m}")
-    q = bisect_left(ladder.levels[m].elements, v)
-    digits = []
-    for i in range(m - 1, n - 1, -1):
-        j, q = divmod(ladder.glue_order(i)[1][q], len(ladder.levels[i]))
-        digits.append(ladder.glue[i].elements[j])
-    return CosetAddress(tuple(digits), ladder.levels[n].elements[q], n, m)
-
-
 def return_times(h: BlockHierarchy, n: int, m: int) -> FiniteSubset:
     """Positions whose level-n window tiles level m: all glue-digit products."""
     return iterated_glue(h.ladder, n, m)
 
 
 def _windows(ladder: FolnerLadder, n: int, m: int):
-    """Yield each position v in F_m whose translated window v * F_n lies
-    inside F_m, with the canonical indices in F_m of its cells v * u (F_n
-    order): by rank on boxes and Pruefer subgroups, else one product per
-    window cell."""
+    """Yield the canonical index i of each position v = F_m[i] whose
+    translated window v * F_n lies inside F_m, with the canonical indices in
+    F_m of its cells v * u (F_n order): by rank on boxes and Pruefer
+    subgroups, else one product per window cell."""
     small, big = ladder.levels[n], ladder.levels[m]
     rows = _boxes.windows(small, big)
     if rows is not None:
@@ -91,7 +59,7 @@ def _windows(ladder: FolnerLadder, n: int, m: int):
         return
     mul = ladder.ctx.mul
     index = {g: i for i, g in enumerate(big.elements)}
-    for v in big.elements:
+    for i, v in enumerate(big.elements):
         row = []
         for u in small.elements:
             j = index.get(mul(v, u))
@@ -99,20 +67,21 @@ def _windows(ladder: FolnerLadder, n: int, m: int):
                 break
             row.append(j)
         else:
-            yield v, row
+            yield i, row
 
 
 def _occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None):
-    """Yield each testable position with the index of the level-n block its
-    window reads (0 for none), by raw window comparison."""
+    """Yield (i, row, k) per testable position: its index i in F_m, its
+    window row, and the index k of the level-n block the window reads (0 for
+    none), by raw window comparison."""
     if patch is None:
         patch = h.x0_patch(m)
     if patch.support != h.ladder.levels[m]:
         raise ValueError(f"patch not supported on ladder level {m}")
     lookup = {b.symbols: k for k, b in enumerate(h.family(n), start=1)}
     read = patch.symbols.__getitem__
-    for v, row in _windows(h.ladder, n, m):
-        yield v, lookup.get(tuple(map(read, row)), 0)
+    for i, row in _windows(h.ladder, n, m):
+        yield i, row, lookup.get(tuple(map(read, row)), 0)
 
 
 def scan_occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = None) -> FiniteSubset:
@@ -124,15 +93,23 @@ def scan_occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
     """
     if not 0 <= n < m <= h.depth:
         raise ValueError(f"need 0 <= n < m <= {h.depth}, got n={n}, m={m}")
-    return FiniteSubset(h.ladder.ctx, (v for v, k in _occurrences(h, n, m, patch) if k))
+    cells = h.ladder.levels[m].elements
+    return FiniteSubset._trusted(h.ladder.ctx, (cells[i] for i, _, k in _occurrences(h, n, m, patch) if k))
 
 
-def predicted_block(h: BlockHierarchy, addr: CosetAddress) -> int:
-    """Block index the assignments place at the addressed tile of the patch."""
-    k = 1
-    for level, c in zip(range(addr.high - 1, addr.low - 1, -1), addr.digits):
-        k = h.assignments[level].value(k, c)
-    return k
+def _labels(h: BlockHierarchy, n: int, m: int) -> tuple[list, list]:
+    """Per canonical cell of F_m: the level-n block that the assignments
+    place on its tile of the distinguished patch (block 1 of level m), and
+    the cell's residual index in F_n.  Cell q of F_{i+1} sits at glue
+    position inverse[q] = j * |F_i| + r: digit j of J_i, cell r of F_i."""
+    ladder = h.ladder
+    blocks, residual = [1] * len(ladder.levels[m]), list(range(len(ladder.levels[m])))
+    for i in range(m - 1, n - 1, -1):
+        inverse, size, values = ladder.glue_order(i)[1], len(ladder.levels[i]), h.assignments[i].values
+        for q, r in enumerate(residual):
+            j, residual[q] = divmod(inverse[r], size)
+            blocks[q] = values[blocks[q] - 1][j]
+    return blocks, residual
 
 
 def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = None) -> Certificate:
@@ -140,23 +117,29 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
 
     First part: every interior position (translated level-n window inside
     the level-m window) lies in exactly one scanned block occurrence, and
-    the claiming pair (offset, block index) matches the address prediction.
-    Second part, when m > n + 1: each level-(n+1) tile refines into level-n
-    tiles exactly as its assignment prescribes, with block 1 on the
-    identity coset and nowhere else.  detail carries levels [n, m] and the
-    interior, tile and refinement counts (zero on failure).
+    the claiming pair (offset, block index) equals the cell's label (its
+    residual in F_n and the block its tile carries).  Second part, when
+    m > n + 1: each level-(n+1) tile refines into level-n tiles exactly as
+    its assignment prescribes, with block 1 on the identity coset and
+    nowhere else.  Both parts work on canonical indices of F_m; witnesses
+    are cells.  detail carries levels [n, m] and the interior, tile and
+    refinement counts (zero on failure).
     """
     if not 0 <= n < m <= h.depth:
         raise ValueError(f"need 0 <= n < m <= {h.depth}, got n={n}, m={m}")
     ladder = h.ladder
-    mul = ladder.ctx.mul
     ident = ladder.ctx.identity()
+    cells, base = ladder.levels[m].elements, ladder.levels[n].elements
 
     interior, occ = [], {}
-    for v, k in _occurrences(h, n, m, patch):
-        interior.append(v)
+    count, offset, block = [0] * len(cells), [0] * len(cells), [0] * len(cells)
+    for i, row, k in _occurrences(h, n, m, patch):
+        interior.append(i)
         if k:
-            occ[v] = k
+            occ[cells[i]] = k
+            for t, q in enumerate(row):
+                count[q] += 1
+                offset[q], block[q] = t, k
     returns = return_times(h, n, m)
     fail = lambda reason, witness: Certificate.fail(
         ladder.ctx, reason, witness, levels=[n, m], interior=0, tiles=0, refinements=0)
@@ -165,38 +148,34 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
         off = set(occ) ^ returns.as_set
         return fail("scanned occurrences disagree with glue products", (next(iter(off)),))
 
-    claims: dict = {}
-    base = ladder.levels[n]
-    for r, k in occ.items():
-        for u in base:
-            claims.setdefault(mul(r, u), []).append((u, k))
-
-    for v in interior:
-        got = claims.get(v, [])
-        if len(got) != 1:
-            return fail(f"interior position claimed {len(got)} times", (v,))
-        addr = address(ladder, v, n, m)
-        want = (addr.residual, predicted_block(h, addr))
-        if got[0] != want:
-            return fail("claim disagrees with address prediction", (v, list(got[0]), list(want)))
+    labels = None
+    for i in interior:
+        if count[i] != 1:
+            return fail(f"interior position claimed {count[i]} times", (cells[i],))
+        # built lazily: labels need levels n..m to tile, and a miscount is reported without them
+        blocks, residual = labels = labels or _labels(h, n, m)
+        if offset[i] != residual[i] or block[i] != blocks[i]:
+            return fail("claim disagrees with address prediction",
+                        (cells[i], [base[offset[i]], block[i]], [base[residual[i]], blocks[i]]))
 
     refinements = 0
     if m > n + 1:
-        occ_up = {v: k for v, k in _occurrences(h, n + 1, m, patch) if k}
+        occ_up = {cells[i]: (row, k) for i, row, k in _occurrences(h, n + 1, m, patch) if k}
         returns_up = return_times(h, n + 1, m)
         if set(occ_up) != returns_up.as_set:
             off = set(occ_up) ^ returns_up.as_set
             return fail("level-(n+1) occurrences disagree with glue products", (next(iter(off)),))
-        for r, k_up in occ_up.items():
-            for c in ladder.glue[n]:
-                pos = mul(r, c)
+        glue, order = ladder.glue[n].elements, ladder.glue_order(n)[0]
+        e = base.index(ident)
+        for row_up, k_up in occ_up.values():
+            for j, expected in enumerate(h.assignments[n].values[k_up - 1]):
+                pos = cells[row_up[order[j * len(base) + e]]]
                 k_obs = occ.get(pos)
-                expected = h.assignments[n].value(k_up, c)
                 if k_obs is None:
                     return fail("refined tile carries no block", (pos,))
                 if k_obs != expected:
                     return fail("refinement disagrees with assignment", (pos, k_obs, expected))
-                if (k_obs == 1) != (c == ident):
+                if (k_obs == 1) != (glue[j] == ident):
                     return fail("first block must sit exactly on the identity coset", (pos, k_obs))
                 refinements += 1
 
@@ -256,7 +235,8 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certi
     big = ladder.levels[m].as_set
 
     read = patch.symbols.__getitem__
-    visits = [v for v, row in _windows(ladder, cylinder.level, m)
+    cells = ladder.levels[m].elements
+    visits = [cells[i] for i, row in _windows(ladder, cylinder.level, m)
               if tuple(map(read, row)) == target.symbols]
     visit_set = set(visits)
     fail = lambda reason, witness: Certificate.fail(

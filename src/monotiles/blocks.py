@@ -87,11 +87,6 @@ class Assignment:
                     raise ValueError(f"assignment {k} must place block 1 on the identity coset")
                 if c != ident and v < 2:
                     raise ValueError(f"assignment {k} places block {v} on non-identity coset {c!r}")
-        object.__setattr__(self, "_column", {c: j for j, c in enumerate(self.cosets.elements)})
-
-    def value(self, k: int, c) -> int:
-        """Block index glued at coset c inside output block k."""
-        return self.values[k - 1][self._column[c]]
 
     @property
     def block_count(self) -> int:

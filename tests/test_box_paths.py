@@ -88,10 +88,10 @@ def product_check_congruent(ladder):
 def product_windows(ladder, n, m):
     index = {g: i for i, g in enumerate(ladder.levels[m].elements)}
     out = []
-    for v in ladder.levels[m]:
+    for i, v in enumerate(ladder.levels[m]):
         row = [index.get(ladder.ctx.mul(v, u)) for u in ladder.levels[n]]
         if None not in row:
-            out.append((v, row))
+            out.append((i, row))
     return out
 
 

@@ -10,29 +10,38 @@ every certificate must equal the oracle's exactly, failures included.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from monotiles import (
+    Assignment,
+    BlockHierarchy,
     Certificate,
     CylinderId,
     FiniteSubset,
+    FolnerLadder,
     Lattice,
     ManagedMatrix,
     Pattern,
-    address,
+    base_blocks,
     boundary_mass_bound,
     build_hierarchy,
     build_lattice_ladder,
+    build_pruefer_ladder,
     check_partitions,
+    group_ladder,
     return_times,
     scan_occurrences,
     syndeticity_window,
     verify_c3,
 )
-from monotiles.analysis import _gap_radius, predicted_block
+from monotiles.analysis import _gap_radius
+from address_oracle import address, predicted_block
+from test_box_paths import _counter
 from test_tiling import PROPERTY, draw_hierarchy, ladder_of
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
+QUATERNARY = ManagedMatrix([[1, 1, 1], [2, 2, 1], [1, 1, 2]])  # columns sum to 4
 C3_WINDOW = 729  # largest window the exhaustive oracle runs on
 
 
@@ -119,7 +128,8 @@ def reference_check_partitions(h, n, m, patch) -> Certificate:
             for c in ladder.glue[n]:
                 pos = mul(r, c)
                 k_obs = occ.get(pos)
-                expected = h.assignments[n].value(k_up, c)
+                a = h.assignments[n]
+                expected = a.values[k_up - 1][a.cosets.elements.index(c)]
                 if k_obs is None:
                     return fail("refined tile carries no block", (pos,))
                 if k_obs != expected:
@@ -240,6 +250,64 @@ def test_scans_and_partitions_equal_window_oracles(data):
     cert = check_partitions(h, n, h.depth, flipped)
     assert not cert.ok
     assert cert == reference_check_partitions(h, n, h.depth, flipped)
+
+
+def partition_hierarchy(kind: str):
+    """Ternary Z with 27 cells, or Pruefer-2 with ratio 4 and 256 cells."""
+    if kind == "z":
+        return build_hierarchy(build_lattice_ladder(1, 3), [TERNARY] * 3)
+    return build_hierarchy(group_ladder(build_pruefer_ladder(2, 8), [0, 2, 4, 6, 8]), [QUATERNARY] * 4)
+
+
+def with_assignment_fault(h, level: int):
+    """h with one entry of block 1's row at `level`, the first off the identity
+    coset, naming another lower block; the Assignment invariants still hold."""
+    a = h.assignments[level]
+    ident = a.cosets.ctx.identity()
+    j = next(j for j, c in enumerate(a.cosets) if c != ident)
+    row = list(a.values[0])
+    row[j] = 3 if row[j] == 2 else 2
+    assignments = list(h.assignments)
+    assignments[level] = Assignment(a.cosets, (tuple(row), *a.values[1:]))
+    return BlockHierarchy(h.ladder, h.families, assignments)
+
+
+@pytest.mark.parametrize("kind", ["z", "pruefer2"])
+def test_planted_assignment_fault_fails_like_the_address_oracle(kind):
+    h = partition_hierarchy(kind)
+    m, patch = h.depth, h.x0_patch(h.depth)
+    for level in range(m):
+        planted = with_assignment_fault(h, level)
+        for n in range(m):
+            cert = check_partitions(planted, n, m, patch)
+            assert cert.to_json() == reference_check_partitions(planted, n, m, patch).to_json()
+            # labels below the planted level follow the wrong block; above it they never read it
+            assert cert.ok == (n > level)
+            assert cert.ok or cert.reason == "claim disagrees with address prediction"
+
+
+def test_partitions_report_a_miscount_before_reading_labels_of_a_ladder_that_does_not_tile():
+    ctx = Lattice(1)
+    cells = lambda *xs: FiniteSubset(ctx, [(x,) for x in xs])
+    F0, F1, F2 = cells(0), cells(-1, 0, 1), cells(*range(-4, 5))
+    # J_1 + F_1 misses 2..4, so F_2 has no glue order; J_1 + J_0 = -3..2 leaves -4 unclaimed
+    ladder = FolnerLadder(ctx, [F0, F1, F2], [cells(0, 1, 2), cells(-3, 0)])
+    patch = Pattern(F2, [0, 1, 2, 1, 1, 3, 1, 0, 0])
+    h = BlockHierarchy(ladder, [base_blocks(3, F0), [Pattern(F1, [1, 0, 2])], [patch]],
+                       [Assignment(ladder.glue[0], ((1, 2, 2),)), Assignment(ladder.glue[1], ((2, 1),))])
+    cert = check_partitions(h, 0, 2)
+    assert cert.reason == "interior position claimed 0 times"
+    assert cert.to_json() == reference_check_partitions(h, 0, 2, patch).to_json()
+
+
+@pytest.mark.parametrize("kind", ["z", "pruefer2"])
+def test_partitions_make_no_products_beyond_return_times(kind, monkeypatch):
+    h = partition_hierarchy(kind)
+    calls = _counter(monkeypatch, "mul")(type(h.ladder.ctx))
+    assert check_partitions(h, 0, h.depth).ok
+    used = len(calls)
+    return_times(h, 0, h.depth), return_times(h, 1, h.depth)
+    assert 0 < used <= len(calls) - used
 
 
 @PROPERTY

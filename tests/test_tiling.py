@@ -1,7 +1,7 @@
 """Glue-order tiling index against per-cell reference implementations.
 
-Blocks, incidence recounts, addresses and congruence certificates all read
-the cached `FolnerLadder.tiling` permutation.  Each property here compares
+Blocks, incidence recounts, the address oracle (`address_oracle.py`) and
+congruence certificates all read the cached `FolnerLadder.tiling` permutation.  Each property here compares
 one of them with the direct per-cell computation (one group product and one
 dict lookup per cell) on small Z, Z^2, Pruefer-2 and Heisenberg ladders.
 Failed certificates must also survive a JSON round trip with decodable
@@ -24,7 +24,6 @@ from monotiles import (
     Lattice,
     ManagedMatrix,
     Pattern,
-    address,
     base_blocks,
     build_heisenberg_ladder,
     build_hierarchy,
@@ -40,6 +39,7 @@ from monotiles.blocks import _assemble
 from monotiles.errors import DistinctnessError, NotCosetRepsError
 from monotiles.groups import product_set
 from monotiles.pipeline import heisenberg_targets
+from address_oracle import address
 
 PROPERTY = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
