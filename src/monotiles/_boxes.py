@@ -9,21 +9,22 @@ from __future__ import annotations
 
 import math
 import operator
-from array import array
 
 _EMPTY = (0, 1, 0)  # (start, lo, hi) of a missing fibre: no central coordinate fits
 
 
-def tiling(glue, lower, upper) -> array | None:
-    """FolnerLadder.tiling by rank on boxes, fibres or subgroups, or None when
-    the windows have none of these shapes or the translates escape, overlap or
-    leave a gap."""
+def runs(lower, upper):
+    """Where each translate c * lower lands in upper, by rank, when both
+    windows are boxes, both are fibred, or both are Pruefer subgroups {i/N}
+    and {j/M} with N | M; else None.  The function returned maps a glue digit
+    c to the canonical indices of c * lower in upper, as a list of ranges in
+    the order of lower, or to None when a cell falls outside upper."""
     if lower._box and upper._box:
-        return _box_tiling(glue, lower, upper)
+        return _box_runs(lower, upper)
     if lower._fibres and upper._fibres:
-        return _fibre_tiling(glue, lower, upper)
-    if lower._cyclic and upper._cyclic:
-        return _cyclic_tiling(glue, lower, upper)
+        return _fibre_runs(lower, upper)
+    if lower._cyclic and upper._cyclic and upper._cyclic % lower._cyclic == 0:
+        return _cyclic_runs(lower._cyclic, upper._cyclic)
     return None
 
 
@@ -40,65 +41,51 @@ def kept(F, K) -> int | None:
     return None
 
 
-def _box_tiling(glue, lower, upper) -> array | None:
+def _box_runs(lower, upper):
     """Each row of c + lower (along the last axis) is a run of indices from
-    rank(c + f), f its first cell."""
+    rank(c + f), f its first cell: no products."""
     (lo, hi, _), (ulo, uhi, strides) = lower._box, upper._box
     run = hi[-1] - lo[-1] + 1
-    ones = b"\x01" * run
     starts = [sum(map(operator.mul, f, strides)) for f in lower.elements[::run]]
-    hit = bytearray(len(upper))
-    order = array("l")
-    for c in glue:
+
+    def place(c):
         if any(a + x < u or b + x > v for x, a, b, u, v in zip(c, lo, hi, ulo, uhi)):
             return None
         base = sum((x - u) * s for x, u, s in zip(c, ulo, strides))
-        for q in map(base.__add__, starts):
-            if hit.find(1, q, q + run) >= 0:
-                return None
-            hit[q:q + run] = ones
-            order.extend(range(q, q + run))
-    return order if len(order) == len(upper) else None
+        return [range(q, q + run) for q in map(base.__add__, starts)]
+    return place
 
 
-def _fibre_tiling(glue, lower, upper) -> array | None:
+def _fibre_runs(lower, upper):
     """The centre shifts a fibre along itself, c * (a, b, t) = c * (a, b, lo)
     + (0, 0, t - lo), so each translated fibre is one product and a run of
     indices in the upper fibre over the same plane point."""
     mul, fibres = upper.ctx.mul, upper._fibres
-    hit = bytearray(len(upper))
-    order = array("l")
-    for c in glue:
-        for (a, b), (_, lo, hi) in lower._fibres.items():
-            x, y, z = mul(c, (a, b, lo))
+    heads = [((a, b, lo), hi - lo + 1) for (a, b), (_, lo, hi) in lower._fibres.items()]
+
+    def place(c):
+        out = []
+        for f, run in heads:
+            x, y, z = mul(c, f)
             start, tlo, thi = fibres.get((x, y), _EMPTY)
-            q, run = start + z - tlo, hi - lo + 1
-            if z < tlo or z + run - 1 > thi or hit.find(1, q, q + run) >= 0:
+            if z < tlo or z + run - 1 > thi:
                 return None
-            hit[q:q + run] = b"\x01" * run
-            order.extend(range(q, q + run))
-    return order if len(order) == len(upper) else None
+            out.append(range(start + z - tlo, start + z - tlo + run))
+        return out
+    return place
 
 
-def _cyclic_tiling(glue, lower, upper) -> array | None:
-    """c + i/N has rank (c * M + i * M/N) mod M in {j/M}; the ranks of c + lower
-    form the coset of c * M modulo M/N, so translates are disjoint or equal."""
-    n, m = lower._cyclic, upper._cyclic
-    if m % n:
-        return None
+def _cyclic_runs(n: int, m: int):
+    """c + i/N has rank (c * M + i * M/N) mod M in {j/M}: the ranks of c + lower
+    are the coset of c * M modulo M/N, from c * M up and then from below."""
     step = m // n
-    cosets = set()
-    order = array("l")
-    for c in glue:
+
+    def place(c):
         if m % c.denominator:
             return None
         r = c.numerator * (m // c.denominator)
-        if r % step in cosets:
-            return None
-        cosets.add(r % step)
-        order.extend(range(r, m, step))
-        order.extend(range(r % step, r, step))
-    return order if len(order) == m else None
+        return [range(r, m, step), range(r % step, r, step)]
+    return place
 
 
 def _box_kept(box: tuple, K) -> int:

@@ -159,22 +159,10 @@ def assignment_from_matrix(mtilde: ManagedMatrix, cosets: FiniteSubset) -> Assig
     return Assignment(cosets, tuple(final))
 
 
-def _require_window(family: Sequence[Pattern], base: FiniteSubset) -> None:
-    if any(b.support != base for b in family):
-        raise ValueError("family blocks must share one support window")
-
-
 def _assemble(family: Sequence[Pattern], ladder: FolnerLadder, n: int,
               assignment: Assignment) -> list[Pattern]:
     """Level-(n+1) blocks: lower blocks concatenated along each assignment
     row (glue order), then read once in the canonical order of F_{n+1}."""
-    _require_window(family, ladder.levels[n])
-    if assignment.cosets != ladder.glue[n]:
-        raise ValueError("assignment indexed by different cosets")
-    for row in assignment.values:
-        for v in row:
-            if not 1 <= v <= len(family):
-                raise ValueError(f"assignment refers to block {v} but family has {len(family)}")
     inverse = ladder.glue_order(n)[1]
     out = []
     for row in assignment.values:
@@ -216,7 +204,8 @@ def verify_c3(family: Sequence[Pattern]) -> Certificate:
     Every block must live on one window (else ValueError).
     """
     base = family[0].support
-    _require_window(family, base)
+    if any(b.support != base for b in family):
+        raise ValueError("family blocks must share one support window")
     ctx = base.ctx
     mul = ctx.mul
     ident = ctx.identity()
@@ -260,7 +249,11 @@ def augment_matrix(m: ManagedMatrix) -> ManagedMatrix:
 
 
 class BlockHierarchy:
-    """Block families for every ladder level, plus the assignments that glued them."""
+    """Block families for every ladder level, plus the assignments that glued them.
+
+    Construction checks (else ValueError) that every block of family n lies
+    on F_n, and that assignment n is indexed by J_n, has one row per block of
+    family n + 1 and names only blocks 1..len(family n)."""
 
     def __init__(self, ladder: FolnerLadder, families: Sequence[Sequence[Pattern]],
                  assignments: Sequence[Assignment]):
@@ -272,8 +265,13 @@ class BlockHierarchy:
         self.families = [list(f) for f in families]
         self.assignments = list(assignments)
         for n, fam in enumerate(self.families):
-            if fam[0].support != ladder.levels[n]:
+            if not fam or any(b.support != ladder.levels[n] for b in fam):
                 raise ValueError(f"family {n} not supported on ladder level {n}")
+        for n, (a, lower, upper) in enumerate(zip(self.assignments, self.families, self.families[1:])):
+            if a.cosets != ladder.glue[n] or len(a.values) != len(upper):
+                raise ValueError(f"assignment {n} needs one row per block of family {n + 1}, indexed by J_{n}")
+            if any(not 1 <= v <= len(lower) for row in a.values for v in row):
+                raise ValueError(f"assignment {n} names a block beyond the {len(lower)} of family {n}")
 
     @property
     def depth(self) -> int:

@@ -88,35 +88,40 @@ class FolnerLadder:
         """Glue-order index of F_{n+1} = J_n * F_n, or its first violation.
 
         order[j * |F_n| + i] is the canonical index in F_{n+1} of c * f for
-        c = J_n[j] and f = F_n[i], by `_boxes.tiling` on lattice boxes, fibred
-        Heisenberg windows and Pruefer subgroups.  Else, or when that finds a
-        violation, one product per cell; a translate escaping F_{n+1}, an
+        c = J_n[j] and f = F_n[i].  A digit's cells are marked run by run from
+        `_boxes.runs` on lattice boxes, fibred Heisenberg windows and Pruefer
+        subgroups, when no run meets a marked cell; else, and on other
+        windows, with one product per cell.  A translate escaping F_{n+1}, an
         overlap or an uncovered cell comes back as a failed Certificate.
         """
         if n in self._tilings:
             return self._tilings[n]
         glue, lower, upper = self.glue[n], self.levels[n], self.levels[n + 1]
-        order = _boxes.tiling(glue, lower, upper)
-        if order is None:
-            mul = self.ctx.mul
-            where = {g: q for q, g in enumerate(upper.elements)}
-            hit = bytearray(len(upper))
-            order = array("l")
-            for c in glue:
-                for f in lower:
-                    x = mul(c, f)
-                    q = where.get(x)
-                    if q is None:
-                        return Certificate.fail(self.ctx, "translate-escapes-next-level", (c, f, x),
-                                                level=n)
-                    if hit[q]:
-                        prev = glue.elements[order.index(q) // len(lower)]
-                        return Certificate.fail(self.ctx, "translates-overlap", (prev, c, x), level=n)
-                    hit[q] = 1
-                    order.append(q)
-            if len(order) != len(upper):
-                return Certificate.fail(self.ctx, "next-level-not-covered", (upper.elements[hit.index(0)],),
-                                        level=n)
+        mul, place = self.ctx.mul, _boxes.runs(lower, upper)
+        where = None  # cell -> canonical index in F_{n+1}, built when a digit first takes products
+        hit = bytearray(len(upper))
+        order = array("l")
+        for c in glue:
+            spans = place(c) if place else None
+            if spans is not None and not any(_meets(hit, s) for s in spans):
+                for s in spans:
+                    hit[s.start:s.stop:s.step] = b"\x01" * len(s)
+                    order.extend(s)
+                continue
+            if where is None:
+                where = {g: q for q, g in enumerate(upper.elements)}
+            for f in lower:
+                x = mul(c, f)
+                q = where.get(x)
+                if q is None:
+                    return Certificate.fail(self.ctx, "translate-escapes-next-level", (c, f, x), level=n)
+                if hit[q]:
+                    prev = glue.elements[order.index(q) // len(lower)]
+                    return Certificate.fail(self.ctx, "translates-overlap", (prev, c, x), level=n)
+                hit[q] = 1
+                order.append(q)
+        if len(order) != len(upper):
+            return Certificate.fail(self.ctx, "next-level-not-covered", (upper.elements[hit.index(0)],), level=n)
         self._tilings[n] = order
         return order
 
@@ -155,6 +160,12 @@ class FolnerLadder:
         levels = [FiniteSubset(ctx, (ctx.decode_json(e) for e in lv)) for lv in data["levels"]]
         glue = [FiniteSubset(ctx, (ctx.decode_json(e) for e in j)) for j in data["glue"]]
         return FolnerLadder(ctx, levels, glue, data.get("info"))
+
+
+def _meets(hit: bytearray, s: range) -> bool:
+    """Whether a marked cell lies in s: one search along a unit-step run, one
+    strided slice for a subgroup coset."""
+    return (hit.find(1, s.start, s.stop) if s.step == 1 else hit[s.start:s.stop:s.step].find(1)) >= 0
 
 
 def right_invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:
@@ -291,21 +302,18 @@ def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: i
                                   f"over the budget of {MAX_CELLS}")
     levels = [FiniteSubset(ctx, [ident])]
     glue = []
-    infinite_dirs: list[dict] = []  # {"g": generator, "w": window exponent}
+    jumps: list = []  # per infinite direction g, its next digit g^(3^w)
     for n in range(1, depth + 1):
         step_sets: list[list] = []
-        for d in infinite_dirs:
+        for i, jump in enumerate(jumps):
             # ternary growth: window [-(3^w - 1)/2 .. +] gains one digit
-            jump = ident
-            for _ in range(3 ** d["w"]):
-                jump = mul(jump, d["g"])
             step_sets.append([inv(jump), ident, jump])
-            d["w"] += 1
+            jumps[i] = mul(mul(jump, jump), jump)
         if n <= len(consumed):
             g, order = consumed[n - 1], quotient_orders[n - 1]
             if order is None:
                 step_sets.append([inv(g), ident, g])
-                infinite_dirs.append({"g": g, "w": 1})
+                jumps.append(mul(mul(g, g), g))
             elif order > 1:
                 lifts = [ident]
                 for _ in range(order - 1):
@@ -343,6 +351,7 @@ def compose_exact_sequence(
     windows with every lift are checked up front.  A Heisenberg candidate
     whose U_m is one central run is scored from its fibre runs, and only the
     chosen one is built (`_score_candidate`); others go through product_set.
+    Chosen levels are built, and glue sets formed, once every target is met.
     """
     ctx = ladder_sub.ctx
     q_ctx = ladder_quot.ctx
@@ -374,10 +383,8 @@ def compose_exact_sequence(
                 raise ValueError(f"subgroup element {u!r} does not commute with lift {t!r}; "
                                  "composition needs a central subgroup")
 
-    levels = [ladder_sub.levels[0]]
     m_prev, q_prev = 0, 0
-    m_indices, q_indices, achieved = [0], [0], []
-    glue = []
+    chosen = []
     for s, (K, eps) in enumerate(targets, start=1):
         if K.ctx != ctx:
             raise ValueError("invariance target lives in the wrong group")
@@ -399,16 +406,16 @@ def compose_exact_sequence(
         if not found:
             raise InvarianceUnreachableError(
                 f"no indices meet target {s} (eps = {eps}) within the given ladders", achieved=best)
-        m_s, q_s, defect, level = found
-        if isinstance(level, dict):
-            level = FiniteSubset._from_fibres(ctx, level)
-        glue.append(product_set(iterated_glue(ladder_sub, m_prev, m_s), *lifted[q_prev:q_s][::-1]))
-        levels.append(level)
-        m_prev, q_prev = m_s, q_s
-        m_indices.append(m_s)
-        q_indices.append(q_s)
-        achieved.append(str(defect))
-    info = {"m_indices": m_indices, "q_indices": q_indices, "achieved_defects": achieved}
+        chosen.append(found)
+        m_prev, q_prev = found[:2]
+
+    # every target is met: only now build the chosen levels and their glue
+    m_indices, q_indices = [0, *(c[0] for c in chosen)], [0, *(c[1] for c in chosen)]
+    levels = [ladder_sub.levels[0], *(FiniteSubset._from_fibres(ctx, c[3]) if isinstance(c[3], dict) else c[3]
+                                      for c in chosen)]
+    glue = [product_set(iterated_glue(ladder_sub, m, m_s), *lifted[q:q_s][::-1])
+            for m, m_s, q, q_s in zip(m_indices, m_indices[1:], q_indices, q_indices[1:])]
+    info = {"m_indices": m_indices, "q_indices": q_indices, "achieved_defects": [str(c[2]) for c in chosen]}
     return FolnerLadder(ctx, levels, glue, info)
 
 

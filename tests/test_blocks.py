@@ -156,6 +156,33 @@ def test_verify_c3_rejects_mismatched_window():
         verify_c3(fam)
 
 
+def _with(h, families=None, assignments=None):
+    return BlockHierarchy(h.ladder, families or h.families, assignments or h.assignments)
+
+
+HIERARCHY_FAULTS = {
+    # a later block of family 1 on another window than F_1
+    "block-off-its-level": lambda h: _with(h, families=[
+        h.families[0], [*h.families[1][:2], Pattern(h.ladder.levels[0], (1,))], *h.families[2:]]),
+    "other-cosets": lambda h: _with(h, assignments=[
+        Assignment(h.ladder.glue[1], h.assignments[0].values), *h.assignments[1:]]),
+    "row-count": lambda h: _with(h, assignments=[
+        Assignment(h.assignments[0].cosets, h.assignments[0].values[:2]), *h.assignments[1:]]),
+    # block 7 of a family of three blocks
+    "entry-beyond-family": lambda h: _with(h, assignments=[
+        h.assignments[0], Assignment(h.assignments[1].cosets,
+                                     ((*h.assignments[1].values[0][:-1], 7), *h.assignments[1].values[1:]))]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HIERARCHY_FAULTS))
+def test_hierarchy_rejects_families_and_assignments_that_do_not_fit(fault):
+    h = build_hierarchy(_ladder(2), [TERNARY, TERNARY])
+    assert _with(h).families == h.families
+    with pytest.raises(ValueError):
+        HIERARCHY_FAULTS[fault](h)
+
+
 def test_augment_matrix_frozen_example():
     out = augment_matrix(ManagedMatrix([[5, 4], [4, 5]]))
     assert out.entries == ((1, 1, 1), (4, 4, 3), (4, 4, 5))

@@ -269,6 +269,19 @@ def test_lattice_ladder_checks_without_products(lattice_muls):
     assert lattice_muls == []
 
 
+def test_an_escaping_last_digit_takes_products_for_that_digit_only(lattice_muls):
+    ladder = build_lattice_ladder(1, 4)
+    # J_3 = {-27, 0, 27}: the translate by 54 starts at 41, beyond F_4 = -40..40
+    glue = FiniteSubset(ladder.ctx, [*ladder.glue[3].elements[:-1], (54,)])
+    broken = FolnerLadder(ladder.ctx, ladder.levels, ladder.glue[:3] + (glue,))
+    want = product_check_congruent(broken)
+    lattice_muls.clear()
+    cert = check_congruent(broken)
+    assert cert.reason == "translate-escapes-next-level"
+    assert cert.to_json() == want.to_json()
+    assert len(lattice_muls) <= len(ladder.levels[3])
+
+
 def test_box_scans_and_defects_make_no_products(lattice_muls):
     h = build_hierarchy(build_lattice_ladder(1, 3), [TERNARY] * 3)
     scans = {(n, m): scan_occurrences(h, n, m) for n, m in [(0, 3), (1, 2), (2, 3)]}

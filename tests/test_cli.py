@@ -230,6 +230,7 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     (None, ["measures", "check", "{int-matrix}"]),
     (None, ["folner", "build", "--group", '{"kind":"lattice","d":3}', "--depth", "8"]),  # 3**24 cells
     (None, ["folner", "build", "--group", '{"kind":"cyclic","n":3}', "--depth", "100000000"]),  # stalled chain
+    (None, ["analyze", "kr", "--hier", "{block-7}", "-n", "0", "-m", "2"]),
 ]
 
 # malformed copies of the built ladder file
@@ -247,6 +248,10 @@ BROKEN_HIERARCHIES = {
     "{assignments-5}": lambda d: {**d, "assignments": 5},
     "{empty-family}": lambda d: {**d, "families": [d["families"][0], {**d["families"][1], "blocks": []},
                                                    *d["families"][2:]]},
+    # level 1, block 1 places block 7 of a family of three on its last coset
+    "{block-7}": lambda d: {**d, "assignments": [d["assignments"][0], [[*d["assignments"][1][0][:-1], 7],
+                                                                       *d["assignments"][1][1:]],
+                                                 *d["assignments"][2:]]},
 }
 
 # malformed managed-sequence files

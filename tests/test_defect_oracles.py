@@ -221,6 +221,21 @@ def test_over_budget_candidate_raises_the_product_set_error():
         build_heisenberg_ladder(heisenberg_targets(9))
 
 
+def test_failing_composition_builds_no_level(monkeypatch):
+    parts = _heisenberg_parts(10, 5)  # the parts of build_heisenberg_ladder
+    calls, from_fibres = [], FiniteSubset._from_fibres.__func__
+
+    def counted(cls, ctx, fibres):
+        calls.append(fibres)
+        return from_fibres(cls, ctx, fibres)
+
+    monkeypatch.setattr(FiniteSubset, "_from_fibres", classmethod(counted))
+    # targets 1..8 are met by fibred levels; target 9 raises before any of them is built
+    with pytest.raises(InfeasibleError, match="product set would hold 14348907 cells"):
+        compose_exact_sequence(*parts, heisenberg_targets(9))
+    assert calls == []
+
+
 def test_heisenberg_ladder_json_is_unchanged():
     data = build_heisenberg_ladder(heisenberg_targets(3)).to_json()
     text = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()

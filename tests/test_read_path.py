@@ -293,8 +293,8 @@ def test_partitions_report_a_miscount_before_reading_labels_of_a_ladder_that_doe
     # J_1 + F_1 misses 2..4, so F_2 has no glue order; J_1 + J_0 = -3..2 leaves -4 unclaimed
     ladder = FolnerLadder(ctx, [F0, F1, F2], [cells(0, 1, 2), cells(-3, 0)])
     patch = Pattern(F2, [0, 1, 2, 1, 1, 3, 1, 0, 0])
-    h = BlockHierarchy(ladder, [base_blocks(3, F0), [Pattern(F1, [1, 0, 2])], [patch]],
-                       [Assignment(ladder.glue[0], ((1, 2, 2),)), Assignment(ladder.glue[1], ((2, 1),))])
+    h = BlockHierarchy(ladder, [base_blocks(3, F0), [Pattern(F1, [1, 0, 2]), Pattern(F1, [1, 0, 3])], [patch]],
+                       [Assignment(ladder.glue[0], ((1, 2, 2), (1, 2, 3))), Assignment(ladder.glue[1], ((2, 1),))])
     cert = check_partitions(h, 0, 2)
     assert cert.reason == "interior position claimed 0 times"
     assert cert.to_json() == reference_check_partitions(h, 0, 2, patch).to_json()
