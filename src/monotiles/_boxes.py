@@ -1,9 +1,10 @@
-"""Index arithmetic on windows whose canonical order has a closed form: full
-boxes of Z^d (mixed radix, `FiniteSubset._box`), fibred Heisenberg windows
-(one run of central coordinates per plane point, `FiniteSubset._fibres`) and
-Pruefer subgroups {i/N} (`FiniteSubset._cyclic`, the i-th cell is i/N).
-Each entry point returns None on other windows; callers then keep their
-product loops."""
+"""Where the translates c * lower land in upper, by canonical index, for the
+tiling (c a glue digit) and the analysis windows (c a cell of upper).  By
+rank when the order has a closed form: full boxes of Z^d (mixed radix,
+`FiniteSubset._box`), fibred Heisenberg windows (one run of central
+coordinates per plane point, `FiniteSubset._fibres`) and Pruefer subgroups
+{i/N} (`FiniteSubset._cyclic`, the i-th cell is i/N); else by one product
+per cell.  `kept` answers on those three shapes only, else None."""
 
 from __future__ import annotations
 
@@ -14,18 +15,18 @@ _EMPTY = (0, 1, 0)  # (start, lo, hi) of a missing fibre: no central coordinate 
 
 
 def runs(lower, upper):
-    """Where each translate c * lower lands in upper, by rank, when both
-    windows are boxes, both are fibred, or both are Pruefer subgroups {i/N}
-    and {j/M} with N | M; else None.  The function returned maps a glue digit
-    c to the canonical indices of c * lower in upper, as a list of ranges in
-    the order of lower, or to None when a cell falls outside upper."""
+    """A function that maps c to the canonical indices of c * lower in upper,
+    as a list of ranges in the order of lower, or to None when a cell falls
+    outside upper.  By rank when both windows are boxes, both are fibred, or
+    both are Pruefer subgroups {i/N} and {j/M} with N | M; else one product
+    per cell."""
     if lower._box and upper._box:
         return _box_runs(lower, upper)
     if lower._fibres and upper._fibres:
         return _fibre_runs(lower, upper)
     if lower._cyclic and upper._cyclic and upper._cyclic % lower._cyclic == 0:
         return _cyclic_runs(lower._cyclic, upper._cyclic)
-    return None
+    return _product_runs(lower, upper)
 
 
 def kept(F, K) -> int | None:
@@ -43,15 +44,18 @@ def kept(F, K) -> int | None:
 
 def _box_runs(lower, upper):
     """Each row of c + lower (along the last axis) is a run of indices from
-    rank(c + f), f its first cell: no products."""
+    rank(c + f), f its first cell: no products.  c + lower fits exactly when
+    ulo - lo <= c <= uhi - hi."""
     (lo, hi, _), (ulo, uhi, strides) = lower._box, upper._box
     run = hi[-1] - lo[-1] + 1
-    starts = [sum(map(operator.mul, f, strides)) for f in lower.elements[::run]]
+    low, high = tuple(map(operator.sub, ulo, lo)), tuple(map(operator.sub, uhi, hi))
+    origin = sum(map(operator.mul, ulo, strides))
+    starts = [sum(map(operator.mul, f, strides)) - origin for f in lower.elements[::run]]
 
     def place(c):
-        if any(a + x < u or b + x > v for x, a, b, u, v in zip(c, lo, hi, ulo, uhi)):
+        if not (all(map(operator.le, low, c)) and all(map(operator.le, c, high))):
             return None
-        base = sum((x - u) * s for x, u, s in zip(c, ulo, strides))
+        base = sum(map(operator.mul, c, strides))
         return [range(q, q + run) for q in map(base.__add__, starts)]
     return place
 
@@ -88,6 +92,25 @@ def _cyclic_runs(n: int, m: int):
     return place
 
 
+def _product_runs(lower, upper):
+    """One product per cell, looked up in a canonical-index dict of upper;
+    cells whose indices follow each other join one run."""
+    mul, cells, where = upper.ctx.mul, lower.elements, {g: q for q, g in enumerate(upper.elements)}
+
+    def place(c):
+        out = []
+        for f in cells:
+            q = where.get(mul(c, f))
+            if q is None:
+                return None
+            if out and out[-1].stop == q:
+                out[-1] = range(out[-1].start, q + 1)
+            else:
+                out.append(range(q, q + 1))
+        return out
+    return place
+
+
 def _box_kept(box: tuple, K) -> int:
     """Axis by axis: each column of K, with 0 appended, shrinks the side by
     its spread."""
@@ -112,35 +135,3 @@ def _fibre_kept(mul, fibres: dict, K) -> int:
         count += max(0, high - low + 1)
     return count
 
-
-def windows(small, big):
-    """analysis._windows by rank when both windows are boxes or both are
-    subgroups, else None: (i, row) for the i-th cell of big."""
-    if small._box and big._box:
-        return _box_windows(small, big)
-    if small._cyclic and big._cyclic:
-        return _cyclic_windows(small, big)
-    return None
-
-
-def _box_windows(small, big):
-    """The window at the i-th cell v of big is the row i + offsets, kept when
-    v + small lies inside big."""
-    (lo, hi, _), (blo, bhi, strides) = small._box, big._box
-    offsets = [sum(map(operator.mul, u, strides)) for u in small.elements]
-    low, high = tuple(map(operator.sub, blo, lo)), tuple(map(operator.sub, bhi, hi))
-    for i, v in enumerate(big.elements):
-        if all(map(operator.le, low, v)) and all(map(operator.le, v, high)):
-            yield i, [i + o for o in offsets]
-
-
-def _cyclic_windows(small, big):
-    """The window at the i-th cell of big is the row (i + o) mod M for o in
-    0, M/N, ...; every window fits when the small subgroup lies inside the
-    big one, and none does otherwise."""
-    n, m = small._cyclic, big._cyclic
-    if m % n:
-        return
-    step = m // n
-    for i in range(m):
-        yield i, [*range(i, m, step), *range(i % step, i, step)]

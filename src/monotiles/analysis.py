@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import add
 
 from . import _boxes
@@ -48,40 +48,32 @@ def return_times(h: BlockHierarchy, n: int, m: int) -> FiniteSubset:
 
 
 def _windows(ladder: FolnerLadder, n: int, m: int):
-    """Yield the canonical index i of each position v = F_m[i] whose
-    translated window v * F_n lies inside F_m, with the canonical indices in
-    F_m of its cells v * u (F_n order): by rank on boxes and Pruefer
-    subgroups, else one product per window cell."""
-    small, big = ladder.levels[n], ladder.levels[m]
-    rows = _boxes.windows(small, big)
-    if rows is not None:
-        yield from rows
-        return
-    mul = ladder.ctx.mul
-    index = {g: i for i, g in enumerate(big.elements)}
-    for i, v in enumerate(big.elements):
-        row = []
-        for u in small.elements:
-            j = index.get(mul(v, u))
-            if j is None:
-                break
-            row.append(j)
-        else:
-            yield i, row
+    """Yield (i, spans) for each position v = F_m[i] whose translated window
+    v * F_n lies inside F_m: spans are the ranges of canonical indices in F_m
+    of its cells v * u, in F_n order, as `_boxes.runs` places them."""
+    place = _boxes.runs(ladder.levels[n], ladder.levels[m])
+    for i, v in enumerate(ladder.levels[m].elements):
+        spans = place(v)
+        if spans is not None:
+            yield i, spans
+
+
+def _read(symbols: tuple, spans) -> tuple:
+    """The symbols a window reads, one slice per span."""
+    return tuple(chain.from_iterable(symbols[s.start:s.stop:s.step] for s in spans))
 
 
 def _occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None):
-    """Yield (i, row, k) per testable position: its index i in F_m, its
-    window row, and the index k of the level-n block the window reads (0 for
-    none), by raw window comparison."""
+    """Yield (i, spans, k) per testable position: its index i in F_m, its
+    window spans, and the index k of the level-n block the window reads (0
+    for none), by raw window comparison."""
     if patch is None:
         patch = h.x0_patch(m)
     if patch.support != h.ladder.levels[m]:
         raise ValueError(f"patch not supported on ladder level {m}")
     lookup = {b.symbols: k for k, b in enumerate(h.family(n), start=1)}
-    read = patch.symbols.__getitem__
-    for i, row in _windows(h.ladder, n, m):
-        yield i, row, lookup.get(tuple(map(read, row)), 0)
+    for i, spans in _windows(h.ladder, n, m):
+        yield i, spans, lookup.get(_read(patch.symbols, spans), 0)
 
 
 def scan_occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = None) -> FiniteSubset:
@@ -133,11 +125,11 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
 
     interior, occ = [], {}
     count, offset, block = [0] * len(cells), [0] * len(cells), [0] * len(cells)
-    for i, row, k in _occurrences(h, n, m, patch):
+    for i, spans, k in _occurrences(h, n, m, patch):
         interior.append(i)
         if k:
             occ[cells[i]] = k
-            for t, q in enumerate(row):
+            for t, q in enumerate(chain.from_iterable(spans)):
                 count[q] += 1
                 offset[q], block[q] = t, k
     returns = return_times(h, n, m)
@@ -160,7 +152,8 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
 
     refinements = 0
     if m > n + 1:
-        occ_up = {cells[i]: (row, k) for i, row, k in _occurrences(h, n + 1, m, patch) if k}
+        occ_up = {cells[i]: ([*chain.from_iterable(spans)], k)
+                  for i, spans, k in _occurrences(h, n + 1, m, patch) if k}
         returns_up = return_times(h, n + 1, m)
         if set(occ_up) != returns_up.as_set:
             off = set(occ_up) ^ returns_up.as_set
@@ -232,12 +225,9 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certi
     mul = ladder.ctx.mul
     patch = h.x0_patch(m)
     target = h.family(cylinder.level)[0]
-    big = ladder.levels[m].as_set
-
-    read = patch.symbols.__getitem__
     cells = ladder.levels[m].elements
-    visits = [cells[i] for i, row in _windows(ladder, cylinder.level, m)
-              if tuple(map(read, row)) == target.symbols]
+    visits = [cells[i] for i, spans in _windows(ladder, cylinder.level, m)
+              if _read(patch.symbols, spans) == target.symbols]
     visit_set = set(visits)
     fail = lambda reason, witness: Certificate.fail(
         ladder.ctx, reason, witness, levels=[n, m], visits=len(visits), covered=False, gap_radius=None)
@@ -248,9 +238,10 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certi
             return fail("tiling position is not a cylinder visit", (r,))
 
     base = ladder.levels[n]
-    covered = {mul(r, u) for r in visits for u in base}
-    if not big <= covered:
-        return fail("window not covered by visit translates", (next(iter(big - covered)),))
+    # a set local to the call: the cached as_set would stay on the level for its lifetime
+    uncovered = set(cells) - {mul(r, u) for r in visits for u in base}
+    if uncovered:
+        return fail("window not covered by visit translates", (next(iter(uncovered)),))
 
     gap = _gap_radius(visit_set, ladder.levels[m]) if isinstance(ladder.ctx, Lattice) else None
     return Certificate(True, detail={"levels": [n, m], "visits": len(visits), "covered": True,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .analysis import (
@@ -24,6 +23,7 @@ from .pipeline import (
     PipelineConfig,
     _ROUTE_KINDS,
     _defect_table,
+    _fraction,
     build_ladder_from_config,
     run_pipeline,
     write_json,
@@ -107,6 +107,8 @@ def _cmd_blocks(args) -> int:
         ladder = _load_ladder(args.ladder)
         seq = _load_sequence(args.matrices)
         depth = args.depth if args.depth is not None else len(seq)
+        if not 1 <= depth <= len(seq):
+            raise MonotileError(f"--depth must lie in 1..{len(seq)}, got {depth}")
         hierarchy = build_hierarchy(ladder, [seq[i] for i in range(depth)])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -183,12 +185,12 @@ def _cmd_measures(args) -> int:
         return 0 if ok else 1
     if args.action == "lemma8":
         seq = _load_sequence(args.seq)
-        boundaries = select_subsequence_lemma8(seq, Fraction(args.K))
+        boundaries = select_subsequence_lemma8(seq, _fraction("lemma8 bound", args.K))
         _print({"boundaries": boundaries}, args.format)
         return 0
     # "realize": the only action left, as the subparser admits no other
     ladder = _load_ladder(args.ladder)
-    result = realize_finite_simplex(args.d, ladder, Fraction(args.tol))
+    result = realize_finite_simplex(args.d, ladder, _fraction("realize tolerance", args.tol))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(result.sequence.to_json(), out / "realized.json")

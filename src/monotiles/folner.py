@@ -88,21 +88,21 @@ class FolnerLadder:
         """Glue-order index of F_{n+1} = J_n * F_n, or its first violation.
 
         order[j * |F_n| + i] is the canonical index in F_{n+1} of c * f for
-        c = J_n[j] and f = F_n[i].  A digit's cells are marked run by run from
-        `_boxes.runs` on lattice boxes, fibred Heisenberg windows and Pruefer
-        subgroups, when no run meets a marked cell; else, and on other
-        windows, with one product per cell.  A translate escaping F_{n+1}, an
-        overlap or an uncovered cell comes back as a failed Certificate.
+        c = J_n[j] and f = F_n[i].  A digit's cells are marked run by run as
+        `_boxes.runs` places them.  A digit that escapes F_{n+1} or meets a
+        marked cell is walked again with one product per cell, which names
+        the first offending cell.  A translate escaping F_{n+1}, an overlap
+        or an uncovered cell comes back as a failed Certificate.
         """
         if n in self._tilings:
             return self._tilings[n]
         glue, lower, upper = self.glue[n], self.levels[n], self.levels[n + 1]
         mul, place = self.ctx.mul, _boxes.runs(lower, upper)
-        where = None  # cell -> canonical index in F_{n+1}, built when a digit first takes products
+        where = None  # cell -> canonical index in F_{n+1}, built when a digit first fails
         hit = bytearray(len(upper))
         order = array("l")
         for c in glue:
-            spans = place(c) if place else None
+            spans = place(c)
             if spans is not None and not any(_meets(hit, s) for s in spans):
                 for s in spans:
                     hit[s.start:s.stop:s.step] = b"\x01" * len(s)

@@ -119,6 +119,14 @@ def _fraction(name: str, value) -> Fraction:
         raise ConfigError(f"bad {name} {value!r}: {e}")
 
 
+def _positive(name: str, value) -> Fraction:
+    """_fraction(name, value), raising ConfigError unless it is positive."""
+    x = _fraction(name, value)
+    if x <= 0:
+        raise ConfigError(f"{name} must be positive")
+    return x
+
+
 def _file_name(name: str, value) -> str:
     if not (isinstance(value, str) and value):
         raise ConfigError(f"{name} must be a non-empty file name, got {value!r}")
@@ -176,8 +184,7 @@ class PipelineConfig:
             except ValueError as e:
                 raise ConfigError(f"bad abelian generator {g!r}: {e}")
         for key in sorted({"eps_start", "eps_step"} & ladder_cfg.keys()):
-            if _fraction(f"heisenberg {key}", ladder_cfg[key]) <= 0:
-                raise ConfigError(f"heisenberg {key} must be positive")
+            _positive(f"heisenberg {key}", ladder_cfg[key])
         k0 = _int_at_least("k0", merged["k0"], 3)
         matrices = _known_keys("matrices", merged["matrices"], {"realize", "file"})
         if ("realize" in matrices) == ("file" in matrices):
@@ -188,8 +195,7 @@ class PipelineConfig:
             if k0 != d + 1:
                 raise ConfigError(f"k0 = {k0} must equal extreme_points + 1 = {d + 1} "
                                   "(augmentation adds one block)")
-            if _fraction("realize tolerance", realize.get("tolerance")) <= 0:
-                raise ConfigError("realize tolerance must be positive")
+            _positive("realize tolerance", realize.get("tolerance"))
         else:
             _file_name("matrices file", matrices["file"])
         bound = _fraction("lemma8 bound", merged["lemma8_bound"])
@@ -295,8 +301,8 @@ def build_ladder_from_config(group: dict, ladder_cfg: dict) -> FolnerLadder:
             generators = [ctx.decode_json(g) for g in gens]
         return build_abelian_chain_ladder(ctx, generators, depth)
     if route == "heisenberg":
-        start = Fraction(ladder_cfg.get("eps_start", "1/2"))
-        step = Fraction(ladder_cfg.get("eps_step", "2/3"))
+        start = _positive("heisenberg eps_start", ladder_cfg.get("eps_start", "1/2"))
+        step = _positive("heisenberg eps_step", ladder_cfg.get("eps_step", "2/3"))
         return build_heisenberg_ladder(heisenberg_targets(depth, start, step))
     raise ConfigError(f"unknown ladder route {route!r}")
 

@@ -3,13 +3,14 @@
 On a lattice box in canonical order a cell's index is a mixed-radix number;
 in a fibred Heisenberg window the cells over each plane point are one run of
 central coordinates, which the centre shifts along itself; and the Pruefer
-subgroup {i/N} holds i/N at index i.  So `FolnerLadder.tiling`,
-`analysis._windows` (boxes and subgroups), `folner_defect` and
-`right_invariance_defect` compute by rank instead of by group products.  The
-product loops stay in the program for other windows; the references below
-are those loops, copied.  Each fast result must equal its reference, a
-planted non-tiling must give the same failed certificate, and windows of
-none of these shapes must take the generic path.
+subgroup {i/N} holds i/N at index i.  So `_boxes.runs`, which places the
+translates for both `FolnerLadder.tiling` and `analysis._windows`, and
+`folner_defect` and `right_invariance_defect` compute by rank instead of by
+group products.  Other windows take one product per cell; the references
+below are the plain product loops.  Each fast result must equal its
+reference (windows compared with their spans flattened), a planted
+non-tiling must give the same failed certificate, and windows of none of
+these shapes must take the generic path.
 """
 
 import itertools
@@ -28,12 +29,14 @@ from monotiles import (
     Lattice,
     ManagedMatrix,
     Pruefer,
+    build_abelian_chain_ladder,
     build_heisenberg_ladder,
     build_hierarchy,
     build_lattice_ladder,
     build_pruefer_ladder,
     check_congruent,
     compose_exact_sequence,
+    context_from_descriptor,
     folner_defect,
     group_ladder,
     return_times,
@@ -93,6 +96,11 @@ def product_windows(ladder, n, m):
         if None not in row:
             out.append((i, row))
     return out
+
+
+def flat_windows(ladder, n, m):
+    """analysis._windows with each window's spans flattened into one row."""
+    return [(i, [q for s in spans for q in s]) for i, spans in _windows(ladder, n, m)]
 
 
 def product_folner_defect(F, g):
@@ -212,7 +220,7 @@ def test_box_tiling_equals_the_product_loop(tiling):
 @given(d=st.integers(1, 3), data=st.data())
 def test_box_windows_equal_the_product_loop(d, data):
     ladder = two_levels(box(*data.draw(boxes(d))), box(*data.draw(boxes(d, side=7))))
-    assert list(_windows(ladder, 0, 1)) == product_windows(ladder, 0, 1)
+    assert flat_windows(ladder, 0, 1) == product_windows(ladder, 0, 1)
 
 
 @PROPERTY
@@ -471,13 +479,40 @@ def test_pruefer_windows_equal_the_product_loop(p, data):
     ladder = group_ladder(build_pruefer_ladder(p, 5), [0, *inner, 5])
     n = data.draw(st.integers(0, ladder.depth))
     m = data.draw(st.integers(n, ladder.depth))
-    assert list(_windows(ladder, n, m)) == product_windows(ladder, n, m)
+    assert flat_windows(ladder, n, m) == product_windows(ladder, n, m)
 
 
 def test_pruefer_windows_outside_the_big_subgroup_do_not_fit():
     # {0, 1/2} does not lie in {0, 1/3, 2/3}: no translate of it fits
     ladder = two_levels(subgroup(6, 2), subgroup(6, 3))
-    assert list(_windows(ladder, 0, 1)) == product_windows(ladder, 0, 1) == []
+    assert flat_windows(ladder, 0, 1) == product_windows(ladder, 0, 1) == []
+
+
+def test_fibred_heisenberg_windows_equal_the_product_loop():
+    ladder = build_heisenberg_ladder(heisenberg_targets(3))
+    for n, m in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]:
+        assert flat_windows(ladder, n, m) == product_windows(ladder, n, m)
+
+
+def test_windows_of_other_shapes_equal_the_product_loop():
+    ctx = context_from_descriptor({"kind": "direct_product",
+                                   "factors": [{"kind": "lattice", "d": 1}, {"kind": "cyclic", "n": 3}]})
+    abelian = build_abelian_chain_ladder(ctx, ctx.generators(), 3)
+    assert not any(F._box or F._fibres or F._cyclic for F in abelian.levels)
+    not_a_box = two_levels(FiniteSubset(Lattice(2), [(0, 0), (0, 5)]), FiniteSubset(Lattice(2), NOT_A_BOX))
+    for ladder in (abelian, not_a_box):
+        for n, m in itertools.combinations_with_replacement(range(ladder.depth + 1), 2):
+            assert flat_windows(ladder, n, m) == product_windows(ladder, n, m)
+    assert [i for i, _ in flat_windows(not_a_box, 0, 1)] == [0]
+
+
+def test_fibred_windows_make_one_product_per_lower_fibre_and_position(muls):
+    ladder = build_heisenberg_ladder(heisenberg_targets(3))
+    calls = muls(Heisenberg)
+    windows = list(_windows(ladder, 1, 2))
+    # 83,253 here; a per-cell loop that stops at the first cell outside makes 615,838
+    assert len(calls) < 120_000
+    assert len(windows) > 0
 
 
 def _plant(ladder, n, kind, pick):

@@ -231,7 +231,12 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     (None, ["folner", "build", "--group", '{"kind":"lattice","d":3}', "--depth", "8"]),  # 3**24 cells
     (None, ["folner", "build", "--group", '{"kind":"cyclic","n":3}', "--depth", "100000000"]),  # stalled chain
     (None, ["analyze", "kr", "--hier", "{block-7}", "-n", "0", "-m", "2"]),
-]
+    (None, ["measures", "lemma8", "{matrices}", "--K", "1/0"]),
+    ("z", ["measures", "realize", "--d", "2", "--ladder", "{ladder}", "--tol", "1/0"]),
+    ("z", ["blocks", "build", "--ladder", "{ladder}", "--matrices", "{matrices}", "--depth", "99"]),
+    ("z", ["blocks", "build", "--ladder", "{ladder}", "--matrices", "{matrices}", "--depth", "0"]),
+] + [(None, ["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "2", "--eps-schedule", s])
+     for s in ("geometric:1/0", "geometric:0", "geometric:-1/2")]
 
 # malformed copies of the built ladder file
 BROKEN_LADDERS = {
@@ -266,6 +271,8 @@ def test_malformed_input_exits_1_with_an_error_line(tmp_path, capsys, group, arg
                      "--depth", "2"]) == 0
         capsys.readouterr()
     argv = [a.replace("{ladder}", str(ladder)) for a in argv]
+    if "{matrices}" in argv:  # a well-formed file of five matrices
+        argv[argv.index("{matrices}")] = _matrices_file(tmp_path, count=5)
     for i, a in enumerate(argv):
         if a in BROKEN_LADDERS:
             argv[i] = _write(tmp_path, "broken.json", BROKEN_LADDERS[a](json.loads(ladder.read_text())))

@@ -2,7 +2,8 @@
 
 `verify_c3` narrows still-agreeing block pairs cell by cell outward from the
 identity and stops early; `scan_occurrences`, `check_partitions` and
-`syndeticity_window` read every window through one index row per position;
+`syndeticity_window` read every window through the index spans that
+`_boxes.runs` places, one slice of the patch per span;
 the lattice gap radius is a ring search; `boundary_mass_bound` counts cells
 directly.  Each reference below is the previous code, kept as an oracle, and
 every certificate must equal the oracle's exactly, failures included.
@@ -323,6 +324,13 @@ def test_syndeticity_gap_radius_four_equals_oracle():
     for cylinder, m in [(CylinderId(0, 1), 2), (CylinderId(0, 1), 3), (CylinderId(1, 1), 3)]:
         assert syndeticity_window(h, cylinder, m) == reference_syndeticity(h, cylinder, m)
     assert syndeticity_window(h, CylinderId(1, 1), 3).detail["gap_radius"] == 4
+
+
+def test_syndeticity_leaves_no_cached_set_on_the_ladder():
+    h = build_hierarchy(build_lattice_ladder(1, 3), [TERNARY] * 3)
+    cert = syndeticity_window(h, CylinderId(1, 1), 3)
+    assert "as_set" not in vars(h.ladder.levels[3])
+    assert cert == reference_syndeticity(h, CylinderId(1, 1), 3)
 
 
 @PROPERTY
