@@ -21,10 +21,10 @@ from .matrices import ManagedSequence, positivity_horizon, select_subsequence_le
 from .pipeline import (
     DEFAULT_CONFIG,
     PipelineConfig,
-    _ROUTE_KINDS,
+    _ROUTES,
     _defect_table,
     _fraction,
-    build_ladder_from_config,
+    _ladder_plan,
     run_pipeline,
     write_json,
 )
@@ -66,17 +66,18 @@ def _parse_levels(text: str, top: int) -> list[int]:
 
 def _cmd_folner(args) -> int:
     if args.action == "build":
-        group = json.loads(args.group)
-        kind = context_from_descriptor(group).kind
-        route = args.route or next((r for r, k in _ROUTE_KINDS.items() if k == kind), "abelian")
-        ladder_cfg = {"route": route, "depth": args.depth, "base": args.base}
+        ctx = context_from_descriptor(json.loads(args.group))
+        route = args.route or next((r for r, (k, _) in _ROUTES.items() if k == ctx.kind), "abelian")
+        section = {"route": route, "depth": args.depth}  # only the flags given, so off-route ones fail
+        if args.base is not None:
+            section["base"] = args.base
         if args.eps_schedule:
             mode, _, ratio = args.eps_schedule.partition(":")
             if mode != "geometric" or not ratio:
                 raise MonotileError(f"unknown eps schedule {args.eps_schedule!r}")
-            ladder_cfg["eps_start"] = ratio
-            ladder_cfg["eps_step"] = ratio
-        ladder = build_ladder_from_config(group, ladder_cfg)
+            section["eps_start"] = section["eps_step"] = ratio
+        builder, params, _ = _ladder_plan(ctx, section)
+        ladder = builder(*params)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_json(ladder.to_json(), out / "ladder.json")
@@ -230,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fb = fsub.add_parser("build")
     fb.add_argument("--group", required=True, help='JSON descriptor, e.g. {"kind":"lattice","d":1}')
     fb.add_argument("--depth", type=int, required=True)
-    fb.add_argument("--base", type=int, default=3, help="box base for lattice routes")
+    fb.add_argument("--base", type=int, help="box base for the lattice route (default 3)")
     fb.add_argument("--route", choices=("lattice", "pruefer", "abelian", "heisenberg"))
     fb.add_argument("--eps-schedule", help="invariance tolerances, e.g. geometric:1/2")
     fc = fsub.add_parser("check")

@@ -83,12 +83,10 @@ DEFAULT_CONFIG = {
 }
 
 
-# keys each route's ladder section may carry besides "route" and "depth"
-_ROUTE_KEYS = {"lattice": {"base"}, "pruefer": set(), "abelian": {"generators"},
-               "heisenberg": {"eps_start", "eps_step"}}
-
-# the group kind each route builds on; the abelian route takes any abelian kind
-_ROUTE_KINDS = {"lattice": "lattice", "pruefer": "pruefer", "heisenberg": "heisenberg3"}
+# route -> (the group kind it builds on, None for any abelian kind;
+#           the keys its ladder section may carry besides "route" and "depth")
+_ROUTES = {"lattice": ("lattice", {"base"}), "pruefer": ("pruefer", set()),
+           "abelian": (None, {"generators"}), "heisenberg": ("heisenberg3", {"eps_start", "eps_step"})}
 
 
 def _known_keys(section: str, data, allowed) -> dict:
@@ -146,6 +144,38 @@ def heisenberg_targets(depth: int, start=Fraction(1, 2), step=Fraction(2, 3)):
     return out
 
 
+def _ladder_plan(ctx, section) -> tuple:
+    """Check a ladder section against the group context ctx: its route and
+    keys, that the route builds on ctx's kind, the depth and the route's own
+    values.  Return (builder, args, depth); builder(*args) is the ladder."""
+    route = section.get("route") if isinstance(section, dict) else None
+    if route not in _ROUTES:
+        raise ConfigError(f"unknown ladder route {route!r}")
+    kind, keys = _ROUTES[route]
+    _known_keys(f"{route} ladder", section, {"route", "depth", *keys})
+    if kind not in (None, ctx.kind):
+        raise ConfigError(f"{route} route needs a {kind} group, got {ctx.kind}")
+    depth = _int_at_least("ladder depth", section.get("depth"), 1)
+    if route == "lattice":
+        base = _int_at_least("lattice base", section.get("base", 3), 3)
+        return build_lattice_ladder, (ctx.d, depth, base), depth
+    if route == "pruefer":
+        return build_pruefer_ladder, (ctx.p, depth), depth
+    if route == "heisenberg":
+        start = _positive("heisenberg eps_start", section.get("eps_start", "1/2"))
+        step = _positive("heisenberg eps_step", section.get("eps_step", "2/3"))
+        return build_heisenberg_ladder, (heisenberg_targets(depth, start, step),), depth
+    gens = section.get("generators", [])
+    if not isinstance(gens, list):
+        raise ConfigError(f"abelian generators must be a list, got {gens!r}")
+    try:
+        ctx.coordinates(ctx.identity())  # the chain needs an abelian kind, as its builder checks
+        gens = [ctx.decode_json(g) for g in gens] if "generators" in section else ctx.generators()
+    except ValueError as e:
+        raise ConfigError(f"abelian route: {e}")
+    return build_abelian_chain_ladder, (ctx, gens, depth), depth
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Validated pipeline parameters; see DEFAULT_CONFIG for the file shape."""
@@ -167,24 +197,7 @@ class PipelineConfig:
             ctx = context_from_descriptor(merged["group"])
         except ValueError as e:
             raise ConfigError(f"bad group descriptor: {e}")
-        ladder_cfg = merged["ladder"]
-        route = ladder_cfg.get("route") if isinstance(ladder_cfg, dict) else None
-        if route not in _ROUTE_KEYS:
-            raise ConfigError(f"unknown ladder route {route!r}")
-        _known_keys(f"{route} ladder", ladder_cfg, {"route", "depth", *_ROUTE_KEYS[route]})
-        depth = _int_at_least("ladder depth", ladder_cfg.get("depth"), 1)
-        if route == "lattice":
-            _int_at_least("lattice base", ladder_cfg.get("base", 3), 3)
-        gens = ladder_cfg.get("generators", [])
-        if not isinstance(gens, list):
-            raise ConfigError(f"abelian generators must be a list, got {gens!r}")
-        for g in gens:
-            try:
-                ctx.decode_json(g)
-            except ValueError as e:
-                raise ConfigError(f"bad abelian generator {g!r}: {e}")
-        for key in sorted({"eps_start", "eps_step"} & ladder_cfg.keys()):
-            _positive(f"heisenberg {key}", ladder_cfg[key])
+        _, _, depth = _ladder_plan(ctx, merged["ladder"])
         k0 = _int_at_least("k0", merged["k0"], 3)
         matrices = _known_keys("matrices", merged["matrices"], {"realize", "file"})
         if ("realize" in matrices) == ("file" in matrices):
@@ -220,7 +233,7 @@ class PipelineConfig:
                      **_known_keys("artifacts", merged["artifacts"], DEFAULT_CONFIG["artifacts"])}
         for key, name in artifacts.items():
             _file_name(f"{key} artifact", name)
-        return PipelineConfig(merged["group"], ladder_cfg, k0, matrices, bound,
+        return PipelineConfig(merged["group"], merged["ladder"], k0, matrices, bound,
                               hierarchy_depth, analysis, artifacts, Path(base_dir))
 
     @staticmethod
@@ -284,27 +297,8 @@ def _defect_table(ladder: FolnerLadder, elements) -> dict:
 
 
 def build_ladder_from_config(group: dict, ladder_cfg: dict) -> FolnerLadder:
-    ctx = context_from_descriptor(group)
-    route = ladder_cfg["route"]
-    depth = ladder_cfg["depth"]
-    if _ROUTE_KINDS.get(route, ctx.kind) != ctx.kind:
-        raise ConfigError(f"{route} route needs a {_ROUTE_KINDS[route]} group, got {ctx.kind}")
-    if route == "lattice":
-        return build_lattice_ladder(ctx.d, depth, ladder_cfg.get("base", 3))
-    if route == "pruefer":
-        return build_pruefer_ladder(ctx.p, depth)
-    if route == "abelian":
-        gens = ladder_cfg.get("generators")
-        if gens is None:
-            generators = ctx.generators()
-        else:
-            generators = [ctx.decode_json(g) for g in gens]
-        return build_abelian_chain_ladder(ctx, generators, depth)
-    if route == "heisenberg":
-        start = _positive("heisenberg eps_start", ladder_cfg.get("eps_start", "1/2"))
-        step = _positive("heisenberg eps_step", ladder_cfg.get("eps_step", "2/3"))
-        return build_heisenberg_ladder(heisenberg_targets(depth, start, step))
-    raise ConfigError(f"unknown ladder route {route!r}")
+    builder, args, _ = _ladder_plan(context_from_descriptor(group), ladder_cfg)
+    return builder(*args)
 
 
 def _stages(config: PipelineConfig, emit):

@@ -6,11 +6,12 @@ central coordinates, which the centre shifts along itself; and the Pruefer
 subgroup {i/N} holds i/N at index i.  So `_boxes.runs`, which places the
 translates for both `FolnerLadder.tiling` and `analysis._windows`, and
 `folner_defect` and `right_invariance_defect` compute by rank instead of by
-group products.  Other windows take one product per cell; the references
-below are the plain product loops.  Each fast result must equal its
-reference (windows compared with their spans flattened), a planted
-non-tiling must give the same failed certificate, and windows of none of
-these shapes must take the generic path.
+group products.  Other windows take one product per cell.  The references
+are plain product loops: the window loop below, the congruence walk of
+`test_tiling` and the defect formulas of `test_defect_oracles`.  Each fast
+result must equal its reference (windows compared with their spans
+flattened), a planted non-tiling must give the same failed certificate, and
+windows of none of these shapes must take the generic path.
 """
 
 import itertools
@@ -45,8 +46,12 @@ from monotiles import (
 )
 from monotiles.analysis import _windows
 from monotiles.pipeline import heisenberg_targets
-from test_defect_oracles import _heisenberg_parts as heisenberg_parts
-from test_tiling import PROPERTY
+from test_defect_oracles import (
+    _heisenberg_parts as heisenberg_parts,
+    reference_folner_defect,
+    reference_right_invariance_defect,
+)
+from test_tiling import PROPERTY, reference_check_congruent, reference_tiling
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
 # four cells whose first and last cells span a 2 x 2 box, but whose coordinates span 2 x 9
@@ -54,38 +59,9 @@ NOT_A_BOX = [(0, 0), (0, 5), (1, -3), (1, 1)]
 
 
 def product_tiling(ladder, n):
-    """The per-cell product loop of FolnerLadder.tiling."""
-    glue, lower, upper = ladder.glue[n], ladder.levels[n], ladder.levels[n + 1]
-    where = {g: q for q, g in enumerate(upper.elements)}
-    hit = bytearray(len(upper))
-    order = array("l")
-    for c in glue:
-        for f in lower:
-            x = ladder.ctx.mul(c, f)
-            q = where.get(x)
-            if q is None:
-                return Certificate.fail(ladder.ctx, "translate-escapes-next-level", (c, f, x), level=n)
-            if hit[q]:
-                prev = glue.elements[order.index(q) // len(lower)]
-                return Certificate.fail(ladder.ctx, "translates-overlap", (prev, c, x), level=n)
-            hit[q] = 1
-            order.append(q)
-    if len(order) != len(upper):
-        return Certificate.fail(ladder.ctx, "next-level-not-covered", (upper.elements[hit.index(0)],), level=n)
-    return order
-
-
-def product_check_congruent(ladder):
-    ident = ladder.ctx.identity()
-    if ident not in ladder.levels[0]:
-        return Certificate.fail(ladder.ctx, "identity-missing-in-F0", (ident,), level=0)
-    for n, J in enumerate(ladder.glue):
-        if ident not in J:
-            return Certificate.fail(ladder.ctx, "identity-missing-in-glue", (ident,), level=n)
-        tiling = product_tiling(ladder, n)
-        if isinstance(tiling, Certificate):
-            return tiling
-    return Certificate(True)
+    """reference_tiling with its violation as FolnerLadder.tiling's failed certificate."""
+    found = reference_tiling(ladder, n)
+    return found if isinstance(found, array) else Certificate.fail(ladder.ctx, *found, level=n)
 
 
 def product_windows(ladder, n, m):
@@ -101,15 +77,6 @@ def product_windows(ladder, n, m):
 def flat_windows(ladder, n, m):
     """analysis._windows with each window's spans flattened into one row."""
     return [(i, [q for s in spans for q in s]) for i, spans in _windows(ladder, n, m)]
-
-
-def product_folner_defect(F, g):
-    return Fraction(sum(1 for f in F if F.ctx.mul(f, g) not in F), len(F))
-
-
-def product_invariance_defect(F, K):
-    good = [f for f in F if all(F.ctx.mul(f, k) in F for k in K)]
-    return 1 - Fraction(len(good), len(F))
 
 
 def box(lo, sides):
@@ -201,7 +168,7 @@ def test_non_boxes_have_no_descriptor(make):
 
 def test_non_box_windows_take_the_product_loops(lattice_muls):
     F = FiniteSubset(Lattice(2), NOT_A_BOX)
-    assert folner_defect(F, (0, 1)) == product_folner_defect(F, (0, 1))
+    assert folner_defect(F, (0, 1)) == reference_folner_defect(F, (0, 1))
     assert len(lattice_muls) > 0
 
 
@@ -230,8 +197,8 @@ def test_box_defects_equal_the_product_loops(shape, data):
     element = st.tuples(*[st.integers(-7, 7)] * len(shape[0]))
     g = data.draw(element)
     K = FiniteSubset(F.ctx, data.draw(st.sets(element, max_size=4)))
-    assert folner_defect(F, g) == product_folner_defect(F, g)
-    assert right_invariance_defect(F, K) == product_invariance_defect(F, K)
+    assert folner_defect(F, g) == reference_folner_defect(F, g)
+    assert right_invariance_defect(F, K) == reference_right_invariance_defect(F, K)
 
 
 def _planted(kind, lower, upper, glue):
@@ -269,7 +236,7 @@ def test_planted_non_tilings_give_the_product_loop_certificate(tiling, kind):
         return
     cert = check_congruent(ladder)
     assert not cert.ok
-    assert cert.to_json() == product_check_congruent(ladder).to_json()
+    assert cert.to_json() == reference_check_congruent(ladder).to_json()
 
 
 def test_lattice_ladder_checks_without_products(lattice_muls):
@@ -282,7 +249,7 @@ def test_an_escaping_last_digit_takes_products_for_that_digit_only(lattice_muls)
     # J_3 = {-27, 0, 27}: the translate by 54 starts at 41, beyond F_4 = -40..40
     glue = FiniteSubset(ladder.ctx, [*ladder.glue[3].elements[:-1], (54,)])
     broken = FolnerLadder(ladder.ctx, ladder.levels, ladder.glue[:3] + (glue,))
-    want = product_check_congruent(broken)
+    want = reference_check_congruent(broken)
     lattice_muls.clear()
     cert = check_congruent(broken)
     assert cert.reason == "translate-escapes-next-level"
@@ -356,8 +323,8 @@ def test_fibre_defects_equal_the_product_loops(gap, data):
     assert (F._fibres is None) is gap
     g = data.draw(heisenberg_elements)
     K = FiniteSubset(HEISENBERG, data.draw(st.sets(heisenberg_elements, max_size=4)))
-    assert folner_defect(F, g) == product_folner_defect(F, g)
-    assert right_invariance_defect(F, K) == product_invariance_defect(F, K)
+    assert folner_defect(F, g) == reference_folner_defect(F, g)
+    assert right_invariance_defect(F, K) == reference_right_invariance_defect(F, K)
 
 
 @PROPERTY
@@ -371,8 +338,8 @@ def test_pruefer_defects_equal_the_product_loops(p, data):
     assert (F._cyclic == len(F)) if is_subgroup else (F._cyclic is None)
     g = data.draw(pruefer_elements(p))
     K = FiniteSubset(F.ctx, data.draw(st.sets(pruefer_elements(p), max_size=4)))
-    assert folner_defect(F, g) == product_folner_defect(F, g)
-    assert right_invariance_defect(F, K) == product_invariance_defect(F, K)
+    assert folner_defect(F, g) == reference_folner_defect(F, g)
+    assert right_invariance_defect(F, K) == reference_right_invariance_defect(F, K)
 
 
 TILING_KINDS = ["tiling", "shifted-digit", "missing-digit", "free-digits"]
@@ -568,7 +535,7 @@ def test_planted_digits_give_the_product_loop_certificate(kind, ladder_kind, dat
         return
     cert = check_congruent(broken)
     assert not cert.ok
-    assert cert.to_json() == product_check_congruent(broken).to_json()
+    assert cert.to_json() == reference_check_congruent(broken).to_json()
     if kind == "missing-digit":
         assert cert.reason == "next-level-not-covered"
     elif kind != "overlapping-digits":
@@ -596,4 +563,4 @@ def test_fibred_defect_makes_at_most_one_product_per_fibre_and_test_element(muls
     calls = muls(Heisenberg)
     defect = right_invariance_defect(F, K)
     assert 0 < len(calls) <= len(fibres) * len(K)
-    assert defect == product_invariance_defect(F, K)
+    assert defect == reference_right_invariance_defect(F, K)

@@ -236,7 +236,14 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     ("z", ["blocks", "build", "--ladder", "{ladder}", "--matrices", "{matrices}", "--depth", "99"]),
     ("z", ["blocks", "build", "--ladder", "{ladder}", "--matrices", "{matrices}", "--depth", "0"]),
 ] + [(None, ["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "2", "--eps-schedule", s])
-     for s in ("geometric:1/0", "geometric:0", "geometric:-1/2")]
+     for s in ("geometric:1/0", "geometric:0", "geometric:-1/2")] + [
+    # flags the route does not take, and a depth below the pipeline's 1
+    (None, ["folner", "build", "--group", '{"kind":"lattice","d":1}', "--depth", "2",
+            "--eps-schedule", "geometric:1/2"]),
+    (None, ["folner", "build", "--group", '{"kind":"pruefer","p":2}', "--depth", "2", "--base", "5"]),
+    (None, ["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "2", "--base", "5"]),
+    (None, ["folner", "build", "--group", '{"kind":"lattice","d":1}', "--depth", "0"]),
+]
 
 # malformed copies of the built ladder file
 BROKEN_LADDERS = {

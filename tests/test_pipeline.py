@@ -87,6 +87,9 @@ MALFORMED = [
     {"group": {"kind": "heisenberg3"}, "ladder": {"route": "heisenberg", "depth": 2, "eps_start": "-1/2"}},
     {"group": {"kind": "heisenberg3"}, "ladder": {"route": "heisenberg", "depth": 2, "eps_step": "0"}},
     {"group": {"kind": "heisenberg3"}, "ladder": {"route": "heisenberg", "depth": 2, "eps_start": 0.5}},
+    {"ladder": {"route": "pruefer", "depth": 3}},  # on the default lattice group
+    {"group": {"kind": "heisenberg3"}, "ladder": {"route": "lattice", "depth": 2}},
+    {"group": {"kind": "heisenberg3"}, "ladder": {"route": "abelian", "depth": 2}},
 ]
 
 

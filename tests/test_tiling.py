@@ -9,6 +9,7 @@ witnesses.
 """
 
 import json
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,29 +104,41 @@ def reassemble(ladder, addr):
     return out
 
 
+def reference_tiling(ladder, n):
+    """The per-cell product loop of FolnerLadder.tiling: the canonical indices
+    of F_{n+1}'s cells in glue order, or the first violation as (reason, raw
+    witness elements)."""
+    glue, lower, upper = ladder.glue[n], ladder.levels[n], ladder.levels[n + 1]
+    where = {g: q for q, g in enumerate(upper.elements)}
+    hit = bytearray(len(upper))
+    order = array("l")
+    for c in glue:
+        for f in lower:
+            x = ladder.ctx.mul(c, f)
+            q = where.get(x)
+            if q is None:
+                return "translate-escapes-next-level", (c, f, x)
+            if hit[q]:
+                return "translates-overlap", (glue.elements[order.index(q) // len(lower)], c, x)
+            hit[q] = 1
+            order.append(q)
+    if len(order) != len(upper):
+        return "next-level-not-covered", (upper.elements[hit.index(0)],)
+    return order
+
+
 def reference_violation(ladder):
-    """Per-cell congruence check with a dict of seen cells: the first
-    violation as (level, reason, raw witness elements), or None."""
+    """The first congruence violation as (level, reason, raw witness
+    elements), or None."""
     ident = ladder.ctx.identity()
-    mul = ladder.ctx.mul
     if ident not in ladder.levels[0]:
         return 0, "identity-missing-in-F0", (ident,)
     for n, J in enumerate(ladder.glue):
         if ident not in J:
             return n, "identity-missing-in-glue", (ident,)
-        target = ladder.levels[n + 1].as_set
-        seen = {}
-        for c in J:
-            for f in ladder.levels[n]:
-                x = mul(c, f)
-                if x not in target:
-                    return n, "translate-escapes-next-level", (c, f, x)
-                prev = seen.get(x)
-                if prev is not None:
-                    return n, "translates-overlap", (prev, c, x)
-                seen[x] = c
-        if len(seen) != len(target):
-            return n, "next-level-not-covered", (min(target - seen.keys()),)
+        found = reference_tiling(ladder, n)
+        if not isinstance(found, array):
+            return (n, *found)
     return None
 
 
