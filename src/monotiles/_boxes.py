@@ -4,12 +4,14 @@ rank when the order has a closed form: full boxes of Z^d (mixed radix,
 `FiniteSubset._box`), fibred Heisenberg windows (one run of central
 coordinates per plane point, `FiniteSubset._fibres`) and Pruefer subgroups
 {i/N} (`FiniteSubset._cyclic`, the i-th cell is i/N); else by one product
-per cell.  `kept` answers on those three shapes only, else None."""
+per cell.  `read` and `write` move symbols along such runs.  `kept` answers
+on those three shapes only, else None."""
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 
 _EMPTY = (0, 1, 0)  # (start, lo, hi) of a missing fibre: no central coordinate fits
 
@@ -27,6 +29,23 @@ def runs(lower, upper):
     if lower._cyclic and upper._cyclic and upper._cyclic % lower._cyclic == 0:
         return _cyclic_runs(lower._cyclic, upper._cyclic)
     return _product_runs(lower, upper)
+
+
+def read(symbols: tuple, spans) -> tuple:
+    """The symbols at the indices of spans, in span order: one slice per span."""
+    return tuple(chain.from_iterable(symbols[s.start:s.stop:s.step] for s in spans))
+
+
+def write(runs: list, pieces, size: int) -> list:
+    """The inverse of `read` over a tiling: a list of size entries with pieces[j]
+    written along runs[j], one slice per span."""
+    out = [0] * size
+    for piece, spans in zip(pieces, runs):
+        t = 0
+        for s in spans:
+            out[s.start:s.stop:s.step] = piece[t:t + len(s)]
+            t += len(s)
+    return out
 
 
 def kept(F, K) -> int | None:

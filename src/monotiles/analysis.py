@@ -4,7 +4,7 @@ Return-time sets are computed twice: algebraically from glue digits and
 independently by sliding-window scans over the distinguished patch.  Tower
 partition checks (tiling exactness and refinement) work on canonical indices
 of the level-m window: each cell's claimed (offset, block) must equal its
-tower label, read off the glue orders and assignments, so single-symbol
+tower label, read off the tiling runs and assignments, so single-symbol
 corruption is always detected.
 """
 
@@ -17,7 +17,7 @@ from operator import add
 
 from . import _boxes
 from .blocks import BlockHierarchy, Pattern
-from .folner import FolnerLadder, folner_defect, iterated_glue
+from .folner import FolnerLadder, _tiled, folner_defect, iterated_glue
 from .groups import Certificate, FiniteSubset, Lattice
 
 __all__ = [
@@ -58,11 +58,6 @@ def _windows(ladder: FolnerLadder, n: int, m: int):
             yield i, spans
 
 
-def _read(symbols: tuple, spans) -> tuple:
-    """The symbols a window reads, one slice per span."""
-    return tuple(chain.from_iterable(symbols[s.start:s.stop:s.step] for s in spans))
-
-
 def _occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None):
     """Yield (i, spans, k) per testable position: its index i in F_m, its
     window spans, and the index k of the level-n block the window reads (0
@@ -73,7 +68,7 @@ def _occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None):
         raise ValueError(f"patch not supported on ladder level {m}")
     lookup = {b.symbols: k for k, b in enumerate(h.family(n), start=1)}
     for i, spans in _windows(h.ladder, n, m):
-        yield i, spans, lookup.get(_read(patch.symbols, spans), 0)
+        yield i, spans, lookup.get(_boxes.read(patch.symbols, spans), 0)
 
 
 def scan_occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = None) -> FiniteSubset:
@@ -92,16 +87,16 @@ def scan_occurrences(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
 def _labels(h: BlockHierarchy, n: int, m: int) -> tuple[list, list]:
     """Per canonical cell of F_m: the level-n block that the assignments
     place on its tile of the distinguished patch (block 1 of level m), and
-    the cell's residual index in F_n.  Cell q of F_{i+1} sits at glue
-    position inverse[q] = j * |F_i| + r: digit j of J_i, cell r of F_i."""
-    ladder = h.ladder
-    blocks, residual = [1] * len(ladder.levels[m]), list(range(len(ladder.levels[m])))
-    for i in range(m - 1, n - 1, -1):
-        inverse, size, values = ladder.glue_order(i)[1], len(ladder.levels[i]), h.assignments[i].values
-        for q, r in enumerate(residual):
-            j, residual[q] = divmod(inverse[r], size)
-            blocks[q] = values[blocks[q] - 1][j]
-    return blocks, residual
+    the cell's residual index in F_n.  Block k of level n carries k and the
+    residual on each cell; a block one level up glues the labels of the
+    blocks its assignment row names, as its symbols were glued."""
+    ladder, size = h.ladder, len(h.ladder.levels[n])
+    labels = [([k] * size, range(size)) for k in range(1, len(h.family(n)) + 1)]
+    for i, assignment in enumerate(h.assignments[n:m], start=n):
+        runs, upper = _tiled(ladder, i), len(ladder.levels[i + 1])
+        labels = [(_boxes.write(runs, [labels[v - 1][0] for v in row], upper),
+                   _boxes.write(runs, [labels[v - 1][1] for v in row], upper)) for row in assignment.values]
+    return labels[0]
 
 
 def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = None) -> Certificate:
@@ -158,11 +153,12 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
         if set(occ_up) != returns_up.as_set:
             off = set(occ_up) ^ returns_up.as_set
             return fail("level-(n+1) occurrences disagree with glue products", (next(iter(off)),))
-        glue, order = ladder.glue[n].elements, ladder.glue_order(n)[0]
-        e = base.index(ident)
+        # digit j puts the identity of F_n at position e of its runs
+        glue, e = ladder.glue[n].elements, base.index(ident)
+        heads = [[*chain.from_iterable(spans)][e] for spans in _tiled(ladder, n)]
         for row_up, k_up in occ_up.values():
             for j, expected in enumerate(h.assignments[n].values[k_up - 1]):
-                pos = cells[row_up[order[j * len(base) + e]]]
+                pos = cells[row_up[heads[j]]]
                 k_obs = occ.get(pos)
                 if k_obs is None:
                     return fail("refined tile carries no block", (pos,))
@@ -227,7 +223,7 @@ def syndeticity_window(h: BlockHierarchy, cylinder: CylinderId, m: int) -> Certi
     target = h.family(cylinder.level)[0]
     cells = ladder.levels[m].elements
     visits = [cells[i] for i, spans in _windows(ladder, cylinder.level, m)
-              if _read(patch.symbols, spans) == target.symbols]
+              if _boxes.read(patch.symbols, spans) == target.symbols]
     visit_set = set(visits)
     fail = lambda reason, witness: Certificate.fail(
         ladder.ctx, reason, witness, levels=[n, m], visits=len(visits), covered=False, gap_radius=None)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
+from . import _boxes
 from .errors import (AugmentationError, DistinctnessError, EncodingError, InfeasibleError,
                      RenderUnsupportedError)
-from .folner import FolnerLadder
+from .folner import FolnerLadder, _tiled
 from .groups import Certificate, FiniteSubset, Lattice
 from .matrices import ManagedMatrix
 
@@ -161,13 +161,11 @@ def assignment_from_matrix(mtilde: ManagedMatrix, cosets: FiniteSubset) -> Assig
 
 def _assemble(family: Sequence[Pattern], ladder: FolnerLadder, n: int,
               assignment: Assignment) -> list[Pattern]:
-    """Level-(n+1) blocks: lower blocks concatenated along each assignment
-    row (glue order), then read once in the canonical order of F_{n+1}."""
-    inverse = ladder.glue_order(n)[1]
-    out = []
-    for row in assignment.values:
-        glued = tuple(chain.from_iterable(family[v - 1].symbols for v in row))
-        out.append(Pattern._trusted(ladder.levels[n + 1], tuple(map(glued.__getitem__, inverse))))
+    """Level-(n+1) blocks: along each assignment row, lower block v is written
+    into its glue digit's runs of F_{n+1}."""
+    runs, upper = _tiled(ladder, n), ladder.levels[n + 1]
+    out = [Pattern._trusted(upper, tuple(_boxes.write(runs, [family[v - 1].symbols for v in row], len(upper))))
+           for row in assignment.values]
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             if out[i] == out[j]:

@@ -68,7 +68,10 @@ def _cmd_folner(args) -> int:
     if args.action == "build":
         ctx = context_from_descriptor(json.loads(args.group))
         route = args.route or next((r for r, (k, _) in _ROUTES.items() if k == ctx.kind), "abelian")
-        section = {"route": route, "depth": args.depth}  # only the flags given, so off-route ones fail
+        for flag, key, value in (("--base", "base", args.base), ("--eps-schedule", "eps_start", args.eps_schedule)):
+            if value is not None and key not in _ROUTES[route][1]:
+                raise MonotileError(f"{flag} does not apply to the {route} route")
+        section = {"route": route, "depth": args.depth}
         if args.base is not None:
             section["base"] = args.base
         if args.eps_schedule:

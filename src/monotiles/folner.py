@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -71,7 +70,6 @@ class FolnerLadder:
         object.__setattr__(self, "glue", glue)
         object.__setattr__(self, "info", info)
         object.__setattr__(self, "_tilings", {})
-        object.__setattr__(self, "_inverses", {})
 
     @property
     def depth(self) -> int:
@@ -84,58 +82,40 @@ class FolnerLadder:
             raise ValueError(f"|F_{n + 1}| = {size_next} is not a multiple of |F_{n}| = {size}")
         return size_next // size
 
-    def tiling(self, n: int) -> "array | Certificate":
-        """Glue-order index of F_{n+1} = J_n * F_n, or its first violation.
+    def tiling(self, n: int) -> "list[list[range]] | Certificate":
+        """Where F_{n+1} = J_n * F_n puts each translate, or its first violation.
 
-        order[j * |F_n| + i] is the canonical index in F_{n+1} of c * f for
-        c = J_n[j] and f = F_n[i].  A digit's cells are marked run by run as
-        `_boxes.runs` places them.  A digit that escapes F_{n+1} or meets a
-        marked cell is walked again with one product per cell, which names
-        the first offending cell.  A translate escaping F_{n+1}, an overlap
-        or an uncovered cell comes back as a failed Certificate.
-        """
+        runs[j] lists the ranges of canonical indices in F_{n+1} of J_n[j] * F_n,
+        in F_n order, as `_boxes.runs` places them.  A digit that escapes F_{n+1}
+        or meets an earlier digit's runs is walked with one product per cell,
+        which names the first offending cell.  An escape, an overlap or an
+        uncovered cell comes back as a failed Certificate."""
         if n in self._tilings:
             return self._tilings[n]
         glue, lower, upper = self.glue[n], self.levels[n], self.levels[n + 1]
         mul, place = self.ctx.mul, _boxes.runs(lower, upper)
-        where = None  # cell -> canonical index in F_{n+1}, built when a digit first fails
         hit = bytearray(len(upper))
-        order = array("l")
+        runs = []
         for c in glue:
             spans = place(c)
-            if spans is not None and not any(_meets(hit, s) for s in spans):
+            if spans is not None and not any(1 in hit[s.start:s.stop:s.step] for s in spans):
                 for s in spans:
                     hit[s.start:s.stop:s.step] = b"\x01" * len(s)
-                    order.extend(s)
+                runs.append(spans)
                 continue
-            if where is None:
-                where = {g: q for q, g in enumerate(upper.elements)}
+            where = {g: q for q, g in enumerate(upper.elements)}
             for f in lower:
                 x = mul(c, f)
                 q = where.get(x)
                 if q is None:
                     return Certificate.fail(self.ctx, "translate-escapes-next-level", (c, f, x), level=n)
                 if hit[q]:
-                    prev = glue.elements[order.index(q) // len(lower)]
+                    prev = next(d for d, spans in zip(glue, runs) if any(q in s for s in spans))
                     return Certificate.fail(self.ctx, "translates-overlap", (prev, c, x), level=n)
-                hit[q] = 1
-                order.append(q)
-        if len(order) != len(upper):
+        if 0 in hit:
             return Certificate.fail(self.ctx, "next-level-not-covered", (upper.elements[hit.index(0)],), level=n)
-        self._tilings[n] = order
-        return order
-
-    def glue_order(self, n: int) -> tuple[array, array]:
-        """(order, inverse) of a level that tiles, inverse[q] = j * |F_n| + i for
-        the canonical cell q of F_{n+1}; raises NotCosetRepsError otherwise."""
-        order = self.tiling(n)
-        if isinstance(order, Certificate):
-            raise NotCosetRepsError(f"glue {n} does not tile level {n + 1}: {order.reason}")
-        if n not in self._inverses:
-            self._inverses[n] = inverse = array("l", order)
-            for p, q in enumerate(order):
-                inverse[q] = p
-        return order, self._inverses[n]
+        self._tilings[n] = runs
+        return runs
 
     def to_json(self) -> dict:
         data = {
@@ -162,10 +142,13 @@ class FolnerLadder:
         return FolnerLadder(ctx, levels, glue, data.get("info"))
 
 
-def _meets(hit: bytearray, s: range) -> bool:
-    """Whether a marked cell lies in s: one search along a unit-step run, one
-    strided slice for a subgroup coset."""
-    return (hit.find(1, s.start, s.stop) if s.step == 1 else hit[s.start:s.stop:s.step].find(1)) >= 0
+def _tiled(ladder: FolnerLadder, n: int) -> list[list[range]]:
+    """ladder.tiling(n) for a step that must tile: NotCosetRepsError on a
+    failed certificate."""
+    runs = ladder.tiling(n)
+    if isinstance(runs, Certificate):
+        raise NotCosetRepsError(f"glue {n} does not tile level {n + 1}: {runs.reason}")
+    return runs
 
 
 def right_invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import _boxes
 from .blocks import BlockHierarchy
 from .errors import InfeasibleError
-from .folner import FolnerLadder
+from .folner import FolnerLadder, _tiled
 from .groups import Certificate
 from .matrices import ManagedMatrix, ManagedSequence
 
@@ -317,16 +318,12 @@ def incidence_from_hierarchy(h: BlockHierarchy, n: int) -> ManagedMatrix:
     """Recount which level-n block sits on each glue coset of each level-(n+1) block."""
     if not 0 <= n < h.depth:
         raise ValueError(f"need a level in 0..{h.depth - 1}, got {n}")
-    fam_low = h.family(n)
-    fam_high = h.family(n + 1)
-    size = len(fam_low[0].support)
-    order = h.ladder.glue_order(n)[0]
+    fam_low, fam_high, runs = h.family(n), h.family(n + 1), _tiled(h.ladder, n)
     lookup = {b.symbols: i for i, b in enumerate(fam_low)}
     counts = [[0] * len(fam_high) for _ in fam_low]
     for k, block in enumerate(fam_high):
-        pieces = tuple(map(block.symbols.__getitem__, order))
-        for j, c in enumerate(h.ladder.glue[n]):
-            i = lookup.get(pieces[j * size:(j + 1) * size])
+        for c, spans in zip(h.ladder.glue[n], runs):
+            i = lookup.get(_boxes.read(block.symbols, spans))
             if i is None:
                 raise ValueError(f"block {k + 1} carries an unknown level-{n} block at coset {c!r}")
             counts[i][k] += 1

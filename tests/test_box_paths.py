@@ -15,7 +15,6 @@ windows of none of these shapes must take the generic path.
 """
 
 import itertools
-from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -61,7 +60,7 @@ NOT_A_BOX = [(0, 0), (0, 5), (1, -3), (1, 1)]
 def product_tiling(ladder, n):
     """reference_tiling with its violation as FolnerLadder.tiling's failed certificate."""
     found = reference_tiling(ladder, n)
-    return found if isinstance(found, array) else Certificate.fail(ladder.ctx, *found, level=n)
+    return found if isinstance(found, list) else Certificate.fail(ladder.ctx, *found, level=n)
 
 
 def product_windows(ladder, n, m):
@@ -178,9 +177,11 @@ def test_box_tiling_equals_the_product_loop(tiling):
     lower, upper, glue = tiling
     assert lower._box and upper._box
     ladder = two_levels(lower, upper, glue)
-    order = ladder.tiling(0)
-    assert isinstance(order, array)
-    assert order == product_tiling(ladder, 0)
+    runs = ladder.tiling(0)
+    assert isinstance(runs, list)
+    assert same(runs, product_tiling(ladder, 0))
+    # one run per row of the lower box
+    assert all(len(spans) == len(lower) // (lower._box[1][-1] - lower._box[0][-1] + 1) for spans in runs)
 
 
 @PROPERTY
@@ -310,10 +311,11 @@ def plant_ladder(kind):
 
 
 def same(got, want):
-    """Two tiling results agree: equal orders or equal failed certificates."""
+    """A tiling result agrees with the per-cell walk: its runs, flattened, are
+    the walk's order, or both are the same failed certificate."""
     if isinstance(want, Certificate):
         return isinstance(got, Certificate) and got.to_json() == want.to_json()
-    return isinstance(got, array) and got == want
+    return isinstance(got, list) and [q for spans in got for s in spans for q in s] == want
 
 
 @PROPERTY
@@ -437,6 +439,26 @@ def test_composed_and_pruefer_ladders_tile_like_the_product_loop():
         assert all(F._fibres or F._cyclic for F in ladder.levels)
         for n in range(ladder.depth):
             assert same(ladder.tiling(n), product_tiling(ladder, n))
+
+
+def test_other_shapes_tile_like_the_product_loop():
+    """The `_product_runs` fallback: the abelian Z x Z/3 route, a non-box
+    level of Z^2 and a non-box level tiling a box of Z."""
+    ctx = context_from_descriptor({"kind": "direct_product",
+                                   "factors": [{"kind": "lattice", "d": 1}, {"kind": "cyclic", "n": 3}]})
+    abelian = build_abelian_chain_ladder(ctx, ctx.generators(), 3)
+    plane, line = Lattice(2), Lattice(1)
+    not_a_box = two_levels(FiniteSubset(plane, [(0, 0), (0, 5)]),
+                           FiniteSubset(plane, [(0, 0), (0, 5), (1, -4), (1, 1)]),
+                           FiniteSubset(plane, [(0, 0), (1, -4)]))
+    into_a_box = two_levels(FiniteSubset(line, [(0,), (2,)]), box((0,), (4,)), FiniteSubset(line, [(0,), (1,)]))
+    for ladder in (abelian, not_a_box, into_a_box):
+        for n in range(ladder.depth):
+            lower, upper = ladder.levels[n], ladder.levels[n + 1]
+            assert not (lower._box and upper._box or lower._fibres or lower._cyclic)
+            runs = ladder.tiling(n)
+            assert isinstance(runs, list)
+            assert same(runs, product_tiling(ladder, n))
 
 
 @PROPERTY

@@ -292,6 +292,15 @@ def test_malformed_input_exits_1_with_an_error_line(tmp_path, capsys, group, arg
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("group, flag", [('{"kind":"lattice","d":1}', ["--eps-schedule", "geometric:1/2"]),
+                                         ('{"kind":"pruefer","p":2}', ["--base", "5"])])
+def test_off_route_flag_is_named_as_typed(tmp_path, capsys, group, flag):
+    assert main(["--out", str(tmp_path), "folner", "build", "--group", group, "--depth", "2", *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[0]} does not apply to the ")
+    assert "eps_start" not in err and "'base'" not in err
+
+
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

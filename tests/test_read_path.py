@@ -29,20 +29,25 @@ from monotiles import (
     build_hierarchy,
     build_lattice_ladder,
     build_pruefer_ladder,
+    check_congruent,
     check_partitions,
     group_ladder,
+    incidence_from_hierarchy,
     return_times,
     scan_occurrences,
     syndeticity_window,
     verify_c3,
 )
 from monotiles.analysis import _gap_radius
-from address_oracle import address, predicted_block
+from monotiles.errors import NotCosetRepsError
+from address_oracle import address, predicted_block, reference_tiling
 from test_box_paths import _counter
-from test_tiling import PROPERTY, draw_hierarchy, ladder_of
+from test_tiling import (FAR, PROPERTY, draw_hierarchy, ladder_of, outcome, reference_check_congruent,
+                         walk_assemble, walk_incidence)
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
 QUATERNARY = ManagedMatrix([[1, 1, 1], [2, 2, 1], [1, 1, 2]])  # columns sum to 4
+NONARY = ManagedMatrix([[1, 1, 1], [4, 3, 2], [4, 5, 6]])  # columns sum to 9
 C3_WINDOW = 729  # largest window the exhaustive oracle runs on
 
 
@@ -254,9 +259,13 @@ def test_scans_and_partitions_equal_window_oracles(data):
 
 
 def partition_hierarchy(kind: str):
-    """Ternary Z with 27 cells, or Pruefer-2 with ratio 4 and 256 cells."""
+    """Ternary Z with 27 cells, Z^2 with ratio 9 and 729 cells, or Pruefer-2
+    with ratio 4 and 256 cells.  The glue orders of the last two are not the
+    canonical orders."""
     if kind == "z":
         return build_hierarchy(build_lattice_ladder(1, 3), [TERNARY] * 3)
+    if kind == "z2":
+        return build_hierarchy(build_lattice_ladder(2, 3), [NONARY] * 3)
     return build_hierarchy(group_ladder(build_pruefer_ladder(2, 8), [0, 2, 4, 6, 8]), [QUATERNARY] * 4)
 
 
@@ -273,7 +282,7 @@ def with_assignment_fault(h, level: int):
     return BlockHierarchy(h.ladder, h.families, assignments)
 
 
-@pytest.mark.parametrize("kind", ["z", "pruefer2"])
+@pytest.mark.parametrize("kind", ["z", "z2", "pruefer2"])
 def test_planted_assignment_fault_fails_like_the_address_oracle(kind):
     h = partition_hierarchy(kind)
     m, patch = h.depth, h.x0_patch(h.depth)
@@ -285,6 +294,47 @@ def test_planted_assignment_fault_fails_like_the_address_oracle(kind):
             # labels below the planted level follow the wrong block; above it they never read it
             assert cert.ok == (n > level)
             assert cert.ok or cert.reason == "claim disagrees with address prediction"
+
+
+def planted_digit(ladder, kind: str, how: str):
+    """The ladder with the last digit of its top glue step replaced: by the
+    first digit times the last cell of the level below (an overlap), or by
+    the last digit times a far element (an escape)."""
+    n, ctx = ladder.depth - 1, ladder.ctx
+    J, F = ladder.glue[n].elements, ladder.levels[n].elements
+    new = ctx.mul(J[0], F[-1]) if how == "overlap" else ctx.mul(J[-1], FAR[kind])
+    return FolnerLadder(ctx, ladder.levels, ladder.glue[:n] + (FiniteSubset(ctx, [*J[:-1], new]),))
+
+
+@pytest.mark.parametrize("kind", ["z2", "pruefer2"])
+def test_non_identity_glue_orders_build_and_fail_like_the_walk(kind):
+    h = partition_hierarchy(kind)
+    ladder, m = h.ladder, h.depth
+    assert any(reference_tiling(ladder, n) != list(range(len(ladder.levels[n + 1]))) for n in range(m))
+    matrices = [incidence_from_hierarchy(h, n) for n in range(m)]
+    for n in range(m):
+        assert h.family(n + 1) == walk_assemble(h.family(n), ladder, n, h.assignments[n])
+        assert matrices[n] == walk_incidence(h, n)
+    for how, reason in [("overlap", "translates-overlap"), ("escape", "translate-escapes-next-level")]:
+        broken = planted_digit(ladder, kind, how)
+        cert = check_congruent(broken)
+        assert cert.reason == reason
+        assert cert.to_json() == reference_check_congruent(broken).to_json()
+        with pytest.raises(NotCosetRepsError):
+            build_hierarchy(broken, matrices)
+    # one flipped symbol in the top patch: the recount and the partitions fail as the walk says
+    patch = h.x0_patch(m)
+    symbols = list(patch.symbols)
+    symbols[len(symbols) // 3] += 1
+    flipped = Pattern(patch.support, symbols)
+    mutated = BlockHierarchy(ladder, [*h.families[:m], [flipped, *h.families[m][1:]]], h.assignments)
+    recount = outcome(incidence_from_hierarchy, mutated, m - 1)
+    assert recount != matrices[m - 1]
+    assert recount == outcome(walk_incidence, mutated, m - 1)
+    for n in range(m):
+        cert = check_partitions(h, n, m, flipped)
+        assert not cert.ok
+        assert cert.to_json() == reference_check_partitions(h, n, m, flipped).to_json()
 
 
 def test_partitions_report_a_miscount_before_reading_labels_of_a_ladder_that_does_not_tile():

@@ -1,17 +1,19 @@
-"""Glue-order tiling index against per-cell reference implementations.
+"""Tiling runs against per-cell reference implementations.
 
-Blocks, incidence recounts, the address oracle (`address_oracle.py`) and
-congruence certificates all read the cached `FolnerLadder.tiling` permutation.  Each property here compares
+Blocks, incidence recounts, tower labels and congruence certificates all
+read the cached runs of `FolnerLadder.tiling`.  Each property here compares
 one of them with the direct per-cell computation (one group product and one
-dict lookup per cell) on small Z, Z^2, Pruefer-2 and Heisenberg ladders.
+dict lookup per cell) on small Z, Z^2, Pruefer-2 and Heisenberg ladders; the
+address oracle (`address_oracle.py`) reads its digits off the per-cell walk
+`reference_tiling`.
 Failed certificates must also survive a JSON round trip with decodable
 witnesses.
 """
 
 import json
-from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -40,10 +42,12 @@ from monotiles.blocks import _assemble
 from monotiles.errors import DistinctnessError, NotCosetRepsError
 from monotiles.groups import product_set
 from monotiles.pipeline import heisenberg_targets
-from address_oracle import address
+from address_oracle import address, reference_tiling
 
 PROPERTY = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
 
 # an element outside every level of the ladder of that kind
 FAR = {"z": (10**6,), "z2": (10**6, 0), "pruefer2": Fraction(1, 2**20), "heisenberg": (0, 0, 10**6)}
@@ -89,6 +93,43 @@ def reference_assemble(family, cosets, assignment):
     return out
 
 
+def walk_assemble(family, ladder, n, assignment):
+    """Assembly through the per-cell walk: the lower blocks joined along each
+    row, then written cell by cell at the walk's canonical indices."""
+    order = reference_tiling(ladder, n)
+    out = []
+    for row in assignment.values:
+        symbols = [0] * len(order)
+        for q, s in zip(order, chain.from_iterable(family[v - 1].symbols for v in row)):
+            symbols[q] = s
+        out.append(Pattern(ladder.levels[n + 1], symbols))
+    return out
+
+
+def walk_incidence(h, n):
+    """The incidence recount through the per-cell walk: each level-(n+1) block
+    read in glue order and cut into |J_n| pieces of |F_n| symbols."""
+    order, size = reference_tiling(h.ladder, n), len(h.ladder.levels[n])
+    lookup = {b.symbols: i for i, b in enumerate(h.family(n))}
+    counts = [[0] * len(h.family(n + 1)) for _ in h.family(n)]
+    for k, block in enumerate(h.family(n + 1)):
+        glued = tuple(block.symbols[q] for q in order)
+        for j, c in enumerate(h.ladder.glue[n]):
+            i = lookup.get(glued[j * size:(j + 1) * size])
+            if i is None:
+                raise ValueError(f"block {k + 1} carries an unknown level-{n} block at coset {c!r}")
+            counts[i][k] += 1
+    return ManagedMatrix(counts)
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
 def assemble_level(family, cosets, assignment):
     """The library's tiled assembly over the two-level ladder (F, J * F)."""
     base = family[0].support
@@ -104,29 +145,6 @@ def reassemble(ladder, addr):
     return out
 
 
-def reference_tiling(ladder, n):
-    """The per-cell product loop of FolnerLadder.tiling: the canonical indices
-    of F_{n+1}'s cells in glue order, or the first violation as (reason, raw
-    witness elements)."""
-    glue, lower, upper = ladder.glue[n], ladder.levels[n], ladder.levels[n + 1]
-    where = {g: q for q, g in enumerate(upper.elements)}
-    hit = bytearray(len(upper))
-    order = array("l")
-    for c in glue:
-        for f in lower:
-            x = ladder.ctx.mul(c, f)
-            q = where.get(x)
-            if q is None:
-                return "translate-escapes-next-level", (c, f, x)
-            if hit[q]:
-                return "translates-overlap", (glue.elements[order.index(q) // len(lower)], c, x)
-            hit[q] = 1
-            order.append(q)
-    if len(order) != len(upper):
-        return "next-level-not-covered", (upper.elements[hit.index(0)],)
-    return order
-
-
 def reference_violation(ladder):
     """The first congruence violation as (level, reason, raw witness
     elements), or None."""
@@ -137,7 +155,7 @@ def reference_violation(ladder):
         if ident not in J:
             return n, "identity-missing-in-glue", (ident,)
         found = reference_tiling(ladder, n)
-        if not isinstance(found, array):
+        if not isinstance(found, list):
             return (n, *found)
     return None
 
@@ -196,7 +214,7 @@ def test_tiled_blocks_match_per_cell_assembly(data):
     h, _ = draw_hierarchy(data)
     for n in range(h.depth):
         ref = reference_assemble(h.family(n), h.ladder.glue[n], h.assignments[n])
-        assert h.family(n + 1) == ref
+        assert h.family(n + 1) == ref == walk_assemble(h.family(n), h.ladder, n, h.assignments[n])
         assert assemble_level(h.family(n), h.ladder.glue[n], h.assignments[n]) == ref
 
 
@@ -205,7 +223,7 @@ def test_tiled_blocks_match_per_cell_assembly(data):
 def test_incidence_recount_equals_matrix_and_sees_one_flip(data):
     h, matrices = draw_hierarchy(data)
     for n in range(h.depth):
-        assert incidence_from_hierarchy(h, n) == matrices[n]
+        assert incidence_from_hierarchy(h, n) == walk_incidence(h, n) == matrices[n]
     n = data.draw(st.integers(0, h.depth - 1))
     k = data.draw(st.integers(0, len(h.family(n + 1)) - 1))
     block = h.family(n + 1)[k]
@@ -215,10 +233,10 @@ def test_incidence_recount_equals_matrix_and_sees_one_flip(data):
     families = [list(f) for f in h.families]
     families[n + 1][k] = Pattern(block.support, symbols)
     mutated = BlockHierarchy(h.ladder, families, h.assignments)
-    try:
-        assert incidence_from_hierarchy(mutated, n) != matrices[n]
-    except ValueError as e:
-        assert "unknown" in str(e)
+    got = outcome(incidence_from_hierarchy, mutated, n)
+    assert got == outcome(walk_incidence, mutated, n)
+    assert got != matrices[n]
+    assert not isinstance(got, str) or "unknown" in got
 
 
 @PROPERTY
@@ -306,7 +324,7 @@ def test_every_violation_reason_is_reached():
         assert (report.reason, report.detail["level"]) == (reason, 1)
         assert report == reference_check_congruent(broken)
         with pytest.raises(NotCosetRepsError):
-            broken.glue_order(1)
+            build_hierarchy(broken, [TERNARY] * 2)
     overlap = FolnerLadder(ctx, ladder.levels, [ladder.glue[0], FiniteSubset(ctx, [(-3,), (0,), (1,)])])
     report = check_congruent(overlap)
     assert report.reason == "translates-overlap"
@@ -319,7 +337,7 @@ def test_one_cell_level():
     three = FiniteSubset(ctx, [(-1,), (0,), (1,)])
     ladder = FolnerLadder(ctx, [point, point, three], [point, three])
     assert check_congruent(ladder).ok
-    assert list(ladder.tiling(0)) == [0]
+    assert ladder.tiling(0) == [[range(0, 1)]]
     fam0 = base_blocks(3, point)
     one = Assignment(point, ((1,),))
     assert assemble_level(fam0, point, one) == reference_assemble(fam0, point, one) == [Pattern(point, (1,))]
