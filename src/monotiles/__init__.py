@@ -47,7 +47,6 @@ from .folner import (
     folner_defect,
     group_ladder,
     iterated_glue,
-    map_ladder,
     right_invariance_defect,
 )
 from .groups import (

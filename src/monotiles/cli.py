@@ -40,19 +40,10 @@ def _print(data, fmt: str, text_fn=None) -> None:
         print(json.dumps(data, sort_keys=True, separators=(",", ": ")))
 
 
-def _load_ladder(path: str) -> FolnerLadder:
+def _load(cls, path: str):
+    """cls.from_json of the JSON file at path: a ladder, hierarchy or sequence."""
     with open(path) as fh:
-        return FolnerLadder.from_json(json.load(fh))
-
-
-def _load_hierarchy(path: str) -> BlockHierarchy:
-    with open(path) as fh:
-        return BlockHierarchy.from_json(json.load(fh))
-
-
-def _load_sequence(path: str) -> ManagedSequence:
-    with open(path) as fh:
-        return ManagedSequence.from_json(json.load(fh))
+        return cls.from_json(json.load(fh))
 
 
 def _parse_levels(text: str, top: int) -> list[int]:
@@ -88,13 +79,13 @@ def _cmd_folner(args) -> int:
                 "levels": [len(F) for F in ladder.levels]}, args.format)
         return 0
     if args.action == "check":
-        ladder = _load_ladder(args.ladder)
+        ladder = _load(FolnerLadder, args.ladder)
         result = check_congruent(ladder)
         _print(result.to_json(), args.format,
                lambda d: "congruent" if d["ok"] else f"FAIL at level {d['level']}: {d['reason']}")
         return 0 if result.ok else 1
     # "defect": the only action left, as the subparser admits no other
-    ladder = _load_ladder(args.ladder)
+    ladder = _load(FolnerLadder, args.ladder)
     encoded = json.loads(args.K)
     if not isinstance(encoded, list):
         raise MonotileError(f"--K must be a JSON list of element encodings, got {args.K}")
@@ -108,8 +99,8 @@ def _cmd_folner(args) -> int:
 
 def _cmd_blocks(args) -> int:
     if args.action == "build":
-        ladder = _load_ladder(args.ladder)
-        seq = _load_sequence(args.matrices)
+        ladder = _load(FolnerLadder, args.ladder)
+        seq = _load(ManagedSequence, args.matrices)
         depth = args.depth if args.depth is not None else len(seq)
         if not 1 <= depth <= len(seq):
             raise MonotileError(f"--depth must lie in 1..{len(seq)}, got {depth}")
@@ -121,7 +112,7 @@ def _cmd_blocks(args) -> int:
                 "block_counts": [len(f) for f in hierarchy.families]}, args.format)
         return 0
     if args.action == "verify-c3":
-        hierarchy = _load_hierarchy(args.hier)
+        hierarchy = _load(BlockHierarchy, args.hier)
         levels = [args.level] if args.level is not None else range(hierarchy.depth + 1)
         results = {}
         ok = True
@@ -133,7 +124,7 @@ def _cmd_blocks(args) -> int:
                lambda d: "rigid" if d["ok"] else "FAIL")
         return 0 if ok else 1
     # "x0": the only action left, as the subparser admits no other
-    hierarchy = _load_hierarchy(args.hier)
+    hierarchy = _load(BlockHierarchy, args.hier)
     patch = hierarchy.x0_patch(args.level)
     print(render_pattern(patch, args.render))
     return 0
@@ -141,7 +132,7 @@ def _cmd_blocks(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.action == "returns":
-        hierarchy = _load_hierarchy(args.hier)
+        hierarchy = _load(BlockHierarchy, args.hier)
         algebraic = return_times(hierarchy, args.n, args.m)
         scanned = scan_occurrences(hierarchy, args.n, args.m)
         equal = algebraic.elements == scanned.elements
@@ -152,13 +143,13 @@ def _cmd_analyze(args) -> int:
                lambda d: f"{d['count']} return times, oracles {'agree' if d['equal'] else 'DISAGREE'}")
         return 0 if equal and len(algebraic) == expected else 1
     if args.action == "kr":
-        hierarchy = _load_hierarchy(args.hier)
+        hierarchy = _load(BlockHierarchy, args.hier)
         report = check_partitions(hierarchy, args.n, args.m)
         _print(report.to_json(), args.format,
                lambda d: "partitions exact" if d["ok"] else f"FAIL: {d['reason']}")
         return 0 if report.ok else 1
     # "boundary": the only action left, as the subparser admits no other
-    ladder = _load_ladder(args.ladder)
+    ladder = _load(FolnerLadder, args.ladder)
     g = ladder.ctx.decode_json(json.loads(args.g))
     levels = _parse_levels(args.levels, ladder.depth)
     rows = [{"level": n, "mass": str(boundary_mass_bound(ladder, g, n))} for n in levels]
@@ -168,7 +159,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_measures(args) -> int:
     if args.action == "check":
-        seq = _load_sequence(args.seq)
+        seq = _load(ManagedSequence, args.seq)
         data = {"ok": True, "matrices": len(seq),
                 "ratios": [seq[i].ratio for i in range(len(seq))],
                 "shapes": [[seq[i].rows, seq[i].cols] for i in range(len(seq))],
@@ -177,7 +168,7 @@ def _cmd_measures(args) -> int:
                lambda d: f"{d['matrices']} managed matrices, ratios {d['ratios']}")
         return 0
     if args.action == "limit":
-        seq = _load_sequence(args.seq)
+        seq = _load(ManagedSequence, args.seq)
         approx = approximate_limit(seq, args.n, args.d)
         certs = []
         ok = True
@@ -188,12 +179,12 @@ def _cmd_measures(args) -> int:
         _print({"ok": ok, "approximant": approx.to_json(), "nesting": certs}, args.format)
         return 0 if ok else 1
     if args.action == "lemma8":
-        seq = _load_sequence(args.seq)
+        seq = _load(ManagedSequence, args.seq)
         boundaries = select_subsequence_lemma8(seq, _fraction("lemma8 bound", args.K))
         _print({"boundaries": boundaries}, args.format)
         return 0
     # "realize": the only action left, as the subparser admits no other
-    ladder = _load_ladder(args.ladder)
+    ladder = _load(FolnerLadder, args.ladder)
     result = realize_finite_simplex(args.d, ladder, _fraction("realize tolerance", args.tol))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

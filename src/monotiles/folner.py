@@ -41,7 +41,6 @@ __all__ = [
     "compose_exact_sequence",
     "build_heisenberg_ladder",
     "extend_virtually",
-    "map_ladder",
     "group_ladder",
 ]
 
@@ -451,19 +450,6 @@ def extend_virtually(base: FolnerLadder, coset_reps: FiniteSubset) -> FolnerLadd
     levels = [product_set(U, coset_reps) for U in base.levels]
     info = {"extension_reps": coset_reps.encode_json()}
     return FolnerLadder(base.ctx, levels, base.glue, info)
-
-
-def map_ladder(ladder: FolnerLadder, new_ctx: GroupContext, fn: Callable) -> FolnerLadder:
-    """Push a ladder through an injective homomorphism into another context."""
-    mul = new_ctx.mul
-    for J in ladder.glue:
-        for a in J:
-            for b in J:
-                if fn(ladder.ctx.mul(a, b)) != mul(fn(a), fn(b)):
-                    raise ValueError(f"map is not multiplicative on glue pair ({a!r}, {b!r})")
-    levels = [FiniteSubset(new_ctx, (fn(g) for g in F)) for F in ladder.levels]
-    glue = [FiniteSubset(new_ctx, (fn(g) for g in J)) for J in ladder.glue]
-    return FolnerLadder(new_ctx, levels, glue, ladder.info)
 
 
 def group_ladder(ladder: FolnerLadder, boundaries: Sequence[int]) -> FolnerLadder:

@@ -283,10 +283,39 @@ class _StageFailed(Exception):
         self.detail = detail or {}
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # the C encoder
+_SLICE = 1024  # items per encode call of a long list: small pieces, few calls
+
+
+def _write_canonical(value, write) -> None:
+    """Canonical JSON in pieces: dicts key by key, lists of at most _SLICE
+    items that hold a container item by item, longer lists in slices of
+    _SLICE, and anything else in one C-encoder call.  Keys must be str."""
+    if isinstance(value, dict):
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            write(("," if i else "{") + _ENCODE(key) + ":")
+            _write_canonical(value[key], write)
+        write("}" if value else "{}")
+    elif isinstance(value, (list, tuple)) and len(value) > _SLICE:
+        for i in range(0, len(value), _SLICE):
+            write(("," if i else "[") + _ENCODE(value[i:i + _SLICE])[1:-1])
+        write("]")
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in value):
+        for i, item in enumerate(value):
+            write("," if i else "[")
+            _write_canonical(item, write)
+        write("]")
+    else:
+        write(_ENCODE(value))
+
+
 def write_json(data, path: Path) -> None:
-    """Canonical JSON serialization: sorted keys, compact, trailing newline."""
+    """The bytes of json.dumps(data, sort_keys=True, separators=(",", ":")) and
+    a newline, streamed so that no whole artifact is held as one string."""
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+        _write_canonical(data, fh.write)
         fh.write("\n")
 
 
@@ -378,14 +407,9 @@ def _stages(config: PipelineConfig, emit):
         if not syn.ok:
             raise _StageFailed(f"syndeticity window fails: {syn.reason}", syn.to_json())
         detail["syndeticity"] = syn.to_json()
-    gens = ladder.ctx.generators()
-    detail["boundary_mass"] = {
-        json.dumps(ladder.ctx.encode_json(g)): [
-            str(boundary_mass_bound(ladder, g, lvl))
-            for lvl in config.analysis.get("boundary_levels", [])
-        ]
-        for g in gens
-    }
+    lvls = config.analysis.get("boundary_levels", [])
+    detail["boundary_mass"] = {json.dumps(ladder.ctx.encode_json(g)):
+                               [str(boundary_mass_bound(ladder, g, n)) for n in lvls] for g in ladder.ctx.generators()}
     yield detail
 
     # measure-limits

@@ -24,13 +24,13 @@ from monotiles import (
     compose_exact_sequence,
     folner_defect,
     iterated_glue,
-    map_ladder,
     right_invariance_defect,
 )
 from monotiles import folner
 from monotiles.errors import InfeasibleError, InvarianceUnreachableError
 from monotiles.groups import product_set
 from monotiles.pipeline import heisenberg_targets
+from ladder_maps import map_ladder
 from test_tiling import PROPERTY
 
 # sha256 of the canonical JSON of build_heisenberg_ladder(heisenberg_targets(3)),

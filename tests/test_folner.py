@@ -21,11 +21,11 @@ from monotiles import (
     folner_defect,
     group_ladder,
     iterated_glue,
-    map_ladder,
     right_invariance_defect,
 )
 from monotiles.errors import NotCosetRepsError
 from monotiles.pipeline import heisenberg_targets
+from ladder_maps import map_ladder
 
 
 def test_lattice_ladder_shapes():
