@@ -4,24 +4,23 @@ rank when the order has a closed form: full boxes of Z^d (mixed radix,
 `FiniteSubset._box`), fibred Heisenberg windows (one run of central
 coordinates per plane point, `FiniteSubset._fibres`) and Pruefer subgroups
 {i/N} (`FiniteSubset._cyclic`, the i-th cell is i/N); else by one product
-per cell.  `read` and `write` move symbols along such runs.  `kept` answers
-on those three shapes only, else None."""
+per cell.  `read` and `write` move block symbols (bytes) and tower labels
+along such runs.  `kept` answers on those three shapes only, else None."""
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import chain
 
 _EMPTY = (0, 1, 0)  # (start, lo, hi) of a missing fibre: no central coordinate fits
 
 
 def runs(lower, upper):
-    """A function that maps c to the canonical indices of c * lower in upper,
-    as a list of ranges in the order of lower, or to None when a cell falls
-    outside upper.  By rank when both windows are boxes, both are fibred, or
-    both are Pruefer subgroups {i/N} and {j/M} with N | M; else one product
-    per cell."""
+    """A function that maps c (and i, when the caller knows c = upper[i]) to
+    the canonical indices of c * lower in upper, as a list of ranges in the
+    order of lower, or to None when a cell falls outside upper.  By rank when
+    both windows are boxes, both are fibred, or both are Pruefer subgroups
+    {i/N} and {j/M} with N | M; else one product per cell."""
     if lower._box and upper._box:
         return _box_runs(lower, upper)
     if lower._fibres and upper._fibres:
@@ -31,15 +30,14 @@ def runs(lower, upper):
     return _product_runs(lower, upper)
 
 
-def read(symbols: tuple, spans) -> tuple:
+def read(symbols: bytes, spans) -> bytes:
     """The symbols at the indices of spans, in span order: one slice per span."""
-    return tuple(chain.from_iterable(symbols[s.start:s.stop:s.step] for s in spans))
+    return b"".join(symbols[s.start:s.stop:s.step] for s in spans)
 
 
-def write(runs: list, pieces, size: int) -> list:
-    """The inverse of `read` over a tiling: a list of size entries with pieces[j]
-    written along runs[j], one slice per span."""
-    out = [0] * size
+def write(runs: list, pieces, out):
+    """The inverse of `read` over a tiling: out (a bytearray, or a list for
+    entries above 255) with pieces[j] written along runs[j], one slice per span."""
     for piece, spans in zip(pieces, runs):
         t = 0
         for s in spans:
@@ -63,19 +61,20 @@ def kept(F, K) -> int | None:
 
 def _box_runs(lower, upper):
     """Each row of c + lower (along the last axis) is a run of indices from
-    rank(c + f), f its first cell: no products.  c + lower fits exactly when
-    ulo - lo <= c <= uhi - hi."""
+    rank(c + f) = rank(c) + f . strides, f its first cell: no products, and
+    rank(c) is i when given.  c + lower fits exactly when ulo - lo <= c <= uhi - hi."""
     (lo, hi, _), (ulo, uhi, strides) = lower._box, upper._box
     run = hi[-1] - lo[-1] + 1
     low, high = tuple(map(operator.sub, ulo, lo)), tuple(map(operator.sub, uhi, hi))
     origin = sum(map(operator.mul, ulo, strides))
-    starts = [sum(map(operator.mul, f, strides)) - origin for f in lower.elements[::run]]
+    starts = [sum(map(operator.mul, f, strides)) for f in lower.elements[::run]]
 
-    def place(c):
+    def place(c, i=None):
         if not (all(map(operator.le, low, c)) and all(map(operator.le, c, high))):
             return None
-        base = sum(map(operator.mul, c, strides))
-        return [range(q, q + run) for q in map(base.__add__, starts)]
+        if i is None:
+            i = sum(map(operator.mul, c, strides)) - origin
+        return [range(q, q + run) for q in map(i.__add__, starts)]
     return place
 
 
@@ -86,7 +85,7 @@ def _fibre_runs(lower, upper):
     mul, fibres = upper.ctx.mul, upper._fibres
     heads = [((a, b, lo), hi - lo + 1) for (a, b), (_, lo, hi) in lower._fibres.items()]
 
-    def place(c):
+    def place(c, i=None):
         out = []
         for f, run in heads:
             x, y, z = mul(c, f)
@@ -103,7 +102,7 @@ def _cyclic_runs(n: int, m: int):
     are the coset of c * M modulo M/N, from c * M up and then from below."""
     step = m // n
 
-    def place(c):
+    def place(c, i=None):
         if m % c.denominator:
             return None
         r = c.numerator * (m // c.denominator)
@@ -116,7 +115,7 @@ def _product_runs(lower, upper):
     cells whose indices follow each other join one run."""
     mul, cells, where = upper.ctx.mul, lower.elements, {g: q for q, g in enumerate(upper.elements)}
 
-    def place(c):
+    def place(c, i=None):
         out = []
         for f in cells:
             q = where.get(mul(c, f))

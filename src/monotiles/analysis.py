@@ -53,7 +53,7 @@ def _windows(ladder: FolnerLadder, n: int, m: int):
     of its cells v * u, in F_n order, as `_boxes.runs` places them."""
     place = _boxes.runs(ladder.levels[n], ladder.levels[m])
     for i, v in enumerate(ladder.levels[m].elements):
-        spans = place(v)
+        spans = place(v, i)
         if spans is not None:
             yield i, spans
 
@@ -94,8 +94,8 @@ def _labels(h: BlockHierarchy, n: int, m: int) -> tuple[list, list]:
     labels = [([k] * size, range(size)) for k in range(1, len(h.family(n)) + 1)]
     for i, assignment in enumerate(h.assignments[n:m], start=n):
         runs, upper = _tiled(ladder, i), len(ladder.levels[i + 1])
-        labels = [(_boxes.write(runs, [labels[v - 1][0] for v in row], upper),
-                   _boxes.write(runs, [labels[v - 1][1] for v in row], upper)) for row in assignment.values]
+        labels = [(_boxes.write(runs, [labels[v - 1][0] for v in row], [0] * upper),
+                   _boxes.write(runs, [labels[v - 1][1] for v in row], [0] * upper)) for row in assignment.values]
     return labels[0]
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from . import _boxes
@@ -32,7 +33,8 @@ __all__ = [
 
 
 class Pattern:
-    """A finitely supported symbol pattern: a window plus one symbol per cell."""
+    """A finitely supported symbol pattern: a window plus one symbol per cell,
+    held as bytes over the alphabet 0..255."""
 
     __slots__ = ("support", "symbols")
 
@@ -42,14 +44,15 @@ class Pattern:
             raise ValueError("symbols must be ints, not bools, floats or strings")
         if len(symbols) != len(support):
             raise ValueError(f"{len(support)} cells but {len(symbols)} symbols")
-        if symbols and min(symbols) < 0:
-            raise ValueError("symbols must be nonnegative")
+        if symbols and not 0 <= min(symbols) <= max(symbols) <= 255:
+            raise ValueError("symbols must lie in 0..255 (one byte each)")
         self.support = support
-        self.symbols = symbols
+        self.symbols = bytes(symbols)
 
     @classmethod
-    def _trusted(cls, support: FiniteSubset, symbols: tuple) -> "Pattern":
-        """Internal constructor for one already validated int symbol per cell."""
+    def _trusted(cls, support: FiniteSubset, symbols: bytes) -> "Pattern":
+        """Internal constructor for one already validated symbol byte per cell
+        (bytes, not a bytearray: families hash their symbols)."""
         self = object.__new__(cls)
         self.support, self.symbols = support, symbols
         return self
@@ -98,8 +101,8 @@ class Assignment:
 
 def base_blocks(k0: int, F0: FiniteSubset) -> list[Pattern]:
     """Level-0 blocks: symbol k at the identity, 0 elsewhere, for k = 1..k0."""
-    if k0 < 3:
-        raise ValueError(f"need at least 3 base blocks, got k0 = {k0}")
+    if not 3 <= k0 <= 255:
+        raise ValueError(f"need 3 to 255 base blocks (symbols are bytes), got k0 = {k0}")
     ident = F0.ctx.identity()
     if ident not in F0:
         raise ValueError("base window must contain the identity")
@@ -140,21 +143,14 @@ def assignment_from_matrix(mtilde: ManagedMatrix, cosets: FiniteSubset) -> Assig
     for k, row in enumerate(maps):
         candidate = tuple(row)
         if candidate in final:
-            fixed = None
-            for a_i, a in enumerate(swap_positions):
-                for b in swap_positions[a_i + 1:]:
-                    if row[a] == row[b]:
-                        continue
-                    swapped = list(row)
-                    swapped[a], swapped[b] = swapped[b], swapped[a]
-                    if tuple(swapped) not in final:
-                        fixed = tuple(swapped)
-                        break
-                if fixed:
+            for a, b in combinations(swap_positions, 2):
+                swapped = list(row)
+                swapped[a], swapped[b] = row[b], row[a]
+                if row[a] != row[b] and tuple(swapped) not in final:
+                    candidate = tuple(swapped)
                     break
-            if fixed is None:
+            else:
                 raise DistinctnessError(f"cannot separate assignment column {k + 1} from earlier ones")
-            candidate = fixed
         final.append(candidate)
     return Assignment(cosets, tuple(final))
 
@@ -164,8 +160,8 @@ def _assemble(family: Sequence[Pattern], ladder: FolnerLadder, n: int,
     """Level-(n+1) blocks: along each assignment row, lower block v is written
     into its glue digit's runs of F_{n+1}."""
     runs, upper = _tiled(ladder, n), ladder.levels[n + 1]
-    out = [Pattern._trusted(upper, tuple(_boxes.write(runs, [family[v - 1].symbols for v in row], len(upper))))
-           for row in assignment.values]
+    out = [Pattern._trusted(upper, bytes(_boxes.write(runs, [family[v - 1].symbols for v in row],
+                                                      bytearray(len(upper))))) for row in assignment.values]
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             if out[i] == out[j]:

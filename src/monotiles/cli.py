@@ -114,12 +114,8 @@ def _cmd_blocks(args) -> int:
     if args.action == "verify-c3":
         hierarchy = _load(BlockHierarchy, args.hier)
         levels = [args.level] if args.level is not None else range(hierarchy.depth + 1)
-        results = {}
-        ok = True
-        for lvl in levels:
-            r = verify_c3(hierarchy.family(lvl))
-            results[str(lvl)] = r.to_json()
-            ok = ok and r.ok
+        results = {str(lvl): verify_c3(hierarchy.family(lvl)).to_json() for lvl in levels}
+        ok = all(r["ok"] for r in results.values())
         _print({"ok": ok, "levels": results}, args.format,
                lambda d: "rigid" if d["ok"] else "FAIL")
         return 0 if ok else 1
@@ -199,10 +195,7 @@ def _cmd_pipeline(args) -> int:
         print(json.dumps(DEFAULT_CONFIG, sort_keys=True, indent=2))
         return 0
     # "run": the only action left, as the subparser admits no other
-    if args.config:
-        config = PipelineConfig.load(args.config)
-    else:
-        config = PipelineConfig.from_json({})
+    config = PipelineConfig.load(args.config) if args.config else PipelineConfig.from_json({})
     report = run_pipeline(config, args.out, verbose=args.verbose)
     _print(report.artifact_json(), args.format,
            lambda d: "\n".join(f"{s['name']}: {'ok' if s['ok'] else 'FAIL'}"
@@ -250,14 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="return times, partitions, boundary mass")
     asub = analyze.add_subparsers(dest="action", required=True)
-    ar = asub.add_parser("returns")
-    ar.add_argument("--hier", required=True)
-    ar.add_argument("-n", type=int, required=True)
-    ar.add_argument("-m", type=int, required=True)
-    ak = asub.add_parser("kr")
-    ak.add_argument("--hier", required=True)
-    ak.add_argument("-n", type=int, required=True)
-    ak.add_argument("-m", type=int, required=True)
+    for action in ("returns", "kr"):
+        an = asub.add_parser(action)
+        an.add_argument("--hier", required=True)
+        an.add_argument("-n", type=int, required=True)
+        an.add_argument("-m", type=int, required=True)
     ab = asub.add_parser("boundary")
     ab.add_argument("--ladder", required=True)
     ab.add_argument("-g", required=True, help="JSON element encoding")

@@ -61,9 +61,8 @@ class FolnerLadder:
             raise ValueError("a ladder needs at least one level")
         if len(glue) != len(levels) - 1:
             raise ValueError(f"{len(levels)} levels need {len(levels) - 1} glue sets, got {len(glue)}")
-        for s in itertools.chain(levels, glue):
-            if s.ctx != ctx:
-                raise ValueError("ladder parts built over a different group context")
+        if any(s.ctx != ctx for s in itertools.chain(levels, glue)):
+            raise ValueError("ladder parts built over a different group context")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "glue", glue)
@@ -223,16 +222,14 @@ def build_lattice_ladder(d: int, depth: int, base: int = 3) -> FolnerLadder:
         raise ValueError("box base must be an odd integer >= 3")
     ctx = Lattice(d)
     _check_budget(base, depth * d)
-    half_digits = (base - 1) // 2
-    levels = []
-    glue = []
-    for n in range(depth + 1):
-        h = (base**n - 1) // 2
-        levels.append(FiniteSubset._trusted(ctx, itertools.product(range(-h, h + 1), repeat=d)))
-        if n < depth:
-            steps = [k * base**n for k in range(-half_digits, half_digits + 1)]
-            glue.append(FiniteSubset._trusted(ctx, itertools.product(steps, repeat=d)))
-    return FolnerLadder(ctx, levels, glue)
+    digits = range(-(base // 2), base // 2 + 1)
+    glue = [FiniteSubset._trusted(ctx, itertools.product([k * base**n for k in digits], repeat=d))
+            for n in range(depth)]
+    # the lower levels are sliced out of the top one, so all levels share its cells
+    radius = [(base**n - 1) // 2 for n in range(depth + 1)]
+    top = FiniteSubset._from_box(ctx, (-radius[depth],) * d, (radius[depth],) * d)
+    levels = [FiniteSubset._from_box(ctx, (-r,) * d, (r,) * d, top) for r in radius[:depth]]
+    return FolnerLadder(ctx, [*levels, top], glue)
 
 
 def build_pruefer_ladder(p: int, depth: int) -> FolnerLadder:

@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, product
 from typing import Iterable
 
 from .errors import EncodingError, InfeasibleError, NotCosetRepsError, UnsupportedGroupError
@@ -333,10 +334,9 @@ class FiniteExtension(GroupContext):
         self.base = base
         self.ambient = ambient
         self.embed = embed
-        reps = []
-        for r in coset_reps:
+        reps = list(coset_reps)
+        for r in reps:
             ambient.validate(r)
-            reps.append(r)
         if len(set(reps)) != len(reps):
             raise NotCosetRepsError("coset representatives contain duplicates")
         if ambient.identity() not in reps:
@@ -429,12 +429,8 @@ def context_from_descriptor(desc: dict) -> GroupContext:
         return DirectProduct(context_from_descriptor(f) for f in desc["factors"])
     if cls is FiniteExtension:
         ambient = context_from_descriptor(desc["ambient"])
-        return FiniteExtension(
-            base=context_from_descriptor(desc["base"]),
-            ambient=ambient,
-            embed=desc["embed"],
-            coset_reps=[ambient.decode_json(r) for r in desc["coset_reps"]],
-        )
+        return FiniteExtension(context_from_descriptor(desc["base"]), ambient, desc["embed"],
+                               [ambient.decode_json(r) for r in desc["coset_reps"]])
     return cls(**{k: desc[k] for k in cls.params})
 
 
@@ -523,24 +519,42 @@ class FiniteSubset:
         self.__dict__["_fibres"] = fibres
         return self
 
+    @classmethod
+    def _from_box(cls, ctx: Lattice, lo: tuple, hi: tuple, outer: "FiniteSubset | None" = None) -> "FiniteSubset":
+        """Internal constructor for the full box lo..hi of a lattice, as `_from_fibres`
+        for boxes: the cells come in canonical order, from one product of ascending
+        ranges or, inside a box `outer`, as one slice of outer's cells per row (so
+        nested levels share their cells), and `_box` is preset."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ctx", ctx)
+        if outer is None:
+            cells = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        else:
+            olo, _, strides = outer._box
+            first, run = lo[-1] - olo[-1], hi[-1] - lo[-1] + 1
+            rows = product(*(range(a - o, b - o + 1) for a, b, o in zip(lo[:-1], hi[:-1], olo)))
+            starts = (sum(map(operator.mul, x, strides)) + first for x in rows)
+            cells = chain.from_iterable(outer.elements[q:q + run] for q in starts)
+        object.__setattr__(self, "elements", tuple(cells))
+        self.__dict__["_box"] = lo, hi, _strides(lo, hi)
+        return self
+
     @cached_property
     def as_set(self) -> frozenset:
         return frozenset(self.elements)
 
     @cached_property
     def _box(self) -> tuple | None:
-        """(lo, hi, strides) when this is a full box of a lattice, else None: the
-        cell lo + x then has canonical index sum(x_k * strides_k) (mixed radix).
-        Found from all cells' coordinate-wise min and max, not the first and last."""
+        """(lo, hi, `_strides(lo, hi)`) when this is a full box of a lattice, else None,
+        found from all cells' coordinate-wise min and max, not the first and last."""
         if not (isinstance(self.ctx, Lattice) and self.elements):
             return None
         axes = [operator.itemgetter(k) for k in range(self.ctx.d)]
         lo = tuple(min(map(axis, self.elements)) for axis in axes)
         hi = tuple(max(map(axis, self.elements)) for axis in axes)
-        sides = [b - a + 1 for a, b in zip(lo, hi)]
-        if math.prod(sides) != len(self.elements):
+        if math.prod(b - a + 1 for a, b in zip(lo, hi)) != len(self.elements):
             return None
-        return lo, hi, tuple(math.prod(sides[k + 1:]) for k in range(len(sides)))
+        return lo, hi, _strides(lo, hi)
 
     @cached_property
     def _fibres(self) -> dict | None:
@@ -583,6 +597,13 @@ class FiniteSubset:
 
     def __repr__(self) -> str:
         return f"FiniteSubset({len(self.elements)} elements of {self.ctx.kind})"
+
+
+def _strides(lo: tuple, hi: tuple) -> tuple:
+    """Mixed-radix strides of the box lo..hi: its cell lo + x has canonical
+    index sum(x_k * strides_k)."""
+    sides = [b - a + 1 for a, b in zip(lo, hi)]
+    return tuple(math.prod(sides[k + 1:]) for k in range(len(sides)))
 
 
 # Largest subset a builder or product_set materializes: no caller needs a

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import EncodingError, HypothesisError, SelectionExhaustedError
@@ -115,10 +117,7 @@ class ManagedSequence:
 
     def scale(self, n: int) -> int:
         """The simplex scale p_n = p_0 * ratio_0 * ... * ratio_{n-1}."""
-        p = self.base_scale
-        for m in self.matrices[:n]:
-            p *= m.ratio
-        return p
+        return self.base_scale * math.prod(m.ratio for m in self.matrices[:n])
 
     def product(self, n: int, depth: int) -> ManagedMatrix:
         """M_n * M_{n+1} * ... * M_{n+depth-1}."""
@@ -126,10 +125,7 @@ class ManagedSequence:
             raise ValueError("product depth must be >= 1")
         if n < 0 or n + depth > len(self.matrices):
             raise ValueError(f"product range {n}..{n + depth} exceeds sequence length {len(self.matrices)}")
-        out = self.matrices[n]
-        for m in self.matrices[n + 1:n + depth]:
-            out = out.mul(m)
-        return out
+        return reduce(ManagedMatrix.mul, self.matrices[n:n + depth])
 
     def to_json(self):
         arr = [m.to_json() for m in self.matrices]
@@ -165,17 +161,15 @@ def select_subsequence_lemma8(ms: ManagedSequence, bound) -> list[int]:
     while boundaries[-1] < len(ms):
         start = boundaries[-1]
         product = None
-        nxt = None
         for end in range(start + 1, len(ms) + 1):
             product = ms.matrices[end - 1] if product is None else product.mul(ms.matrices[end - 1])
             if product.min_entry > product.cols:
-                nxt = end
+                boundaries.append(end)
                 break
-        if nxt is None:
+        else:
             if len(boundaries) == 1:
                 raise SelectionExhaustedError("no admissible grouping boundary within the sequence")
             break  # certified prefix ends here; trailing matrices stay ungrouped
-        boundaries.append(nxt)
     return boundaries
 
 

@@ -199,6 +199,8 @@ class PipelineConfig:
             raise ConfigError(f"bad group descriptor: {e}")
         _, _, depth = _ladder_plan(ctx, merged["ladder"])
         k0 = _int_at_least("k0", merged["k0"], 3)
+        if k0 > 255:
+            raise ConfigError(f"k0 must be at most 255, since block symbols are bytes, got {k0}")
         matrices = _known_keys("matrices", merged["matrices"], {"realize", "file"})
         if ("realize" in matrices) == ("file" in matrices):
             raise ConfigError("matrix source must be exactly one of 'realize' or 'file'")

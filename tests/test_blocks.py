@@ -1,6 +1,7 @@
 """Block families, coset assignments, and the overlap-rigidity check."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from monotiles import (
     Assignment,
@@ -18,7 +19,7 @@ from monotiles import (
 )
 from monotiles.errors import AugmentationError, DistinctnessError, InfeasibleError
 from test_read_path import window_reader
-from test_tiling import assemble_level
+from test_tiling import PROPERTY, assemble_level
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
 
@@ -30,15 +31,36 @@ def _ladder(depth=3):
 def test_base_blocks_mark_only_the_identity():
     ladder = _ladder(1)
     fam = base_blocks(3, ladder.levels[0])
-    assert [b.symbols for b in fam] == [(1,), (2,), (3,)]
+    assert [b.symbols for b in fam] == [bytes((1,)), bytes((2,)), bytes((3,))]
     fam_wide = base_blocks(4, ladder.levels[1])
-    assert [b.symbols for b in fam_wide] == [(0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0)]
+    assert [b.symbols for b in fam_wide] == [bytes((0, 1, 0)), bytes((0, 2, 0)), bytes((0, 3, 0)), bytes((0, 4, 0))]
 
 
 def test_base_blocks_require_three_symbols():
     ladder = _ladder(1)
     with pytest.raises(ValueError):
         base_blocks(2, ladder.levels[0])
+
+
+def test_base_blocks_stop_at_one_byte():
+    ladder = _ladder(1)
+    assert base_blocks(255, ladder.levels[0])[-1].symbols == bytes((255,))
+    with pytest.raises(ValueError):
+        base_blocks(256, ladder.levels[0])
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 255), max_size=40))
+def test_pattern_symbols_are_bytes_and_json_ints(xs):
+    p = Pattern(FiniteSubset(Lattice(1), [(i,) for i in range(len(xs))]), xs)
+    assert p.symbols == bytes(xs)
+    assert p.to_json()["symbols"] == xs
+
+
+@pytest.mark.parametrize("bad", [256, -1, True, 1.0, "1"])
+def test_pattern_rejects_a_symbol_that_is_no_byte(bad):
+    with pytest.raises(ValueError):
+        Pattern(_ladder(1).levels[1], [0, bad, 0])
 
 
 def test_pattern_window_reads_translated_cells():
@@ -105,7 +127,7 @@ def test_assemble_level_frozen_blocks():
     fam0 = base_blocks(3, ladder.levels[0])
     a = assignment_from_matrix(TERNARY, ladder.glue[0])
     fam1 = assemble_level(fam0, ladder.glue[0], a)
-    assert [b.symbols for b in fam1] == [(2, 1, 2), (2, 1, 3), (3, 1, 2)]
+    assert [b.symbols for b in fam1] == [bytes((2, 1, 2)), bytes((2, 1, 3)), bytes((3, 1, 2))]
     assert fam1[0].support == ladder.levels[1]
 
 
@@ -202,8 +224,8 @@ def test_build_hierarchy_depth_and_supports():
     for n in range(4):
         assert len(h.family(n)) == 3
         assert h.family(n)[0].support == ladder.levels[n]
-    assert h.x0_patch(1).symbols == (2, 1, 2)
-    assert h.x0_patch(0).symbols == (1,)
+    assert h.x0_patch(1).symbols == bytes((2, 1, 2))
+    assert h.x0_patch(0).symbols == bytes((1,))
 
 
 def test_build_hierarchy_validates_matrix_fit():

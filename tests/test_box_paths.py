@@ -153,6 +153,35 @@ def test_box_descriptor_is_mixed_radix():
     assert box((3,), (1,))._box == ((3,), (3,), (1,))
 
 
+@PROPERTY
+@given(shape=boxes(), data=st.data())
+def test_from_box_equals_the_validating_constructor(shape, data):
+    lo, sides = shape
+    hi = tuple(a + s - 1 for a, s in zip(lo, sides))
+    F = FiniteSubset._from_box(Lattice(len(lo)), lo, hi)
+    assert F.elements == box(lo, sides).elements
+    # the preset descriptor equals the one the min/max scan finds
+    assert F._box == FiniteSubset._trusted(F.ctx, reversed(F.elements))._box
+    # a sub-box sliced out of F holds the same cells as its own product, as F's objects
+    sub_lo = tuple(data.draw(st.integers(a, b)) for a, b in zip(lo, hi))
+    sub_hi = tuple(data.draw(st.integers(a, b)) for a, b in zip(sub_lo, hi))
+    G = FiniteSubset._from_box(F.ctx, sub_lo, sub_hi, F)
+    assert G.elements == box(sub_lo, [b - a + 1 for a, b in zip(sub_lo, sub_hi)]).elements
+    assert G._box == FiniteSubset._trusted(G.ctx, reversed(G.elements))._box
+    assert {id(g) for g in G} <= {id(f) for f in F}
+
+
+@pytest.mark.parametrize("d, depth, base", [(1, 4, 3), (2, 3, 5), (3, 2, 3)])
+def test_lattice_levels_are_built_with_their_descriptor_and_share_cells(d, depth, base):
+    ladder = build_lattice_ladder(d, depth, base)
+    top = {id(g) for g in ladder.levels[-1]}
+    for F in ladder.levels:
+        assert "_box" in F.__dict__
+        assert F.elements == FiniteSubset(F.ctx, F.elements).elements
+        assert F._box == FiniteSubset(F.ctx, F.elements)._box
+        assert all(id(g) in top for g in F)
+
+
 @pytest.mark.parametrize("make", [
     lambda: FiniteSubset(Lattice(2), NOT_A_BOX),
     lambda: FiniteSubset(Lattice(1), [(0,), (2,)]),

@@ -243,6 +243,7 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     (None, ["folner", "build", "--group", '{"kind":"pruefer","p":2}', "--depth", "2", "--base", "5"]),
     (None, ["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "2", "--base", "5"]),
     (None, ["folner", "build", "--group", '{"kind":"lattice","d":1}', "--depth", "0"]),
+    (None, ["blocks", "verify-c3", "{symbol-256}"]),
 ]
 
 # malformed copies of the built ladder file
@@ -264,6 +265,10 @@ BROKEN_HIERARCHIES = {
     "{block-7}": lambda d: {**d, "assignments": [d["assignments"][0], [[*d["assignments"][1][0][:-1], 7],
                                                                        *d["assignments"][1][1:]],
                                                  *d["assignments"][2:]]},
+    # a symbol past one byte in block 1 of level 0
+    "{symbol-256}": lambda d: {**d, "families": [{**d["families"][0],
+                                                  "blocks": [[256], *d["families"][0]["blocks"][1:]]},
+                                                 *d["families"][1:]]},
 }
 
 # malformed managed-sequence files

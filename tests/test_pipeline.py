@@ -90,6 +90,9 @@ MALFORMED = [
     {"ladder": {"route": "pruefer", "depth": 3}},  # on the default lattice group
     {"group": {"kind": "heisenberg3"}, "ladder": {"route": "lattice", "depth": 2}},
     {"group": {"kind": "heisenberg3"}, "ladder": {"route": "abelian", "depth": 2}},
+    # symbols are bytes: at most 255 base blocks
+    {"k0": 256, "matrices": {"file": "m.json"}},
+    {"k0": 256, "matrices": {"realize": {"extreme_points": 255, "tolerance": "1/100"}}},
 ]
 
 

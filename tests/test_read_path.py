@@ -90,7 +90,7 @@ def reference_testable(ladder, n, m) -> list:
 
 def reference_occurrences(h, n, m, patch) -> dict:
     base = h.ladder.levels[n]
-    lookup = {b.symbols: k for k, b in enumerate(h.family(n), start=1)}
+    lookup = {tuple(b.symbols): k for k, b in enumerate(h.family(n), start=1)}
     read = window_reader(patch, base)
     found = {}
     for v in reference_testable(h.ladder, n, m):
@@ -159,7 +159,7 @@ def reference_syndeticity(h, cylinder, m) -> Certificate:
     patch = h.x0_patch(m)
     target = h.family(cylinder.level)[0]
     read = window_reader(patch, ladder.levels[cylinder.level])
-    visits = [v for v in reference_testable(ladder, cylinder.level, m) if read(v) == target.symbols]
+    visits = [v for v in reference_testable(ladder, cylinder.level, m) if read(v) == tuple(target.symbols)]
     fail = lambda reason, witness: Certificate.fail(
         ladder.ctx, reason, witness, levels=[n, m], visits=len(visits), covered=False, gap_radius=None)
     visit_set = set(visits)
@@ -349,6 +349,15 @@ def test_partitions_report_a_miscount_before_reading_labels_of_a_ladder_that_doe
     cert = check_partitions(h, 0, 2)
     assert cert.reason == "interior position claimed 0 times"
     assert cert.to_json() == reference_check_partitions(h, 0, 2, patch).to_json()
+
+
+@pytest.mark.parametrize("n, m", [(0, 6), (6, 7)])
+def test_partitions_of_the_729_cell_window_equal_the_oracle(n, m):
+    # at (6, 7) the residual labels index the 729 cells of F_6: past one byte
+    h = build_hierarchy(build_lattice_ladder(1, 7), [TERNARY] * 7)
+    cert = check_partitions(h, n, m)
+    assert cert.ok
+    assert cert.to_json() == reference_check_partitions(h, n, m, h.x0_patch(m)).to_json()
 
 
 @pytest.mark.parametrize("kind", ["z", "pruefer2"])

@@ -110,7 +110,7 @@ def walk_incidence(h, n):
     """The incidence recount through the per-cell walk: each level-(n+1) block
     read in glue order and cut into |J_n| pieces of |F_n| symbols."""
     order, size = reference_tiling(h.ladder, n), len(h.ladder.levels[n])
-    lookup = {b.symbols: i for i, b in enumerate(h.family(n))}
+    lookup = {tuple(b.symbols): i for i, b in enumerate(h.family(n))}
     counts = [[0] * len(h.family(n + 1)) for _ in h.family(n)]
     for k, block in enumerate(h.family(n + 1)):
         glued = tuple(block.symbols[q] for q in order)
