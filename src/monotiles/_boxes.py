@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import operator
 
+from .groups import _row_starts
+
 _EMPTY = (0, 1, 0)  # (start, lo, hi) of a missing fibre: no central coordinate fits
 
 
@@ -61,20 +63,21 @@ def kept(F, K) -> int | None:
 
 def _box_runs(lower, upper):
     """Each row of c + lower (along the last axis) is a run of indices from
-    rank(c + f) = rank(c) + f . strides, f its first cell: no products, and
-    rank(c) is i when given.  c + lower fits exactly when ulo - lo <= c <= uhi - hi."""
+    rank(c + f) = c . strides + rank(f), f its first cell: no products, and
+    c . strides = i + ulo . strides when i is given.  c + lower fits exactly
+    when ulo - lo <= c <= uhi - hi.  The ranks of the rows' first cells come
+    from the two descriptors, so no cell is read."""
     (lo, hi, _), (ulo, uhi, strides) = lower._box, upper._box
     run = hi[-1] - lo[-1] + 1
     low, high = tuple(map(operator.sub, ulo, lo)), tuple(map(operator.sub, uhi, hi))
     origin = sum(map(operator.mul, ulo, strides))
-    starts = [sum(map(operator.mul, f, strides)) for f in lower.elements[::run]]
+    starts = _row_starts(lower._box, upper._box)
 
     def place(c, i=None):
         if not (all(map(operator.le, low, c)) and all(map(operator.le, c, high))):
             return None
-        if i is None:
-            i = sum(map(operator.mul, c, strides)) - origin
-        return [range(q, q + run) for q in map(i.__add__, starts)]
+        shift = sum(map(operator.mul, c, strides)) if i is None else i + origin
+        return [range(q, q + run) for q in map(shift.__add__, starts)]
     return place
 
 

@@ -131,8 +131,7 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
     fail = lambda reason, witness: Certificate.fail(
         ladder.ctx, reason, witness, levels=[n, m], interior=0, tiles=0, refinements=0)
 
-    if set(occ) != returns.as_set:
-        off = set(occ) ^ returns.as_set
+    if off := set(occ) ^ returns.as_set:
         return fail("scanned occurrences disagree with glue products", (next(iter(off)),))
 
     labels = None
@@ -150,8 +149,7 @@ def check_partitions(h: BlockHierarchy, n: int, m: int, patch: Pattern | None = 
         occ_up = {cells[i]: ([*chain.from_iterable(spans)], k)
                   for i, spans, k in _occurrences(h, n + 1, m, patch) if k}
         returns_up = return_times(h, n + 1, m)
-        if set(occ_up) != returns_up.as_set:
-            off = set(occ_up) ^ returns_up.as_set
+        if off := set(occ_up) ^ returns_up.as_set:
             return fail("level-(n+1) occurrences disagree with glue products", (next(iter(off)),))
         # digit j puts the identity of F_n at position e of its runs
         glue, e = ladder.glue[n].elements, base.index(ident)

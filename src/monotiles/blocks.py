@@ -62,7 +62,7 @@ class Pattern:
                 and self.symbols == other.symbols)
 
     def __hash__(self) -> int:
-        return hash((self.support.elements, self.symbols))
+        return hash((self.support, self.symbols))
 
     def __repr__(self) -> str:
         return f"Pattern({len(self.support)} cells)"
@@ -129,14 +129,9 @@ def assignment_from_matrix(mtilde: ManagedMatrix, cosets: FiniteSubset) -> Assig
             raise InfeasibleError(f"column {k + 1} assigns {col[0]} cosets to block 1; must be exactly 1")
         if sum(col) != len(cosets):
             raise InfeasibleError(f"column {k + 1} sums to {sum(col)} but there are {len(cosets)} cosets")
-        dispensed: list[int] = []
-        for idx in range(2, mtilde.rows + 1):
-            dispensed.extend([idx] * col[idx - 1])
-        row = []
-        it = iter(dispensed)
-        for c in cosets.elements:
-            row.append(1 if c == ident else next(it))
-        maps.append(row)
+        # indices 2, 3, ... dispensed in order, col[idx - 1] of each, to the non-identity cosets
+        dispensed = (idx for idx in range(2, mtilde.rows + 1) for _ in range(col[idx - 1]))
+        maps.append([1 if c == ident else next(dispensed) for c in cosets.elements])
 
     swap_positions = [i for i in range(len(cosets)) if i != ident_pos]
     final: list[tuple[int, ...]] = []
@@ -162,10 +157,9 @@ def _assemble(family: Sequence[Pattern], ladder: FolnerLadder, n: int,
     runs, upper = _tiled(ladder, n), ladder.levels[n + 1]
     out = [Pattern._trusted(upper, bytes(_boxes.write(runs, [family[v - 1].symbols for v in row],
                                                       bytearray(len(upper))))) for row in assignment.values]
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if out[i] == out[j]:
-                raise DistinctnessError(f"assembled blocks {i + 1} and {j + 1} coincide")
+    for (i, a), (j, b) in combinations(enumerate(out, start=1), 2):
+        if a == b:
+            raise DistinctnessError(f"assembled blocks {i} and {j} coincide")
     return out
 
 
@@ -281,12 +275,13 @@ class BlockHierarchy:
         return self.family(n)[0]
 
     def to_json(self) -> dict:
+        # family n lies on level n, so its support is that level's encoding
+        ladder = self.ladder.to_json()
         return {
-            "ladder": self.ladder.to_json(),
+            "ladder": ladder,
             "families": [
-                {"support": fam[0].support.encode_json(),
-                 "blocks": [list(b.symbols) for b in fam]}
-                for fam in self.families
+                {"support": support, "blocks": [list(b.symbols) for b in fam]}
+                for support, fam in zip(ladder["levels"], self.families)
             ],
             "assignments": [a.to_json() for a in self.assignments],
         }

@@ -166,12 +166,9 @@ def _cmd_measures(args) -> int:
     if args.action == "limit":
         seq = _load(ManagedSequence, args.seq)
         approx = approximate_limit(seq, args.n, args.d)
-        certs = []
-        ok = True
-        for d in range(1, min(args.d + 1, len(seq) - args.n)):
-            cert = check_nesting(seq, args.n, d)
-            ok = ok and cert.ok
-            certs.append({"depth": d, "ok": cert.ok, "method": cert.detail["method"]})
+        nests = [check_nesting(seq, args.n, d) for d in range(1, min(args.d + 1, len(seq) - args.n))]
+        certs = [{"depth": d, "ok": c.ok, "method": c.detail["method"]} for d, c in enumerate(nests, start=1)]
+        ok = all(c.ok for c in nests)
         _print({"ok": ok, "approximant": approx.to_json(), "nesting": certs}, args.format)
         return 0 if ok else 1
     if args.action == "lemma8":
@@ -221,8 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fb.add_argument("--base", type=int, help="box base for the lattice route (default 3)")
     fb.add_argument("--route", choices=("lattice", "pruefer", "abelian", "heisenberg"))
     fb.add_argument("--eps-schedule", help="invariance tolerances, e.g. geometric:1/2")
-    fc = fsub.add_parser("check")
-    fc.add_argument("ladder")
+    fsub.add_parser("check").add_argument("ladder")
     fd = fsub.add_parser("defect")
     fd.add_argument("ladder")
     fd.add_argument("--K", required=True, help="JSON list of element encodings")
@@ -255,8 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     measures = sub.add_parser("measures", help="managed sequences and simplex limits")
     msub = measures.add_subparsers(dest="action", required=True)
-    mc = msub.add_parser("check")
-    mc.add_argument("seq")
+    msub.add_parser("check").add_argument("seq")
     ml = msub.add_parser("limit")
     ml.add_argument("seq")
     ml.add_argument("-n", type=int, default=0)
@@ -271,8 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pipe = sub.add_parser("pipeline", help="run the full build-and-verify pipeline")
     psub = pipe.add_subparsers(dest="action", required=True)
-    pr = psub.add_parser("run")
-    pr.add_argument("config", nargs="?", help="config file; omitted = shipped default")
+    psub.add_parser("run").add_argument("config", nargs="?", help="config file; omitted = shipped default")
     psub.add_parser("default-config")
 
     return parser

@@ -25,6 +25,7 @@ from .groups import (
     Heisenberg,
     Lattice,
     Pruefer,
+    _box_slices,
     context_from_descriptor,
     product_set,
 )
@@ -63,11 +64,7 @@ class FolnerLadder:
             raise ValueError(f"{len(levels)} levels need {len(levels) - 1} glue sets, got {len(glue)}")
         if any(s.ctx != ctx for s in itertools.chain(levels, glue)):
             raise ValueError("ladder parts built over a different group context")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "glue", glue)
-        object.__setattr__(self, "info", info)
-        object.__setattr__(self, "_tilings", {})
+        self.__dict__.update(ctx=ctx, levels=levels, glue=glue, info=info, _tilings={})
 
     @property
     def depth(self) -> int:
@@ -116,9 +113,17 @@ class FolnerLadder:
         return runs
 
     def to_json(self) -> dict:
+        """The ladder as JSON.  A box level inside a box top level is encoded as
+        one slice of the top level's encoded cells per row, so levels share them."""
+        top = self.levels[-1]
+        rows = top.encode_json()
+        levels = []
+        for lv in self.levels[:-1]:
+            part = top._box and lv._box and _box_slices(rows, lv._box, top._box)
+            levels.append(list(itertools.chain.from_iterable(part)) if part else lv.encode_json())
         data = {
             "group": self.ctx.descriptor(),
-            "levels": [lv.encode_json() for lv in self.levels],
+            "levels": [*levels, rows],
             "glue": [j.encode_json() for j in self.glue],
         }
         if self.info is not None:
@@ -225,7 +230,7 @@ def build_lattice_ladder(d: int, depth: int, base: int = 3) -> FolnerLadder:
     digits = range(-(base // 2), base // 2 + 1)
     glue = [FiniteSubset._trusted(ctx, itertools.product([k * base**n for k in digits], repeat=d))
             for n in range(depth)]
-    # the lower levels are sliced out of the top one, so all levels share its cells
+    # once the top level's cells are built, the lower levels' are sliced out of them
     radius = [(base**n - 1) // 2 for n in range(depth + 1)]
     top = FiniteSubset._from_box(ctx, (-radius[depth],) * d, (radius[depth],) * d)
     levels = [FiniteSubset._from_box(ctx, (-r,) * d, (r,) * d, top) for r in radius[:depth]]
@@ -238,7 +243,7 @@ def build_pruefer_ladder(p: int, depth: int) -> FolnerLadder:
         raise ValueError("depth must be >= 0")
     ctx = Pruefer(p)
     _check_budget(p, depth)
-    levels = [FiniteSubset._trusted(ctx, (Fraction(m, p**n) for m in range(p**n))) for n in range(depth + 1)]
+    levels = [FiniteSubset._from_cyclic(ctx, p**n) for n in range(depth + 1)]
     glue = [FiniteSubset._trusted(ctx, (Fraction(j, p ** (n + 1)) for j in range(p))) for n in range(depth)]
     return FolnerLadder(ctx, levels, glue)
 
@@ -294,10 +299,7 @@ def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: i
                 step_sets.append([inv(g), ident, g])
                 jumps.append(mul(mul(g, g), g))
             elif order > 1:
-                lifts = [ident]
-                for _ in range(order - 1):
-                    lifts.append(mul(lifts[-1], g))
-                step_sets.append(lifts)
+                step_sets.append(list(itertools.accumulate([g] * (order - 1), mul, initial=ident)))
         step = product_set(FiniteSubset(ctx, [ident]), *(FiniteSubset(ctx, part) for part in step_sets))
         glue.append(step)
         levels.append(product_set(step, levels[-1]))
@@ -352,9 +354,7 @@ def compose_exact_sequence(
             raise ValueError("lifted tower does not project onto the quotient tiles")
 
     # commutation certificate: subgroup windows must commute with every lift
-    sub_elems = set(ladder_sub.levels[0].elements)
-    for J in ladder_sub.glue:
-        sub_elems.update(J.elements)
+    sub_elems = set(itertools.chain(ladder_sub.levels[0], *ladder_sub.glue))
     lift_elems = {d for digits in lifted for d in digits}
     for u in sub_elems:
         for t in lift_elems:

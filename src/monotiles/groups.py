@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import Iterable
 
 from .errors import EncodingError, InfeasibleError, NotCosetRepsError, UnsupportedGroupError
@@ -482,12 +482,13 @@ class Certificate:
         return Certificate(data["ok"], data["reason"], data["witness"], detail)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSubset:
-    """An immutable finite subset of a group, kept in canonical order."""
+    """An immutable finite subset of a group, kept in canonical order.  Boxes
+    and subgroups from `_from_box` and `_from_cyclic` make their cells on the
+    first read of `elements`; size, membership, equality and hash never do."""
 
     ctx: GroupContext
-    elements: tuple
 
     def __init__(self, ctx: GroupContext, elements: Iterable):
         elems = list(elements)
@@ -496,48 +497,57 @@ class FiniteSubset:
         unique = sorted(set(elems))
         if len(unique) != len(elems):
             raise ValueError("finite subset contains duplicate elements")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "elements", tuple(unique))
+        self.__dict__.update(ctx=ctx, elements=tuple(unique))
+
+    @classmethod
+    def _preset(cls, ctx: GroupContext, **entries) -> "FiniteSubset":
+        """A subset of ctx holding only the given cells or descriptors."""
+        self = object.__new__(cls)
+        self.__dict__.update(ctx=ctx, **entries)
+        return self
 
     @classmethod
     def _trusted(cls, ctx: GroupContext, elements: Iterable) -> "FiniteSubset":
         """Internal constructor for distinct, already valid elements: it only sorts them."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "elements", tuple(sorted(elements)))
-        return self
+        return cls._preset(ctx, elements=tuple(sorted(elements)))
 
     @classmethod
     def _from_fibres(cls, ctx: "Heisenberg", fibres: dict) -> "FiniteSubset":
         """Internal constructor for a Heisenberg window given as its `_fibres`
         descriptor, runs in canonical order: it emits the cells run by run and
         keeps the descriptor, so nothing is sorted or searched."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "elements", tuple(
+        return cls._preset(ctx, _fibres=fibres, elements=tuple(
             (a, b, t) for (a, b), (_, lo, hi) in fibres.items() for t in range(lo, hi + 1)))
-        self.__dict__["_fibres"] = fibres
-        return self
 
     @classmethod
     def _from_box(cls, ctx: Lattice, lo: tuple, hi: tuple, outer: "FiniteSubset | None" = None) -> "FiniteSubset":
-        """Internal constructor for the full box lo..hi of a lattice, as `_from_fibres`
-        for boxes: the cells come in canonical order, from one product of ascending
-        ranges or, inside a box `outer`, as one slice of outer's cells per row (so
-        nested levels share their cells), and `_box` is preset."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ctx", ctx)
-        if outer is None:
-            cells = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        else:
-            olo, _, strides = outer._box
-            first, run = lo[-1] - olo[-1], hi[-1] - lo[-1] + 1
-            rows = product(*(range(a - o, b - o + 1) for a, b, o in zip(lo[:-1], hi[:-1], olo)))
-            starts = (sum(map(operator.mul, x, strides)) + first for x in rows)
-            cells = chain.from_iterable(outer.elements[q:q + run] for q in starts)
-        object.__setattr__(self, "elements", tuple(cells))
-        self.__dict__["_box"] = lo, hi, _strides(lo, hi)
-        return self
+        """Internal constructor for the full box lo..hi of a lattice: it keeps
+        `_box` and the enclosing box `outer`, whose cells `elements` slices if
+        they are built by then (so nested levels share their cells)."""
+        return cls._preset(ctx, _box=(lo, hi, _strides(lo, hi)), _outer=outer)
+
+    @classmethod
+    def _from_cyclic(cls, ctx: Pruefer, n: int) -> "FiniteSubset":
+        """Internal constructor for the Pruefer subgroup {i/n}: it keeps `_cyclic`."""
+        return cls._preset(ctx, _cyclic=n)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The cells in canonical order, made on first read for `_from_box` and
+        `_from_cyclic`: one slice per row of the enclosing box's cells when those
+        are built, else a product of ranges or i/n for i < n."""
+        outer = self.__dict__.get("_outer")
+        built = outer is not None and "elements" in outer.__dict__
+        slices = built and _box_slices(outer.elements, self._box, outer._box)
+        return tuple(chain.from_iterable(slices) if slices else self._cells())
+
+    def _cells(self):
+        """The cells in canonical order, made afresh (and not kept) when not built."""
+        if "elements" in self.__dict__:
+            return self.elements
+        if self._box:
+            return product(*(range(a, b + 1) for a, b in zip(*self._box[:2])))
+        return map(Fraction, range(self._cyclic), repeat(self._cyclic))
 
     @cached_property
     def as_set(self) -> frozenset:
@@ -578,25 +588,47 @@ class FiniteSubset:
     def _cyclic(self) -> int | None:
         """N when this is the Pruefer subgroup {i/N : 0 <= i < N}, whose i-th
         cell is i/N, else None: N distinct cells whose denominators divide N."""
-        n = len(self.elements)
-        if not (isinstance(self.ctx, Pruefer) and n and all(n % g.denominator == 0 for g in self.elements)):
-            return None
-        return n
+        n = len(self.elements) if isinstance(self.ctx, Pruefer) else 0
+        return n if n and all(n % g.denominator == 0 for g in self.elements) else None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        if "elements" in self.__dict__:
+            return len(self.elements)
+        return math.prod(b - a + 1 for a, b in zip(*self._box[:2])) if self._box else self._cyclic
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, g) -> bool:
-        return g in self.as_set
+        """Whether g is a valid element encoding in the subset, by descriptor for a box or subgroup."""
+        try:
+            self.ctx.validate(g)
+        except EncodingError:
+            return False
+        box, n = self.__dict__.get("_box"), self.__dict__.get("_cyclic")
+        if box:
+            return all(map(operator.le, box[0], g)) and all(map(operator.le, g, box[1]))
+        return n % g.denominator == 0 if n else g in self.as_set
+
+    def __eq__(self, other) -> bool:
+        """Equal groups and cells: by descriptor when both sides have one preset
+        or found (it determines the cells), else cell by cell."""
+        if not isinstance(other, FiniteSubset):
+            return NotImplemented
+        if (self.ctx, len(self)) != (other.ctx, len(other)):
+            return False
+        mine, theirs = (d.get("_box") or d.get("_cyclic") or d.get("_fibres") for d in (self.__dict__, other.__dict__))
+        return mine == theirs if mine and theirs else self.elements == other.elements
+
+    def __hash__(self) -> int:
+        # never reads cells, and equal subsets have equal groups and sizes
+        return hash((self.ctx, len(self)))
 
     def encode_json(self) -> list:
-        return [self.ctx.encode_json(g) for g in self.elements]
+        return [self.ctx.encode_json(g) for g in self._cells()]
 
     def __repr__(self) -> str:
-        return f"FiniteSubset({len(self.elements)} elements of {self.ctx.kind})"
+        return f"FiniteSubset({len(self)} elements of {self.ctx.kind})"
 
 
 def _strides(lo: tuple, hi: tuple) -> tuple:
@@ -604,6 +636,25 @@ def _strides(lo: tuple, hi: tuple) -> tuple:
     index sum(x_k * strides_k)."""
     sides = [b - a + 1 for a, b in zip(lo, hi)]
     return tuple(math.prod(sides[k + 1:]) for k in range(len(sides)))
+
+
+def _row_starts(box: tuple, outer: tuple) -> list[int]:
+    """The canonical index in the box `outer` of the first cell of each row
+    (along the last axis) of the box `box`, in canonical order (out of range
+    where box sticks out of outer)."""
+    (lo, hi, _), (olo, _, strides) = box, outer
+    rows = product(*(range(a - o, b - o + 1) for a, b, o in zip(lo[:-1], hi[:-1], olo)))
+    return [sum(map(operator.mul, x, strides)) + lo[-1] - olo[-1] for x in rows]
+
+
+def _box_slices(cells, box: tuple, outer: tuple) -> list | None:
+    """The cells of the box `box` as one slice of `cells` per row, where cells
+    holds the box `outer`'s cells (or their encodings) in canonical order;
+    None unless box lies inside outer."""
+    (lo, hi, _), (olo, ohi, _) = box, outer
+    if all(map(operator.le, olo, lo)) and all(map(operator.le, hi, ohi)):
+        return [cells[q:q + hi[-1] - lo[-1] + 1] for q in _row_starts(box, outer)]
+    return None
 
 
 # Largest subset a builder or product_set materializes: no caller needs a

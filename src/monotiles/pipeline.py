@@ -136,12 +136,7 @@ def heisenberg_targets(depth: int, start=Fraction(1, 2), step=Fraction(2, 3)):
     window with geometrically tightening tolerances."""
     ctx = Heisenberg()
     window = FiniteSubset(ctx, [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)])
-    eps = Fraction(start)
-    out = []
-    for _ in range(depth):
-        out.append((window, eps))
-        eps *= Fraction(step)
-    return out
+    return [(window, Fraction(start) * Fraction(step) ** i) for i in range(depth)]
 
 
 def _ladder_plan(ctx, section) -> tuple:

@@ -158,17 +158,13 @@ def _fourier_motzkin_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -
     row_of = dict(zip(pivots, aug))
     for col in range(k):
         if col in row_of:
-            row = row_of[col]
-            coefs = [row[f] for f in free]
-            inequalities.append((coefs, row[k]))
+            inequalities.append(([row_of[col][f] for f in free], row_of[col][k]))
         else:
-            coefs = [Fraction(-1) if f == col else Fraction(0) for f in free]
-            inequalities.append((coefs, Fraction(0)))
+            inequalities.append(([Fraction(-1) if f == col else Fraction(0) for f in free], Fraction(0)))
     for _ in range(len(free)):
         lowers, uppers, rest = [], [], []
         for coefs, const in inequalities:
-            a = coefs[0]
-            tail = coefs[1:]
+            a, tail = coefs[0], coefs[1:]
             if a > 0:
                 uppers.append(([t / a for t in tail], const / a))
             elif a < 0:
@@ -238,10 +234,8 @@ def _near_diagonal_count(m: ManagedMatrix) -> int | None:
     diag = m.ratio - (d - 1)
     if diag < 1:
         return None
-    for i in range(d):
-        for j in range(d):
-            if m.entries[i][j] != (diag if i == j else 1):
-                return None
+    if any(m.entries[i][j] != (diag if i == j else 1) for i in range(d) for j in range(d)):
+        return None
     return d
 
 

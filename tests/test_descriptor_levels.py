@@ -1,0 +1,238 @@
+"""Descriptor-first levels: boxes and Pruefer subgroups make their cells only when read.
+
+`FiniteSubset._from_box` keeps a lattice box's (lo, hi) and `_from_cyclic`
+the N of the Pruefer subgroup {i/N}.  Size, membership, equality, hashing,
+tilings, defects and the ladder's JSON answer from that descriptor, and
+`elements` is made on its first read.  The oracles are the validating
+constructor and `_trusted` copies, whose descriptors are found from their
+cells.  The guards check that the realize chain, the scale ladder, the
+Pruefer ladder and JSON leave the levels unbuilt, in the style of the
+zero-product tests.
+"""
+
+import itertools
+import json
+import time
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from monotiles import (
+    FiniteSubset,
+    FolnerLadder,
+    InfeasibleError,
+    Lattice,
+    Pattern,
+    Pruefer,
+    augment_matrix,
+    build_hierarchy,
+    build_lattice_ladder,
+    build_pruefer_ladder,
+    check_congruent,
+    folner_defect,
+    group_ladder,
+    group_matrices,
+    incidence_from_hierarchy,
+    realize_finite_simplex,
+    select_subsequence_lemma8,
+)
+from monotiles import folner
+from test_box_paths import boxes
+from test_tiling import PROPERTY
+
+
+def built(F) -> bool:
+    """Whether F holds its cells."""
+    return "elements" in F.__dict__
+
+
+def box_cells(lo, hi) -> list:
+    return list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+
+@st.composite
+def lazy_boxes(draw):
+    """(lazy box, its cells) for a box of Z^1 to Z^3, off-centre and one-cell boxes included."""
+    lo, sides = draw(boxes())
+    hi = tuple(a + s - 1 for a, s in zip(lo, sides))
+    return FiniteSubset._from_box(Lattice(len(lo)), lo, hi), box_cells(lo, hi)
+
+
+@st.composite
+def lazy_subgroups(draw):
+    """(lazy subgroup {i/N}, its cells) for N = p**n."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = p ** draw(st.integers(0, 4))
+    return FiniteSubset._from_cyclic(Pruefer(p), n), [Fraction(i, n) for i in range(n)]
+
+
+def probes(F) -> tuple[list, list]:
+    """(encodings that are elements of F's group, encodings that are not) around F."""
+    if isinstance(F.ctx, Lattice):
+        lo, hi, _ = F._box
+        below, above = tuple(a - 1 for a in lo), tuple(b + 1 for b in hi)
+        valid = [lo, hi, below, above, (hi[0] + 1, *lo[1:])]
+        return valid, [lo + (0,), lo[:-1], 0, "x", [*lo], tuple(map(float, lo)), (True,) * len(lo)]
+    n, p = F._cyclic, F.ctx.p
+    valid = [Fraction(0), Fraction(n - 1, n), Fraction(1, n * p), Fraction(p - 1, p * n)]
+    return valid, [0, "0", (0,), Fraction(1), Fraction(-1, n), Fraction(1, p + 1), 0.5]
+
+
+@PROPERTY
+@given(pair=st.one_of(lazy_boxes(), lazy_subgroups()))
+def test_lazy_subsets_answer_like_the_validating_constructor(pair):
+    F, cells = pair
+    eager = FiniteSubset(F.ctx, cells)
+    valid, malformed = probes(F)
+    assert len(F) == len(eager)
+    for g in valid:
+        assert (g in F) == (g in eager) == (g in frozenset(eager.elements))
+    for g in malformed:
+        assert g not in F and g not in eager
+    assert F.encode_json() == eager.encode_json()
+    assert repr(F) == repr(eager)
+    assert not built(F)
+    assert F == eager and eager == F and hash(F) == hash(eager)
+    assert F.elements == eager.elements
+    # the preset descriptor equals the one found on a `_trusted` copy
+    copy = FiniteSubset._trusted(F.ctx, reversed(F.elements))
+    assert (copy._box, copy._cyclic) == (F._box, F._cyclic)
+
+
+CONTEXTS = {"z": Lattice(1), "z2": Lattice(2), "pruefer2": Pruefer(2), "pruefer3": Pruefer(3)}
+
+
+@st.composite
+def made_any_way(draw, kind):
+    """(subset, its cells) over CONTEXTS[kind]: a box or subgroup, or such a set
+    less one cell, made lazily, by the validating constructor, by `_trusted`,
+    or by `_trusted` with its descriptor found."""
+    ctx = CONTEXTS[kind]
+    if isinstance(ctx, Lattice):
+        lo = tuple(draw(st.integers(-1, 1)) for _ in range(ctx.d))
+        hi = tuple(a + draw(st.integers(0, 2)) for a in lo)
+        cells, lazy = box_cells(lo, hi), lambda: FiniteSubset._from_box(ctx, lo, hi)
+    else:
+        n = ctx.p ** draw(st.integers(0, 2))
+        cells, lazy = [Fraction(i, n) for i in range(n)], lambda: FiniteSubset._from_cyclic(ctx, n)
+    if len(cells) > 1 and draw(st.booleans()):
+        cells, lazy = cells[:-1] if draw(st.booleans()) else cells[1:], None
+    how = draw(st.sampled_from(["lazy", "validating", "trusted", "found"] if lazy else
+                               ["validating", "trusted", "found"]))
+    if how == "lazy":
+        return lazy(), cells
+    made = FiniteSubset(ctx, cells) if how == "validating" else FiniteSubset._trusted(ctx, cells)
+    if how == "found":
+        _ = made._box, made._cyclic  # found from the cells (or found absent) and cached
+    return made, cells
+
+
+@PROPERTY
+@given(kinds=st.tuples(*[st.sampled_from(sorted(CONTEXTS))] * 2), data=st.data())
+def test_equality_is_equality_of_group_and_cells_whatever_the_constructor(kinds, data):
+    (a, cells_a), (b, cells_b) = (data.draw(made_any_way(k)) for k in kinds)
+    same = a.ctx == b.ctx and sorted(cells_a) == sorted(cells_b)
+    assert (a == b) == (b == a) == same
+    assert (a != b) == (not same)
+    if same:
+        assert hash(a) == hash(b)
+
+
+def test_nested_levels_hold_the_top_cells_once_the_top_is_built():
+    ladder = build_lattice_ladder(2, 3, 3)
+    top = ladder.levels[-1].elements
+    lo, _, strides = ladder.levels[-1]._box
+    for F in ladder.levels[:-1]:
+        assert all(top[sum((x - a) * s for x, a, s in zip(g, lo, strides))] is g for g in F.elements)
+    # a box sticking out of a built `outer` makes its own cells
+    sticking_out = FiniteSubset._from_box(ladder.ctx, (12, 0), (13, 1), ladder.levels[-1])
+    assert sticking_out.elements == ((12, 0), (12, 1), (13, 0), (13, 1))
+    # a level read before its top makes its own cells and leaves the top unbuilt
+    ladder = build_lattice_ladder(1, 4)
+    assert ladder.levels[1].elements == ((-1,), (0,), (1,))
+    assert not built(ladder.levels[-1])
+
+
+def test_the_realize_chain_builds_no_level_above_the_first():
+    ladder = build_lattice_ladder(1, 8, 5)
+    seq = realize_finite_simplex(3, ladder, Fraction(1, 1000)).sequence
+    boundaries = select_subsequence_lemma8(seq, 2)
+    grouped = group_matrices(seq, boundaries)
+    augmented = [augment_matrix(grouped[i]) for i in range(len(grouped))]
+    tiled = group_ladder(ladder, boundaries)
+    assert check_congruent(tiled).ok
+    h = build_hierarchy(tiled, augmented)
+    assert [incidence_from_hierarchy(h, n) for n in range(h.depth)] == augmented
+    # sizes, patterns and their hashes answer without cells; base_blocks reads the one cell of level 0
+    assert len({Pattern._trusted(F, bytes(len(F))) for F in tiled.levels}) == len(tiled.levels)
+    assert [built(F) for F in ladder.levels] == [True] + [False] * 8
+
+
+def test_the_depth_nine_scale_ladder_builds_and_checks_with_no_cells():
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        ladder = build_lattice_ladder(1, 9, 5)
+        ok = check_congruent(ladder).ok
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert not any(built(F) for F in ladder.levels)
+    # generous bounds: about 0.01 s and well under 1 MB on 2 vCPU, against a
+    # 0.3 s and 60 MB target, and building the 1,953,125 top cells takes ~200 MB
+    assert elapsed < 3
+    assert peak < 60 * 2**20
+
+
+def test_the_pruefer_ladder_checks_and_measures_defects_with_no_cells():
+    ladder = build_pruefer_ladder(2, 12)
+    assert check_congruent(ladder).ok
+    half, fine = Fraction(1, 2), Fraction(1, 2**13)
+    assert [folner_defect(F, half) for F in ladder.levels] == [1] + [0] * 12
+    assert [folner_defect(F, fine) for F in ladder.levels] == [1] * 13
+    assert [Fraction(3, 8) in F for F in ladder.levels[:5]] == [False, False, False, True, True]
+    assert not any(built(F) for F in ladder.levels)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_lattice_ladder(2, 3),
+    lambda: build_lattice_ladder(1, 4, 5),
+    lambda: group_ladder(build_lattice_ladder(1, 5), [0, 2, 3]),
+    lambda: build_pruefer_ladder(3, 4),
+    # a lower box that sticks out of the top one is encoded on its own
+    lambda: FolnerLadder(Lattice(2), [FiniteSubset._from_box(Lattice(2), lo, hi) for lo, hi in
+                                      [((3, 0), (4, 1)), ((0, 0), (2, 2))]], [FiniteSubset(Lattice(2), [(0, 0)])]),
+], ids=["z2", "z-base5", "z-grouped", "pruefer3", "not-nested"])
+def test_ladder_json_is_the_eager_encoding_and_builds_nothing(make):
+    ladder = make()
+    data = ladder.to_json()
+    assert not any(built(F) for F in ladder.levels)
+    eager = FolnerLadder(ladder.ctx, [FiniteSubset(ladder.ctx, F.elements) for F in make().levels],
+                         ladder.glue, ladder.info)
+    assert json.dumps(data, sort_keys=True) == json.dumps(eager.to_json(), sort_keys=True)
+    assert data["levels"] == [F.encode_json() for F in eager.levels]
+    if isinstance(ladder.ctx, Lattice):
+        # a level inside the top one holds the top level's encoded cells, not copies
+        top = data["levels"][-1]
+        cells, ids = {*map(tuple, top)}, {*map(id, top)}
+        for level in data["levels"]:
+            assert all(id(row) in ids for row in level) == ({*map(tuple, level)} <= cells)
+
+
+def test_the_budget_is_checked_before_any_cell_is_made(monkeypatch):
+    made = []
+    cells = FiniteSubset._cells
+    monkeypatch.setattr(FiniteSubset, "_cells", lambda self: made.append(self) or cells(self))
+    monkeypatch.setattr(folner, "MAX_CELLS", 27)
+    for build in (lambda: build_lattice_ladder(1, 4), lambda: build_pruefer_ladder(3, 4),
+                  lambda: build_lattice_ladder(2, 10**9, 5), lambda: build_pruefer_ladder(2, 10**9)):
+        with pytest.raises(InfeasibleError):
+            build()
+    ladder = build_lattice_ladder(1, 3)
+    assert check_congruent(ladder).ok and len(ladder.levels[-1]) == 27
+    assert made == []
+    assert not any(built(F) for F in ladder.levels)
