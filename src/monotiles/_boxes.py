@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import repeat
 
 from .groups import _row_starts
 
@@ -113,15 +114,28 @@ def _cyclic_runs(n: int, m: int):
     return place
 
 
+def rank(F):
+    """A function from a cell to its canonical index in F or None, matching by ==
+    as a set of F's cells would: one lookup per axis on a box, else in a dict."""
+    if not F._box:
+        return {g: q for q, g in enumerate(F._cells())}.get
+    n, axes = len(F), [dict(zip(range(a, b + 1), range(0, (b - a + 1) * s, s))) for a, b, s in zip(*F._box)]
+
+    def index(g):  # a coordinate off the box adds -n, so the sum is negative
+        if type(g) is tuple and len(g) == len(axes) and (r := sum(map(dict.get, axes, g, repeat(-n)))) >= 0:
+            return r
+    return index
+
+
 def _product_runs(lower, upper):
-    """One product per cell, looked up in a canonical-index dict of upper;
-    cells whose indices follow each other join one run."""
-    mul, cells, where = upper.ctx.mul, lower.elements, {g: q for q, g in enumerate(upper.elements)}
+    """One product per cell, ranked in upper by `rank`; cells whose indices
+    follow each other join one run."""
+    mul, cells, where = upper.ctx.mul, lower.elements, rank(upper)
 
     def place(c, i=None):
         out = []
         for f in cells:
-            q = where.get(mul(c, f))
+            q = where(mul(c, f))
             if q is None:
                 return None
             if out and out[-1].stop == q:

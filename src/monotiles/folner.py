@@ -7,6 +7,7 @@ F_{n+1}.  All verification is exact; defects are Fractions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -98,10 +99,9 @@ class FolnerLadder:
                     hit[s.start:s.stop:s.step] = b"\x01" * len(s)
                 runs.append(spans)
                 continue
-            where = {g: q for q, g in enumerate(upper.elements)}
+            where = _boxes.rank(upper)
             for f in lower:
-                x = mul(c, f)
-                q = where.get(x)
+                q = where(x := mul(c, f))
                 if q is None:
                     return Certificate.fail(self.ctx, "translate-escapes-next-level", (c, f, x), level=n)
                 if hit[q]:
@@ -165,8 +165,7 @@ def right_invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:
     if kept is not None:
         return 1 - Fraction(kept, len(F))
     # a set local to the call: the cached F.as_set would stay on F for its lifetime
-    mul, cells = F.ctx.mul, set(F.elements)
-    good = F.elements
+    mul, cells, good = F.ctx.mul, set(F.elements), F.elements
     for k in K:
         good = [f for f in good if mul(f, k) in cells]
         if not good:
@@ -303,8 +302,7 @@ def build_abelian_chain_ladder(ctx: GroupContext, generators: Sequence, depth: i
         step = product_set(FiniteSubset(ctx, [ident]), *(FiniteSubset(ctx, part) for part in step_sets))
         glue.append(step)
         levels.append(product_set(step, levels[-1]))
-    info = {"generators": [ctx.encode_json(g) for g in consumed],
-            "quotient_orders": quotient_orders}
+    info = {"generators": [ctx.encode_json(g) for g in consumed], "quotient_orders": quotient_orders}
     return FolnerLadder(ctx, levels, glue, info)
 
 
@@ -329,54 +327,62 @@ def compose_exact_sequence(
     may stall; the subgroup index strictly increases.
 
     The section, the tower's projection and the commutation of the subgroup
-    windows with every lift are checked up front.  A Heisenberg candidate
-    whose U_m is one central run is scored from its fibre runs, and only the
-    chosen one is built (`_score_candidate`); others go through product_set.
-    Chosen levels are built, and glue sets formed, once every target is met.
+    windows with every lift are checked up front, on every level.  The tower
+    is checked as a stream: the projections of level q's products must hit
+    each cell of F_q once, else the level is rebuilt by product_set and
+    compared as sets.  The search builds a tower when it first scores it.  A
+    Heisenberg candidate whose U_m is one central run is scored from its fibre
+    runs (`_score_candidate`); others go through product_set.  Chosen levels
+    are made once every target is met.
     """
-    ctx = ladder_sub.ctx
-    q_ctx = ladder_quot.ctx
+    ctx, q_ctx = ladder_sub.ctx, ladder_quot.ctx
     ident = ctx.identity()
     if section(q_ctx.identity()) != ident:
         raise ValueError("section must send the quotient identity to the group identity")
-    for q in ladder_quot.levels[-1]:
+    for q in ladder_quot.levels[-1]._cells():  # made afresh, so no quotient level keeps cells
         if projection(section(q)) != q:
             raise ValueError(f"projection(section({q!r})) != {q!r}: not a section")
 
     # lifted tile tower over the quotient ladder
     lifted = [FiniteSubset(ctx, (section(d) for d in J)) for J in ladder_quot.glue]
-    towers: list[FiniteSubset] = [FiniteSubset(ctx, [ident])]
-    for digits in lifted:
-        towers.append(product_set(digits, towers[-1]))
-    # set(q_level), not the cached q_level.as_set, which would stay alive through the search
-    for q_level, tower in zip(ladder_quot.levels, towers):
-        if {projection(t) for t in tower} != set(q_level):
-            raise ValueError("lifted tower does not project onto the quotient tiles")
+    one = FiniteSubset(ctx, [ident])
+    tower = functools.cache(lambda q: product_set(lifted[q - 1], tower(q - 1)) if q else one)
+    products, failed = [ident], []
+    for q, (q_level, digits) in enumerate(zip(ladder_quot.levels, [[ident], *lifted])):
+        if (size := math.prod(map(len, lifted[:q]))) > MAX_CELLS:
+            raise InfeasibleError(f"product set would hold {size} cells, over the budget of {MAX_CELLS}")
+        products = itertools.starmap(ctx.mul, itertools.product(digits, products))
+        products = list(products) if q < ladder_quot.depth else products  # the top's are counted, not kept
+        hits, rank = bytearray(len(q_level)), _boxes.rank(q_level)
+        for r in map(rank, map(projection, products)):
+            if r is None or hits[r]:
+                break
+            hits[r] = 1
+        if size != len(q_level) or 0 in hits:
+            failed.append((q_level, tower(q)))  # product_set raises NotCosetRepsError on a collision
+    if any({projection(g) for g in t} != set(F._cells()) for F, t in failed):
+        raise ValueError("lifted tower does not project onto the quotient tiles")
 
     # commutation certificate: subgroup windows must commute with every lift
-    sub_elems = set(itertools.chain(ladder_sub.levels[0], *ladder_sub.glue))
+    sub_elems = set(itertools.chain(ladder_sub.levels[0]._cells(), *ladder_sub.glue))
     lift_elems = {d for digits in lifted for d in digits}
-    for u in sub_elems:
-        for t in lift_elems:
-            if ctx.mul(u, t) != ctx.mul(t, u):
-                raise ValueError(f"subgroup element {u!r} does not commute with lift {t!r}; "
-                                 "composition needs a central subgroup")
+    for u, t in itertools.product(sub_elems, lift_elems):
+        if ctx.mul(u, t) != ctx.mul(t, u):
+            raise ValueError(f"subgroup element {u!r} does not commute with lift {t!r}; "
+                             "composition needs a central subgroup")
 
-    m_prev, q_prev = 0, 0
-    chosen = []
+    m_prev, q_prev, chosen = 0, 0, []
     for s, (K, eps) in enumerate(targets, start=1):
         if K.ctx != ctx:
             raise ValueError("invariance target lives in the wrong group")
         projected = FiniteSubset(q_ctx, {projection(k) for k in K})
-        best: Fraction | None = None
-        found = None
+        best = found = None
         for q in range(q_prev, ladder_quot.depth + 1):
             if right_invariance_defect(ladder_quot.levels[q], projected) > eps / 2:
                 continue
             for m in range(m_prev + 1, ladder_sub.depth + 1):
-                defect, level = _score_candidate(ladder_sub.levels[m], towers[q], K)
-                if best is None or defect < best:
-                    best = defect
+                defect, level = _score_candidate(ladder_sub.levels[m], tower(q), K)
+                best = defect if best is None else min(best, defect)
                 if defect <= eps:
                     found = (m, q, defect, level)
                     break
@@ -410,8 +416,7 @@ def _score_candidate(U: FiniteSubset, tower: FiniteSubset, K: FiniteSubset):
     if runs and runs.keys() == {(0, 0)}:
         _, lo, hi = runs[0, 0]
         run = hi - lo + 1
-        size = len(tower) * run
-        if size > MAX_CELLS:
+        if (size := len(tower) * run) > MAX_CELLS:
             raise InfeasibleError(f"product set would hold {size} cells, over the budget of {MAX_CELLS}")
         fibres = {(a, b): (i * run, c + lo, c + hi) for i, (a, b, c) in enumerate(tower.elements)}
         if len(fibres) == len(tower):
@@ -429,13 +434,8 @@ def build_heisenberg_ladder(targets: Sequence[tuple[FiniteSubset, Fraction]]) ->
         ctx,
         [FiniteSubset._from_fibres(ctx, {(0, 0): (0, (1 - 3**n) // 2, (3**n - 1) // 2)}) for n in range(11)],
         [FiniteSubset._trusted(ctx, [(0, 0, -(3**n)), (0, 0, 0), (0, 0, 3**n)]) for n in range(10)])
-    plane = build_lattice_ladder(2, 5)
-    return compose_exact_sequence(
-        center, plane,
-        section=lambda q: (q[0], q[1], 0),
-        projection=lambda g: (g[0], g[1]),
-        targets=targets,
-    )
+    return compose_exact_sequence(center, build_lattice_ladder(2, 5), section=lambda q: (q[0], q[1], 0),
+                                  projection=lambda g: (g[0], g[1]), targets=targets)
 
 
 def extend_virtually(base: FolnerLadder, coset_reps: FiniteSubset) -> FolnerLadder:

@@ -484,8 +484,8 @@ class Certificate:
 
 @dataclass(frozen=True, eq=False)
 class FiniteSubset:
-    """An immutable finite subset of a group, kept in canonical order.  Boxes
-    and subgroups from `_from_box` and `_from_cyclic` make their cells on the
+    """An immutable finite subset of a group, kept in canonical order.  Those
+    from `_from_box`, `_from_fibres` and `_from_cyclic` make their cells on the
     first read of `elements`; size, membership, equality and hash never do."""
 
     ctx: GroupContext
@@ -514,10 +514,9 @@ class FiniteSubset:
     @classmethod
     def _from_fibres(cls, ctx: "Heisenberg", fibres: dict) -> "FiniteSubset":
         """Internal constructor for a Heisenberg window given as its `_fibres`
-        descriptor, runs in canonical order: it emits the cells run by run and
-        keeps the descriptor, so nothing is sorted or searched."""
-        return cls._preset(ctx, _fibres=fibres, elements=tuple(
-            (a, b, t) for (a, b), (_, lo, hi) in fibres.items() for t in range(lo, hi + 1)))
+        descriptor, runs in canonical order: it keeps the descriptor, so nothing
+        is sorted or searched."""
+        return cls._preset(ctx, _fibres=fibres)
 
     @classmethod
     def _from_box(cls, ctx: Lattice, lo: tuple, hi: tuple, outer: "FiniteSubset | None" = None) -> "FiniteSubset":
@@ -533,9 +532,9 @@ class FiniteSubset:
 
     @cached_property
     def elements(self) -> tuple:
-        """The cells in canonical order, made on first read for `_from_box` and
-        `_from_cyclic`: one slice per row of the enclosing box's cells when those
-        are built, else a product of ranges or i/n for i < n."""
+        """The cells in canonical order, made on first read for descriptor-first
+        subsets: one slice per row of the enclosing box's cells when those are
+        built, else a product of ranges, run by run, or i/n for i < n."""
         outer = self.__dict__.get("_outer")
         built = outer is not None and "elements" in outer.__dict__
         slices = built and _box_slices(outer.elements, self._box, outer._box)
@@ -547,6 +546,8 @@ class FiniteSubset:
             return self.elements
         if self._box:
             return product(*(range(a, b + 1) for a, b in zip(*self._box[:2])))
+        if self._fibres:
+            return ((a, b, t) for (a, b), (_, lo, hi) in self._fibres.items() for t in range(lo, hi + 1))
         return map(Fraction, range(self._cyclic), repeat(self._cyclic))
 
     @cached_property
@@ -570,7 +571,7 @@ class FiniteSubset:
     def _fibres(self) -> dict | None:
         """{(a, b): (start, lo, hi)} when this is a Heisenberg window whose cells
         over each plane point (a, b) are one run (a, b, lo..hi), at canonical
-        indices start.., else None.  Each fibre's end is one bisect."""
+        indices start.., else None: preset, or found with one bisect per fibre."""
         if not (isinstance(self.ctx, Heisenberg) and self.elements):
             return None
         cells, fibres, start = self.elements, {}, 0
@@ -594,20 +595,26 @@ class FiniteSubset:
     def __len__(self) -> int:
         if "elements" in self.__dict__:
             return len(self.elements)
+        if self._fibres:  # the last fibre's start and length
+            start, lo, hi = next(reversed(self._fibres.values()))
+            return start + hi - lo + 1
         return math.prod(b - a + 1 for a, b in zip(*self._box[:2])) if self._box else self._cyclic
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, g) -> bool:
-        """Whether g is a valid element encoding in the subset, by descriptor for a box or subgroup."""
+        """Whether g is a valid element encoding in the subset, by descriptor when it has one."""
         try:
             self.ctx.validate(g)
         except EncodingError:
             return False
-        box, n = self.__dict__.get("_box"), self.__dict__.get("_cyclic")
+        box, n, fibres = map(self.__dict__.get, ("_box", "_cyclic", "_fibres"))
         if box:
             return all(map(operator.le, box[0], g)) and all(map(operator.le, g, box[1]))
+        if fibres:
+            _, lo, hi = fibres.get(g[:2], (0, 1, 0))
+            return lo <= g[2] <= hi
         return n % g.denominator == 0 if n else g in self.as_set
 
     def __eq__(self, other) -> bool:
@@ -666,8 +673,7 @@ def product_set(A: FiniteSubset, *factors: FiniteSubset) -> FiniteSubset:
     """The product set A * B_1 * ... * B_k, whose products must all be distinct."""
     if any(B.ctx != A.ctx for B in factors):
         raise ValueError("product of subsets of different groups")
-    size = len(A) * math.prod(map(len, factors))
-    if size > MAX_CELLS:
+    if (size := len(A) * math.prod(map(len, factors))) > MAX_CELLS:
         raise InfeasibleError(f"product set would hold {size} cells, over the budget of {MAX_CELLS}")
     mul = A.ctx.mul
     products = A.elements

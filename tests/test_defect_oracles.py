@@ -8,7 +8,9 @@ search that rebuilds the chosen level from scratch.  Each must agree exactly.
 """
 
 import hashlib
+import itertools
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from monotiles import (
     FiniteSubset,
+    FolnerLadder,
     Heisenberg,
     Lattice,
     Pruefer,
@@ -27,7 +30,8 @@ from monotiles import (
     right_invariance_defect,
 )
 from monotiles import folner
-from monotiles.errors import InfeasibleError, InvarianceUnreachableError
+from monotiles.errors import InfeasibleError, InvarianceUnreachableError, NotCosetRepsError
+from monotiles import groups
 from monotiles.groups import product_set
 from monotiles.pipeline import heisenberg_targets
 from ladder_maps import map_ladder
@@ -240,3 +244,82 @@ def test_heisenberg_ladder_json_is_unchanged():
     data = build_heisenberg_ladder(heisenberg_targets(3)).to_json()
     text = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(text).hexdigest() == HEISENBERG_3_SHA256
+
+
+# The up-front checks of compose_exact_sequence, which raise before the search
+# starts: the section on every top cell, the lifted tower's projection on every
+# quotient level (the top one included, which the search below never scores),
+# the budget and collisions of every tower level in order (both before any
+# projection error), and the commutation of the subgroup with every lift.
+
+
+def test_a_section_that_fails_at_one_top_cell_is_not_a_section():
+    center, plane, section, projection = _heisenberg_parts(6, 4)
+    corner = plane.levels[-1]._box[1]  # (40, 40), the last top cell
+    bent = lambda q: (q[0], q[1] + 1, 0) if q == corner else section(q)
+    with pytest.raises(ValueError, match=r"projection\(section\(\(40, 40\)\)\) != \(40, 40\): not a section"):
+        compose_exact_sequence(center, plane, bent, projection, heisenberg_targets(2))
+
+
+@pytest.mark.parametrize("level", [2, 4], ids=["scored-level", "top-level-only"])
+def test_a_lift_that_breaks_the_projection_does_not_project(level):
+    center, plane, section, projection = _heisenberg_parts(6, 4)
+    # the lifted tower's central coordinates grow level by level; this projection
+    # moves every cell whose central coordinate passes those of level - 1, so
+    # tower levels below `level` still project onto the quotient tiles
+    lifted = [FiniteSubset(center.ctx, map(section, J)) for J in plane.glue[:level - 1]]
+    tower = product_set(FiniteSubset(center.ctx, [(0, 0, 0)]), *lifted[::-1])
+    bound = max(abs(c) for _, _, c in tower)
+    bent = lambda g: (g[0] + 1, g[1]) if abs(g[2]) > bound else projection(g)
+    # unbent, the search scores the quotient levels 0..3 only
+    assert compose_exact_sequence(center, plane, section, projection, heisenberg_targets(2)).info["q_indices"][-1] < 4
+    with pytest.raises(ValueError, match="lifted tower does not project onto the quotient tiles"):
+        compose_exact_sequence(center, plane, section, bent, heisenberg_targets(2))
+
+
+def _segments(sizes, glue):
+    """A Z^2 ladder whose level n is the segment (0..sizes[n]-1, 0) and whose
+    glue J_n is {(x, 0) : x in glue[n]}.  FolnerLadder does not check that
+    the glue tiles, so the translates may overlap."""
+    ctx = Lattice(2)
+    return FolnerLadder(ctx, [FiniteSubset(ctx, [(x, 0) for x in range(n)]) for n in sizes],
+                        [FiniteSubset(ctx, [(x, 0) for x in J]) for J in glue])
+
+
+@pytest.mark.parametrize("quot", [
+    # (x, 0, 0) * (x', 0, 0) = (x + x', 0, 0): {0, 1} * {0, 1} hits 1 twice and misses the cell 3
+    _segments([1, 2, 4], [[0, 1], [0, 1]]),
+    # {0, 2} * {0, 1, 2} marks every cell of {0, 1, 2} before it hits 2 twice
+    _segments([1, 3, 3], [[0, 1, 2], [0, 2]]),
+], ids=["a-cell-missed", "every-cell-marked"])
+def test_a_lifted_tower_with_colliding_products_raises_before_projecting(quot):
+    center = _heisenberg_parts(6, 4)[0]
+    with pytest.raises(NotCosetRepsError, match="colliding factorizations"):
+        compose_exact_sequence(center, quot, lambda q: (*q, 0), lambda g: g[:2], heisenberg_targets(1))
+
+
+@pytest.mark.parametrize("breaks", [False, True], ids=["projecting", "not-projecting"])
+def test_the_tower_budget_is_checked_level_by_level_before_projecting(monkeypatch, breaks):
+    center, plane, section, projection = _heisenberg_parts(6, 4)
+    monkeypatch.setattr(groups, "MAX_CELLS", 1000)
+    monkeypatch.setattr(folner, "MAX_CELLS", 1000)
+    # the search would score levels 0..3 only (729 cells); a projection broken
+    # from level 2 on still raises the budget error of level 4 first
+    bent = lambda g: (g[0] + 1, g[1]) if breaks and g[2] else projection(g)
+    with pytest.raises(InfeasibleError, match="product set would hold 6561 cells, over the budget of 1000"):
+        compose_exact_sequence(center, plane, section, bent, heisenberg_targets(2))
+
+
+def test_a_subgroup_that_is_not_central_does_not_commute():
+    _, plane, section, projection = _heisenberg_parts(6, 4)
+    axis = map_ladder(build_lattice_ladder(1, 6), Heisenberg(), lambda t: (t[0], 0, 0))
+    with pytest.raises(ValueError, match="does not commute with lift"):
+        compose_exact_sequence(axis, plane, section, projection, heisenberg_targets(2))
+
+
+def test_a_quotient_ladder_of_non_boxes_composes_like_the_rebuilding_search():
+    center, _, section, projection = _heisenberg_parts(6, 4)
+    # the shear (x, y) -> (x, x + y) of Z^2 maps the boxes to parallelograms, ranked by dict
+    sheared = map_ladder(build_lattice_ladder(2, 4), Lattice(2), lambda g: (g[0], g[0] + g[1]))
+    assert not any(F._box for F in sheared.levels[1:])
+    _compare_compositions((center, sheared, section, projection), heisenberg_targets(2))
