@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from . import _boxes
+from . import _boxes, _text
 from .errors import (AugmentationError, DistinctnessError, EncodingError, InfeasibleError,
                      RenderUnsupportedError)
 from .folner import FolnerLadder, _tiled
@@ -267,24 +267,24 @@ class BlockHierarchy:
 
     def family(self, n: int) -> list[Pattern]:
         if not 0 <= n <= self.depth:
-            raise ValueError(f"level {n} beyond built depth {self.depth}")
+            raise ValueError(f"level {n} outside 0..{self.depth}")
         return self.families[n]
 
     def x0_patch(self, n: int) -> Pattern:
         """The level-n patch of the distinguished configuration (block 1)."""
         return self.family(n)[0]
 
+    def _artifact(self) -> dict:
+        """The JSON layout, with each family's support left as its ladder level
+        (family n lies on level n) and each block as its symbol bytes, which
+        `write_json` writes in pieces."""
+        return {"ladder": self.ladder._artifact(),
+                "families": [{"support": F, "blocks": [b.symbols for b in fam]}
+                             for F, fam in zip(self.ladder.levels, self.families)],
+                "assignments": [a.to_json() for a in self.assignments]}
+
     def to_json(self) -> dict:
-        # family n lies on level n, so its support is that level's encoding
-        ladder = self.ladder.to_json()
-        return {
-            "ladder": ladder,
-            "families": [
-                {"support": support, "blocks": [list(b.symbols) for b in fam]}
-                for support, fam in zip(ladder["levels"], self.families)
-            ],
-            "assignments": [a.to_json() for a in self.assignments],
-        }
+        return _text.encoded(self._artifact())
 
     @staticmethod
     def from_json(data: dict) -> "BlockHierarchy":
@@ -299,7 +299,8 @@ class BlockHierarchy:
         fams, rows = data["families"], data["assignments"]
         if len(fams) > len(ladder.levels) or len(rows) > ladder.depth:
             raise EncodingError("hierarchy deeper than its ladder")
-        if any(fam["support"] != F.encode_json() for F, fam in zip(ladder.levels, fams)):
+        if any(not _text.is_text_of(F, fam["support"]) and fam["support"] != F.encode_json()
+               for F, fam in zip(ladder.levels, fams)):
             raise EncodingError("a family support differs from its ladder level")
         families = [[Pattern(F, sym) for sym in fam["blocks"]] for F, fam in zip(ladder.levels, fams)]
         assignments = [Assignment(J, tuple(map(tuple, a))) for J, a in zip(ladder.glue, rows)]

@@ -47,12 +47,20 @@ def _load(cls, path: str):
 
 
 def _parse_levels(text: str, top: int) -> list[int]:
+    """The levels of `--levels` (a range lo..hi with lo <= hi, or a comma list),
+    each in 0..top; all of them when text is None."""
     if text is None:
         return list(range(top + 1))
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+    try:
+        lo, dots, hi = text.partition("..")
+        levels = list(range(int(lo), int(hi) + 1)) if dots else [int(part) for part in text.split(",")]
+    except ValueError:
+        raise MonotileError(f"--levels must be a range like 0..4 or a comma list of ints, got {text!r}") from None
+    if not levels:
+        raise MonotileError(f"--levels {text!r} names no level: a range lo..hi needs lo <= hi")
+    if bad := [n for n in levels if not 0 <= n <= top]:
+        raise MonotileError(f"--levels: level {bad[0]} outside 0..{top}")
+    return levels
 
 
 def _cmd_folner(args) -> int:
@@ -74,7 +82,7 @@ def _cmd_folner(args) -> int:
         ladder = builder(*params)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(ladder.to_json(), out / "ladder.json")
+        write_json(ladder._artifact(), out / "ladder.json")
         _print({"written": str(out / "ladder.json"),
                 "levels": [len(F) for F in ladder.levels]}, args.format)
         return 0
@@ -107,7 +115,7 @@ def _cmd_blocks(args) -> int:
         hierarchy = build_hierarchy(ladder, [seq[i] for i in range(depth)])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(hierarchy.to_json(), out / "hier.json")
+        write_json(hierarchy._artifact(), out / "hier.json")
         _print({"written": str(out / "hier.json"),
                 "block_counts": [len(f) for f in hierarchy.families]}, args.format)
         return 0

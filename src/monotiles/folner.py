@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import _boxes
+from . import _boxes, _text
 from ._intlin import ZModule
 from .errors import EncodingError, InfeasibleError, InvarianceUnreachableError, NotCosetRepsError
 from .groups import (
@@ -26,7 +26,6 @@ from .groups import (
     Heisenberg,
     Lattice,
     Pruefer,
-    _box_slices,
     context_from_descriptor,
     product_set,
 )
@@ -112,35 +111,29 @@ class FolnerLadder:
         self._tilings[n] = runs
         return runs
 
+    def _artifact(self) -> dict:
+        """The ladder's JSON layout, its levels and glue left as subsets:
+        `write_json` writes those piece by piece from their descriptors."""
+        data = {"group": self.ctx.descriptor(), "levels": self.levels, "glue": self.glue}
+        return data if self.info is None else {**data, "info": self.info}
+
     def to_json(self) -> dict:
-        """The ladder as JSON.  A box level inside a box top level is encoded as
-        one slice of the top level's encoded cells per row, so levels share them."""
-        top = self.levels[-1]
-        rows = top.encode_json()
-        levels = []
-        for lv in self.levels[:-1]:
-            part = top._box and lv._box and _box_slices(rows, lv._box, top._box)
-            levels.append(list(itertools.chain.from_iterable(part)) if part else lv.encode_json())
-        data = {
-            "group": self.ctx.descriptor(),
-            "levels": [*levels, rows],
-            "glue": [j.encode_json() for j in self.glue],
-        }
-        if self.info is not None:
-            data["info"] = self.info
-        return data
+        """The ladder as JSON: `_artifact` with each subset encoded."""
+        return _text.encoded(self._artifact())
 
     @staticmethod
     def from_json(data: dict) -> "FolnerLadder":
         """Inverse of to_json: exactly group, levels and glue (lists of element
-        lists) and an optional info, else EncodingError."""
+        lists) and an optional info, else EncodingError.  A level whose rows are
+        exactly the text of a box, fibred window or subgroup loads
+        descriptor-first (`_text.from_rows`), making no cell."""
         if not (isinstance(data, dict) and data.keys() - {"info"} == {"group", "levels", "glue"}):
             raise EncodingError("a ladder needs exactly the keys group, levels, glue and optionally info")
         if not all(isinstance(part, list) and all(isinstance(s, list) for s in part)
                    for part in (data["levels"], data["glue"])):
             raise EncodingError("ladder levels and glue must be lists of element lists")
         ctx = context_from_descriptor(data["group"])
-        levels = [FiniteSubset(ctx, (ctx.decode_json(e) for e in lv)) for lv in data["levels"]]
+        levels = [_text.from_rows(ctx, lv) for lv in data["levels"]]
         glue = [FiniteSubset(ctx, (ctx.decode_json(e) for e in j)) for j in data["glue"]]
         return FolnerLadder(ctx, levels, glue, data.get("info"))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from ._text import write_json
 from .analysis import (
     CylinderId,
     boundary_mass_bound,
@@ -280,42 +281,6 @@ class _StageFailed(Exception):
         self.detail = detail or {}
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # the C encoder
-_SLICE = 1024  # items per encode call of a long list: small pieces, few calls
-
-
-def _write_canonical(value, write) -> None:
-    """Canonical JSON in pieces: dicts key by key, lists of at most _SLICE
-    items that hold a container item by item, longer lists in slices of
-    _SLICE, and anything else in one C-encoder call.  Keys must be str."""
-    if isinstance(value, dict):
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            write(("," if i else "{") + _ENCODE(key) + ":")
-            _write_canonical(value[key], write)
-        write("}" if value else "{}")
-    elif isinstance(value, (list, tuple)) and len(value) > _SLICE:
-        for i in range(0, len(value), _SLICE):
-            write(("," if i else "[") + _ENCODE(value[i:i + _SLICE])[1:-1])
-        write("]")
-    elif isinstance(value, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in value):
-        for i, item in enumerate(value):
-            write("," if i else "[")
-            _write_canonical(item, write)
-        write("]")
-    else:
-        write(_ENCODE(value))
-
-
-def write_json(data, path: Path) -> None:
-    """The bytes of json.dumps(data, sort_keys=True, separators=(",", ":")) and
-    a newline, streamed so that no whole artifact is held as one string."""
-    with open(path, "w") as fh:
-        _write_canonical(data, fh.write)
-        fh.write("\n")
-
-
 def _defect_table(ladder: FolnerLadder, elements) -> dict:
     """Per element (keyed by its JSON encoding), the Folner defect of every level."""
     return {json.dumps(ladder.ctx.encode_json(g)): [str(folner_defect(F, g)) for F in ladder.levels]
@@ -332,7 +297,7 @@ def _stages(config: PipelineConfig, emit):
     and locals carry the ladder, the sequence and the hierarchy onward."""
     # build-ladder
     ladder = build_ladder_from_config(config.group, config.ladder)
-    emit("ladder", ladder.to_json())
+    emit("ladder", ladder._artifact())
     yield {"levels": [len(F) for F in ladder.levels],
            "ratios": [ladder.ratio(n) for n in range(ladder.depth)]}
 
@@ -375,7 +340,7 @@ def _stages(config: PipelineConfig, emit):
     augmented = [augment_matrix(grouped[i]) for i in range(len(grouped))]
     tiled = group_ladder(ladder, boundaries)
     h = build_hierarchy(tiled, augmented)
-    emit("hierarchy", h.to_json())
+    emit("hierarchy", h._artifact())
     yield {"boundaries": boundaries,
            "block_counts": [len(f) for f in h.families],
            "window_sizes": [len(F) for F in tiled.levels[:len(h.families)]]}

@@ -4,18 +4,32 @@ Its bytes must equal `json.dumps(data, sort_keys=True, separators=(",", ":"))`
 plus a newline, the one-shot encoding the artifacts were always pinned to.
 The writer differs from `json.dumps` on one point, on purpose: an object key
 that is not a `str` raises `TypeError` instead of being turned into a string.
+A `FiniteSubset` in the data is written as its `encode_json()`, piece by
+piece from its box, fibres or subgroup when it has one, without its cells.
 """
 
 import json
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from monotiles import build_lattice_ladder
+from monotiles import (
+    FiniteSubset,
+    Heisenberg,
+    Lattice,
+    ManagedMatrix,
+    Pruefer,
+    build_hierarchy,
+    build_lattice_ladder,
+)
+from monotiles import _text
 from monotiles.pipeline import DEFAULT_CONFIG, PipelineConfig, run_pipeline, write_json
+from test_box_paths import boxes
+from test_descriptor_levels import box_cells, built, fibre_cells, fibre_descriptors
 from test_tiling import PROPERTY
 
 # around the 1,024-item slice length, and several slices with a ragged end
@@ -116,3 +130,80 @@ def test_write_json_peak_memory_is_well_below_the_file(tmp_path):
     # one encode call over the whole of "levels" peaks at about 3.6 times the file
     assert peak < size / 3, (peak, size)
     assert path.read_bytes() == canonical(data)
+
+
+@st.composite
+def shaped(draw):
+    """(subset, its cells): a box of Z^1 to Z^3 (off-centre and one-cell boxes
+    included), a box whose rows hold 4,095 to 4,097 cells, a subgroup {i/N} or
+    a fibred window, each made from its descriptor; or a subset with no shape,
+    which takes the C-encoder path (over 4,096 cells in some draws)."""
+    kind = draw(st.sampled_from(["box", "long rows", "subgroup", "fibres", "no shape"]))
+    if kind in ("box", "long rows"):
+        lo, sides = draw(boxes(side=2 if kind == "long rows" else 4))
+        if kind == "long rows":
+            sides = (*sides[:-1], draw(st.sampled_from([4095, 4096, 4097])))
+        hi = tuple(a + s - 1 for a, s in zip(lo, sides))
+        return FiniteSubset._from_box(Lattice(len(lo)), lo, hi), box_cells(lo, hi)
+    if kind == "subgroup":
+        p = draw(st.sampled_from([2, 3, 5]))
+        n = p ** draw(st.integers(0, 6))
+        return FiniteSubset._from_cyclic(Pruefer(p), n), [Fraction(i, n) for i in range(n)]
+    if kind == "fibres":
+        fibres = draw(fibre_descriptors())
+        return FiniteSubset._from_fibres(Heisenberg(), fibres), fibre_cells(fibres)
+    cells = [(x,) for x in range(0, 2 * draw(st.sampled_from([2, 100, 4097, 9000])), 2)]
+    return FiniteSubset(Lattice(1), cells), cells
+
+
+@PROPERTY
+@given(shaped())
+def test_each_shape_writes_the_bytes_of_json_dumps(pair):
+    F, cells = pair
+    encoding = [F.ctx.encode_json(g) for g in cells]
+    pieces = list(_text.pieces(F))
+    assert "[" + ",".join(text for _, text in pieces) + "]" == json.dumps(encoding, separators=(",", ":"))
+    assert all(1 <= n <= 4096 and len(json.loads(f"[{text}]")) == n for n, text in pieces)
+    data = {"level": F, "levels": [F, F]}
+    assert written(data) == canonical({"level": encoding, "levels": [encoding] * 2}) == canonical(_text.encoded(data))
+    if F._box or F._fibres or F._cyclic:
+        assert not built(F)
+    else:  # no shape: `_box` was found absent from the cells
+        assert F._box is None
+
+
+def test_empty_subsets_long_lists_of_subsets_and_bytes_are_written_as_lists():
+    empty, one = FiniteSubset(Lattice(2), []), FiniteSubset(Lattice(1), [(0,)])
+    data = {"empty": empty, "levels": [one, empty] * 600, "none": b"", "symbols": bytes(range(256)) * 9,
+            "families": [{"blocks": [b"\x01\x00", b""] * 600}]}
+    plain = _text.encoded(data)
+    assert written(data) == canonical(plain)
+    assert plain["empty"] == [] and plain["levels"][:2] == [[[0]], []] and plain["symbols"][255:257] == [255, 0]
+
+
+@pytest.mark.parametrize("side, counts", [(4095, [4095]), (4096, [4096]), (4097, [4096, 1]), (9000, [4096, 4096, 808])])
+def test_a_long_row_is_written_in_pieces_of_at_most_4096_cells(side, counts):
+    for d in (1, 2):
+        F = FiniteSubset._from_box(Lattice(d), (-5,) * d, (*(-4,) * (d - 1), side - 6))
+        assert [n for n, _ in _text.pieces(F)] == counts * (2 if d == 2 else 1)
+        assert not built(F)
+
+
+def test_writing_a_ladder_and_a_hierarchy_builds_no_level_and_stays_under_a_megabyte(tmp_path):
+    ladder = build_lattice_ladder(1, 7, 5)
+    # columns (1, 2, 2), (1, 1, 3) and (1, 3, 1): 5 cosets, three distinct blocks per level
+    h = build_hierarchy(ladder, [ManagedMatrix([[1, 1, 1], [2, 1, 3], [2, 3, 1]])] * 6)
+    unbuilt = [not built(F) for F in ladder.levels]
+    tracemalloc.start()
+    try:
+        write_json(ladder._artifact(), tmp_path / "ladder.json")
+        write_json(h._artifact(), tmp_path / "hier.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # base_blocks reads the one cell of level 0; the writes read none
+    assert unbuilt == [False] + [True] * 7 == [not built(F) for F in ladder.levels]
+    # about 0.33 MB on Python 3.11; writing each file from its to_json() peaks at about 9 MB
+    assert peak < 2**20, peak
+    for name, data in (("ladder.json", ladder.to_json()), ("hier.json", h.to_json())):
+        assert (tmp_path / name).read_bytes() == canonical(data), name

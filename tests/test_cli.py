@@ -244,6 +244,14 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     (None, ["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "2", "--base", "5"]),
     (None, ["folner", "build", "--group", '{"kind":"lattice","d":1}', "--depth", "0"]),
     (None, ["blocks", "verify-c3", "{symbol-256}"]),
+    # --levels that name no level or no int, and levels outside the built ones
+    ("z", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]", "--levels", "2..1"]),
+    ("z", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]", "--levels", "x"]),
+    ("z", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]", "--levels", ","]),
+    ("z", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]", "--levels", "0,-1"]),
+    (None, ["blocks", "verify-c3", "{hier}", "--level", "-1"]),
+    (None, ["blocks", "x0", "{hier}", "--level", "-1"]),
+    (None, ["blocks", "x0", "{hier}", "--level", "4"]),
 ]
 
 # malformed copies of the built ladder file
@@ -285,6 +293,8 @@ def test_malformed_input_exits_1_with_an_error_line(tmp_path, capsys, group, arg
     argv = [a.replace("{ladder}", str(ladder)) for a in argv]
     if "{matrices}" in argv:  # a well-formed file of five matrices
         argv[argv.index("{matrices}")] = _matrices_file(tmp_path, count=5)
+    if "{hier}" in argv:  # a well-formed hierarchy of depth 3
+        argv[argv.index("{hier}")] = _hier_file(tmp_path)
     for i, a in enumerate(argv):
         if a in BROKEN_LADDERS:
             argv[i] = _write(tmp_path, "broken.json", BROKEN_LADDERS[a](json.loads(ladder.read_text())))
@@ -295,6 +305,26 @@ def test_malformed_input_exits_1_with_an_error_line(tmp_path, capsys, group, arg
             argv[i] = _write(tmp_path, "broken.json", BROKEN_SEQUENCES[a])
     assert main(["--out", str(tmp_path / "out"), *argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("levels, message", [
+    ("3..1", "error: --levels '3..1' names no level: a range lo..hi needs lo <= hi"),
+    ("x", "error: --levels must be a range like 0..4 or a comma list of ints, got 'x'"),
+    (",", "error: --levels must be a range like 0..4 or a comma list of ints, got ','"),
+    ("1..y", "error: --levels must be a range like 0..4 or a comma list of ints, got '1..y'"),
+    ("-1", "error: --levels: level -1 outside 0..2"),
+    ("0..3", "error: --levels: level 3 outside 0..2"),
+])
+def test_levels_errors_name_the_flag(tmp_path, capsys, levels, message):
+    ladder = _ladder_file(tmp_path, depth=2)
+    assert main(["analyze", "boundary", "--ladder", ladder, "-g", "[1]", f"--levels={levels}"]) == 1
+    assert capsys.readouterr().err.strip() == message
+
+
+@pytest.mark.parametrize("action", [["verify-c3"], ["x0"]])
+def test_a_negative_block_level_is_outside_the_built_levels(tmp_path, capsys, action):
+    assert main(["blocks", *action, _hier_file(tmp_path), "--level", "-1"]) == 1
+    assert capsys.readouterr().err.strip() == "error: level -1 outside 0..3"
 
 
 @pytest.mark.parametrize("group, flag", [('{"kind":"lattice","d":1}', ["--eps-schedule", "geometric:1/2"]),
