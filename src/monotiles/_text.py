@@ -1,17 +1,17 @@
 """Canonical JSON text of the artifacts, written in pieces through the C
-encoder.  A box, fibred window or subgroup is written from its descriptor
-without making its cells, and a parsed level that is exactly the text of
-such a shape is read back into it."""
+encoder.  A box or fibred window is written from its descriptor without
+making its cells, and a parsed level that is exactly the text of a box,
+fibred window or Pruefer subgroup is read back into it."""
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from fractions import Fraction
 from itertools import islice, product, repeat
 from pathlib import Path
 
-from .groups import FiniteSubset, Heisenberg, Lattice, Pruefer
+from .groups import FiniteSubset, Heisenberg, Lattice, Pruefer, _fibres_of
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # the C encoder
 _SLICE = 1024  # items per encode call of a long list: small pieces, few calls
@@ -19,9 +19,8 @@ _PIECE = 4096  # cells per piece of a subset's text
 
 
 def encoded(value):
-    """value with each FiniteSubset in its dicts and lists replaced by its
-    encode_json() and each bytes by its list of ints: an artifact layout as
-    plain JSON."""
+    """An artifact layout as plain JSON: each FiniteSubset in its dicts and
+    lists replaced by its encode_json() and each bytes by its list of ints."""
     if isinstance(value, dict):
         return {k: encoded(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -34,7 +33,8 @@ def encoded(value):
 def pieces(F: FiniteSubset):
     """(n, text): pieces of n <= _PIECE cells whose texts, joined by commas,
     are `_ENCODE(F.encode_json())` without its brackets.  A box or fibred
-    window writes them row by row from its ranges, so no cell is made."""
+    window writes its runs along the last axis from their ranges, so no cell
+    is made; any other subset goes through the C encoder."""
     if F._box:
         lo, hi, _ = F._box
         rows = zip(product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))), repeat(range(lo[-1], hi[-1] + 1)))
@@ -46,7 +46,7 @@ def pieces(F: FiniteSubset):
             yield len(part), _ENCODE(part)[1:-1]
         return
     for x, run in rows:
-        head = "[" + "".join(f"{a}," for a in x)
+        head = "[" + "".join(f"{a:d}," for a in x)  # :d, so a float plane point read back is no match
         for part in (run[i:i + _PIECE] for i in range(0, len(run), _PIECE)):
             yield len(part), head + ("]," + head).join(map(str, part)) + "]"
 
@@ -64,39 +64,28 @@ def is_text_of(F: FiniteSubset, rows) -> bool:
     return i == len(rows)
 
 
-def _shape(ctx, rows: list) -> FiniteSubset | None:
-    """The descriptor-first subset that the parsed JSON rows may encode, or None:
-    a box from the first and last row and the length, a subgroup {i/N} from the
-    length, a fibred window from each fibre's ends.  `is_text_of` decides."""
-    try:
-        if isinstance(ctx, Pruefer) and rows and not pow(ctx.p, len(rows).bit_length(), len(rows)):
-            return FiniteSubset._from_cyclic(ctx, len(rows))
-        if isinstance(ctx, Lattice) and rows:
-            lo, hi = tuple(rows[0]), tuple(rows[-1])
-            sides = [b - a + 1 for a, b in zip(lo, hi) if type(a) is type(b) is int]
-            if len(lo) == len(hi) == len(sides) == ctx.d and min(sides) > 0 and math.prod(sides) == len(rows):
-                return FiniteSubset._from_box(ctx, lo, hi)
-        if isinstance(ctx, Heisenberg) and rows:
-            fibres, start = {}, 0
-            while start < len(rows):  # one bisect per fibre, as `FiniteSubset._fibres` finds them
-                a, b, lo = rows[start]
-                end = bisect_right(rows, [a, b, math.inf], start)
-                hi = rows[end - 1][2]
-                if not (type(a) is type(b) is type(lo) is type(hi) is int and hi - lo == end - 1 - start):
-                    return None
-                fibres[a, b], start = (start, lo, hi), end
-            return FiniteSubset._from_fibres(ctx, fibres)
-    except (TypeError, ValueError, LookupError):  # rows of another shape or type
-        pass
-    return None
-
-
 def from_rows(ctx, rows: list) -> FiniteSubset:
-    """The subset that the parsed JSON list rows encodes: descriptor-first when
-    rows is exactly the text of the shape `_shape` infers, else made by the
-    validating constructor (with its exceptions)."""
-    shape = _shape(ctx, rows)
-    return shape if shape is not None and is_text_of(shape, rows) else FiniteSubset(ctx, map(ctx.decode_json, rows))
+    """The subset that the parsed JSON list rows encodes.  A box (from its
+    first and last row), a fibred window (`_fibres_of`) or a Pruefer subgroup
+    {i/N} (N the length) is kept, cells unmade, when rows is exactly its
+    canonical text; rows of another shape or type raise on the way and, like
+    any other miss, go through the validating constructor."""
+    try:
+        shape = None
+        if isinstance(ctx, Lattice):
+            lo, hi = tuple(rows[0]), tuple(rows[-1])
+            if len(lo) == len(hi) == ctx.d and math.prod(b - a + 1 for a, b in zip(lo, hi)) == len(rows):
+                shape = FiniteSubset._from_box(ctx, lo, hi)
+        elif isinstance(ctx, Heisenberg) and (fibres := _fibres_of(rows, list)):
+            shape = FiniteSubset._from_fibres(ctx, fibres)
+        elif isinstance(ctx, Pruefer):
+            ctx.validate(Fraction(len(rows) - 1, len(rows)))  # N divides a power of p
+            shape = FiniteSubset._from_cyclic(ctx, len(rows))
+        if shape is not None and is_text_of(shape, rows):
+            return shape
+    except (ArithmeticError, TypeError, ValueError, LookupError):
+        pass
+    return FiniteSubset(ctx, map(ctx.decode_json, rows))
 
 
 def _write_canonical(value, write) -> None:

@@ -10,27 +10,23 @@ corruption is always detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from operator import add
 
 from . import _boxes
+from ._frozen import frozen
 from .blocks import BlockHierarchy, Pattern
 from .folner import FolnerLadder, _tiled, folner_defect, iterated_glue
 from .groups import Certificate, FiniteSubset, Lattice
 
 __all__ = [
-    "CylinderId",
-    "return_times",
-    "scan_occurrences",
-    "check_partitions",
-    "boundary_mass_bound",
+    "CylinderId", "return_times", "scan_occurrences", "check_partitions", "boundary_mass_bound",
     "syndeticity_window",
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class CylinderId:
     """Names the clopen set of configurations reading block k in window n."""
 

@@ -8,11 +8,11 @@ always placed on the identity coset and never elsewhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 from . import _boxes, _text
+from ._frozen import frozen
 from .errors import (AugmentationError, DistinctnessError, EncodingError, InfeasibleError,
                      RenderUnsupportedError)
 from .folner import FolnerLadder, _tiled
@@ -20,15 +20,8 @@ from .groups import Certificate, FiniteSubset, Lattice
 from .matrices import ManagedMatrix
 
 __all__ = [
-    "Pattern",
-    "Assignment",
-    "BlockHierarchy",
-    "base_blocks",
-    "assignment_from_matrix",
-    "build_hierarchy",
-    "verify_c3",
-    "augment_matrix",
-    "render_pattern",
+    "Pattern", "Assignment", "BlockHierarchy", "base_blocks", "assignment_from_matrix", "build_hierarchy",
+    "verify_c3", "augment_matrix", "render_pattern",
 ]
 
 
@@ -71,7 +64,7 @@ class Pattern:
         return {"support": self.support.encode_json(), "symbols": list(self.symbols)}
 
 
-@dataclass(frozen=True)
+@frozen
 class Assignment:
     """Per-block maps from glue cosets to lower-level block indices (1-based)."""
 

@@ -7,27 +7,14 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import (
-    boundary_mass_bound,
-    check_partitions,
-    return_times,
-    scan_occurrences,
-)
+from .analysis import boundary_mass_bound, check_partitions, return_times, scan_occurrences
 from .blocks import BlockHierarchy, build_hierarchy, render_pattern, verify_c3
 from .errors import MonotileError
 from .folner import FolnerLadder, check_congruent, right_invariance_defect
 from .groups import FiniteSubset, context_from_descriptor
 from .matrices import ManagedSequence, positivity_horizon, select_subsequence_lemma8
-from .pipeline import (
-    DEFAULT_CONFIG,
-    PipelineConfig,
-    _ROUTES,
-    _defect_table,
-    _fraction,
-    _ladder_plan,
-    run_pipeline,
-    write_json,
-)
+from .pipeline import (DEFAULT_CONFIG, PipelineConfig, _ROUTES, _defect_table, _fraction, _ladder_plan,
+                       run_pipeline, write_json)
 from .simplex import approximate_limit, check_nesting, realize_finite_simplex
 
 __all__ = ["main", "render_pattern"]
@@ -51,16 +38,16 @@ def _parse_levels(text: str, top: int) -> list[int]:
     each in 0..top; all of them when text is None."""
     if text is None:
         return list(range(top + 1))
+    lo, dots, hi = text.partition("..")
     try:
-        lo, dots, hi = text.partition("..")
-        levels = list(range(int(lo), int(hi) + 1)) if dots else [int(part) for part in text.split(",")]
+        levels = [int(lo), int(hi)] if dots else [int(part) for part in text.split(",")]
     except ValueError:
         raise MonotileError(f"--levels must be a range like 0..4 or a comma list of ints, got {text!r}") from None
-    if not levels:
+    if dots and levels[0] > levels[1]:
         raise MonotileError(f"--levels {text!r} names no level: a range lo..hi needs lo <= hi")
-    if bad := [n for n in levels if not 0 <= n <= top]:
+    if bad := [n for n in levels if not 0 <= n <= top]:  # a range's ends, before its levels are listed
         raise MonotileError(f"--levels: level {bad[0]} outside 0..{top}")
-    return levels
+    return list(range(levels[0], levels[1] + 1)) if dots else levels
 
 
 def _cmd_folner(args) -> int:

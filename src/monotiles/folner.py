@@ -11,49 +11,31 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import _boxes, _text
+from ._frozen import frozen
 from ._intlin import ZModule
 from .errors import EncodingError, InfeasibleError, InvarianceUnreachableError, NotCosetRepsError
-from .groups import (
-    MAX_CELLS,
-    Certificate,
-    FiniteSubset,
-    GroupContext,
-    Heisenberg,
-    Lattice,
-    Pruefer,
-    context_from_descriptor,
-    product_set,
-)
+from .groups import (MAX_CELLS, Certificate, FiniteSubset, GroupContext, Heisenberg, Lattice, Pruefer,
+                     context_from_descriptor, product_set)
 
 __all__ = [
-    "FolnerLadder",
-    "right_invariance_defect",
-    "folner_defect",
-    "check_congruent",
-    "iterated_glue",
-    "build_lattice_ladder",
-    "build_pruefer_ladder",
-    "build_abelian_chain_ladder",
-    "compose_exact_sequence",
-    "build_heisenberg_ladder",
-    "extend_virtually",
-    "group_ladder",
+    "FolnerLadder", "right_invariance_defect", "folner_defect", "check_congruent", "iterated_glue",
+    "build_lattice_ladder", "build_pruefer_ladder", "build_abelian_chain_ladder", "compose_exact_sequence",
+    "build_heisenberg_ladder", "extend_virtually", "group_ladder",
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class FolnerLadder:
-    """A finite congruent-ladder prefix: levels F_n and glue sets J_n."""
+    """A finite congruent-ladder prefix: levels F_n and glue sets J_n.  Its
+    `info` (a dict or None) is no field, so equality and hash leave it out."""
 
     ctx: GroupContext
     levels: tuple[FiniteSubset, ...]
     glue: tuple[FiniteSubset, ...]
-    info: dict | None = field(default=None, compare=False)
 
     def __init__(self, ctx, levels, glue, info=None):
         levels = tuple(levels)

@@ -12,28 +12,17 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product, repeat
 from typing import Iterable
 
+from ._frozen import frozen
 from .errors import EncodingError, InfeasibleError, NotCosetRepsError, UnsupportedGroupError
 
 __all__ = [
-    "Certificate",
-    "GroupContext",
-    "Lattice",
-    "Cyclic",
-    "Heisenberg",
-    "Pruefer",
-    "Rationals",
-    "DirectProduct",
-    "FiniteExtension",
-    "FiniteSubset",
-    "context_from_descriptor",
-    "standard_generators",
-    "product_set",
+    "Certificate", "GroupContext", "Lattice", "Cyclic", "Heisenberg", "Pruefer", "Rationals", "DirectProduct",
+    "FiniteExtension", "FiniteSubset", "context_from_descriptor", "standard_generators", "product_set",
 ]
 
 
@@ -439,7 +428,7 @@ def standard_generators(ctx: GroupContext) -> list:
     return ctx.generators()
 
 
-@dataclass(frozen=True)
+@frozen
 class Certificate:
     """Verdict of an exact check, with its first violation when it fails.
 
@@ -451,7 +440,11 @@ class Certificate:
     ok: bool
     reason: str | None = None
     witness: list | None = None
-    detail: dict = field(default_factory=dict)
+    detail: dict | None = None
+
+    def __post_init__(self):
+        if self.detail is None:
+            self.__dict__["detail"] = {}
 
     @staticmethod
     def fail(ctx: GroupContext, reason: str, witness, **detail) -> "Certificate":
@@ -482,7 +475,7 @@ class Certificate:
         return Certificate(data["ok"], data["reason"], data["witness"], detail)
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class FiniteSubset:
     """An immutable finite subset of a group, kept in canonical order.  Those
     from `_from_box`, `_from_fibres` and `_from_cyclic` make their cells on the
@@ -571,19 +564,8 @@ class FiniteSubset:
     def _fibres(self) -> dict | None:
         """{(a, b): (start, lo, hi)} when this is a Heisenberg window whose cells
         over each plane point (a, b) are one run (a, b, lo..hi), at canonical
-        indices start.., else None: preset, or found with one bisect per fibre."""
-        if not (isinstance(self.ctx, Heisenberg) and self.elements):
-            return None
-        cells, fibres, start = self.elements, {}, 0
-        while start < len(cells):
-            a, b, lo = cells[start]
-            end = bisect_right(cells, (a, b, math.inf), start)
-            hi = cells[end - 1][2]
-            if hi - lo != end - 1 - start:
-                return None
-            fibres[a, b] = (start, lo, hi)
-            start = end
-        return fibres
+        indices start.., else None: preset, or found by `_fibres_of`."""
+        return _fibres_of(self.elements) if isinstance(self.ctx, Heisenberg) and self.elements else None
 
     @cached_property
     def _cyclic(self) -> int | None:
@@ -636,6 +618,21 @@ class FiniteSubset:
 
     def __repr__(self) -> str:
         return f"FiniteSubset({len(self)} elements of {self.ctx.kind})"
+
+
+def _fibres_of(cells, probe=tuple) -> dict | None:
+    """The `_fibres` of sorted Heisenberg cells (tuples, or lists as parsed
+    from JSON with probe=list), or None when some fibre is not one run: one
+    bisect per fibre."""
+    fibres, start = {}, 0
+    while start < len(cells):
+        a, b, lo = cells[start]
+        end = bisect_right(cells, probe((a, b, math.inf)), start)
+        hi = cells[end - 1][2]
+        if hi - lo != end - 1 - start:
+            return None
+        fibres[a, b], start = (start, lo, hi), end
+    return fibres
 
 
 def _strides(lo: tuple, hi: tuple) -> tuple:

@@ -3,22 +3,18 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
+from ._frozen import frozen
 from .errors import EncodingError, HypothesisError, SelectionExhaustedError
 
 __all__ = [
-    "ManagedMatrix",
-    "ManagedSequence",
-    "select_subsequence_lemma8",
-    "group_matrices",
-    "positivity_horizon",
+    "ManagedMatrix", "ManagedSequence", "select_subsequence_lemma8", "group_matrices", "positivity_horizon",
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class ManagedMatrix:
     """A rows x cols nonnegative integer matrix whose columns all sum to `ratio`."""
 

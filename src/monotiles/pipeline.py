@@ -9,49 +9,24 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from ._frozen import frozen
 from ._text import write_json
-from .analysis import (
-    CylinderId,
-    boundary_mass_bound,
-    check_partitions,
-    return_times,
-    scan_occurrences,
-    syndeticity_window,
-)
+from .analysis import (CylinderId, boundary_mass_bound, check_partitions, return_times, scan_occurrences,
+                       syndeticity_window)
 from .blocks import augment_matrix, build_hierarchy, verify_c3
 from .errors import ConfigError, MonotileError
-from .folner import (
-    FolnerLadder,
-    build_abelian_chain_ladder,
-    build_heisenberg_ladder,
-    build_lattice_ladder,
-    build_pruefer_ladder,
-    check_congruent,
-    folner_defect,
-    group_ladder,
-)
+from .folner import (FolnerLadder, build_abelian_chain_ladder, build_heisenberg_ladder, build_lattice_ladder,
+                     build_pruefer_ladder, check_congruent, folner_defect, group_ladder)
 from .groups import FiniteSubset, Heisenberg, context_from_descriptor
 from .matrices import ManagedSequence, group_matrices, select_subsequence_lemma8
-from .simplex import (
-    check_nesting,
-    incidence_from_hierarchy,
-    realize_finite_simplex,
-    tail_cluster_diameters,
-)
+from .simplex import check_nesting, incidence_from_hierarchy, realize_finite_simplex, tail_cluster_diameters
 
 __all__ = [
-    "STAGES",
-    "DEFAULT_CONFIG",
-    "PipelineConfig",
-    "StageResult",
-    "RunReport",
-    "heisenberg_targets",
-    "build_ladder_from_config",
-    "run_pipeline",
+    "STAGES", "DEFAULT_CONFIG", "PipelineConfig", "StageResult", "RunReport", "heisenberg_targets",
+    "build_ladder_from_config", "run_pipeline",
 ]
 
 STAGES = (
@@ -172,7 +147,7 @@ def _ladder_plan(ctx, section) -> tuple:
     return build_abelian_chain_ladder, (ctx, gens, depth), depth
 
 
-@dataclass(frozen=True)
+@frozen
 class PipelineConfig:
     """Validated pipeline parameters; see DEFAULT_CONFIG for the file shape."""
 
@@ -242,7 +217,7 @@ class PipelineConfig:
         return PipelineConfig.from_json(data, path.parent)
 
 
-@dataclass(frozen=True)
+@frozen
 class StageResult:
     name: str
     ok: bool
@@ -256,13 +231,11 @@ class StageResult:
         return out
 
 
-@dataclass
 class RunReport:
     """Stage outcomes plus artifact paths; timings stay off the artifact."""
 
-    stages: list = field(default_factory=list)
-    artifacts: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
+    def __init__(self):
+        self.stages, self.artifacts, self.timings = [], {}, {}
 
     @property
     def ok(self) -> bool:

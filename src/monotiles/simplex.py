@@ -7,11 +7,11 @@ the construction identity and by an independent exact hull-membership test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import _boxes
+from ._frozen import frozen
 from .blocks import BlockHierarchy
 from .errors import InfeasibleError
 from .folner import FolnerLadder, _tiled
@@ -19,21 +19,13 @@ from .groups import Certificate
 from .matrices import ManagedMatrix, ManagedSequence
 
 __all__ = [
-    "SimplexPoint",
-    "SimplexApproximant",
-    "RealizationResult",
-    "push",
-    "standard_vertices",
-    "approximate_limit",
-    "hull_contains",
-    "check_nesting",
-    "tail_cluster_diameters",
-    "realize_finite_simplex",
+    "SimplexPoint", "SimplexApproximant", "RealizationResult", "push", "standard_vertices",
+    "approximate_limit", "hull_contains", "check_nesting", "tail_cluster_diameters", "realize_finite_simplex",
     "incidence_from_hierarchy",
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class SimplexPoint:
     """Nonnegative rational coordinates summing to exactly 1/scale."""
 
@@ -82,7 +74,7 @@ def push(m: ManagedMatrix, z: SimplexPoint) -> SimplexPoint:
     return SimplexPoint(coords, z.scale // m.ratio)
 
 
-@dataclass(frozen=True)
+@frozen
 class SimplexApproximant:
     """Vertex images of a depth-d standard simplex pushed down to one level."""
 
@@ -259,7 +251,7 @@ def tail_cluster_diameters(ms: ManagedSequence, n: int, d: int) -> list[Fraction
     return [shrink] * k
 
 
-@dataclass(frozen=True)
+@frozen
 class RealizationResult:
     """A managed sequence whose limit has the requested extreme points."""
 

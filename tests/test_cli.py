@@ -314,6 +314,7 @@ def test_malformed_input_exits_1_with_an_error_line(tmp_path, capsys, group, arg
     ("1..y", "error: --levels must be a range like 0..4 or a comma list of ints, got '1..y'"),
     ("-1", "error: --levels: level -1 outside 0..2"),
     ("0..3", "error: --levels: level 3 outside 0..2"),
+    ("0..1000000000000", "error: --levels: level 1000000000000 outside 0..2"),
 ])
 def test_levels_errors_name_the_flag(tmp_path, capsys, levels, message):
     ladder = _ladder_file(tmp_path, depth=2)

@@ -17,12 +17,14 @@ def missing_exports(module) -> list[str]:
 
 def unlisted_imports(init_source: str, modules: dict) -> list[str]:
     """`module.name` for each name the package __init__ imports from a sibling
-    module whose __all__ does not list it."""
+    module whose __all__ does not list it, and `module.*` for a star import
+    from a module without __all__ (a star import takes exactly __all__)."""
     out = []
     for node in ast.parse(init_source).body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            listed = getattr(modules[node.module], "__all__", ())
-            out += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in listed]
+            listed = getattr(modules[node.module], "__all__", None)
+            out += [f"{node.module}.{alias.name}" for alias in node.names
+                    if listed is None or alias.name not in (*listed, "*")]
     return sorted(out)
 
 
@@ -38,6 +40,9 @@ def test_checks_see_a_stale_address_export():
     init = "from .analysis import (\n    address,\n    check_partitions,\n)\n"
     assert unlisted_imports(init, {"analysis": types.SimpleNamespace(__all__=["check_partitions"])}) \
         == ["analysis.address"]
+    star = "from .analysis import *\n"
+    assert unlisted_imports(star, {"analysis": types.SimpleNamespace(__all__=["check_partitions"])}) == []
+    assert unlisted_imports(star, {"analysis": types.SimpleNamespace()}) == ["analysis.*"]
 
 
 def test_every_listed_name_exists():

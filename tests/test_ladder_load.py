@@ -214,3 +214,22 @@ def test_a_float_in_a_fibred_level_fails_as_the_validating_loader_does(row, k):
     with pytest.raises(EncodingError, match="^expected a 3-tuple of ints"):
         FolnerLadder.from_json(data)
     assert_loads_like_the_oracle(data)
+
+
+def test_a_row_of_another_rank_fails_as_the_validating_loader_does():
+    # one row is both the first and the last: a box of two coordinates in Z^1
+    data = json.loads(built_ladder_json("z-base5"))
+    data["levels"][0] = [[0, 0]]
+    with pytest.raises(EncodingError, match=r"^expected a 1-tuple of ints, got \(0, 0\)$"):
+        FolnerLadder.from_json(data)
+    assert_loads_like_the_oracle(data)
+
+
+def test_a_float_plane_point_of_a_one_row_fibre_fails_as_the_validating_loader_does():
+    # the fibre over (1, 0) is one row, so every row of it carries the float
+    ctx = Heisenberg()
+    data = FolnerLadder(ctx, [FiniteSubset(ctx, [(0, 0, 0), (1, 0, 5)])], []).to_json()
+    data["levels"][0][1][0] = 1.0
+    with pytest.raises(EncodingError, match="^expected a 3-tuple of ints"):
+        FolnerLadder.from_json(data)
+    assert_loads_like_the_oracle(data)
