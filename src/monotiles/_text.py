@@ -1,17 +1,17 @@
 """Canonical JSON text of the artifacts, written in pieces through the C
-encoder.  A box or fibred window is written from its descriptor without
-making its cells, and a parsed level that is exactly the text of a box,
-fibred window or Pruefer subgroup is read back into it."""
+encoder.  A window with a row form (a box or fibred window, `_boxes`) is
+written from its shape without making its cells, and a parsed level that is
+exactly the text of the candidate shape its rows suggest is read back into
+that shape."""
 
 from __future__ import annotations
 
 import json
-import math
-from fractions import Fraction
-from itertools import islice, product, repeat
+from itertools import islice
 from pathlib import Path
 
-from .groups import FiniteSubset, Heisenberg, Lattice, Pruefer, _fibres_of
+from ._boxes import SHAPES
+from .groups import FiniteSubset
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # the C encoder
 _SLICE = 1024  # items per encode call of a long list: small pieces, few calls
@@ -32,15 +32,11 @@ def encoded(value):
 
 def pieces(F: FiniteSubset):
     """(n, text): pieces of n <= _PIECE cells whose texts, joined by commas,
-    are `_ENCODE(F.encode_json())` without its brackets.  A box or fibred
-    window writes its runs along the last axis from their ranges, so no cell
-    is made; any other subset goes through the C encoder."""
-    if F._box:
-        lo, hi, _ = F._box
-        rows = zip(product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))), repeat(range(lo[-1], hi[-1] + 1)))
-    elif F._fibres:
-        rows = ((x, range(a, b + 1)) for x, (_, a, b) in F._fibres.items())
-    else:
+    are `_ENCODE(F.encode_json())` without its brackets.  A shape with rows
+    (x, run) writes each run from its range, so no cell is made; any other
+    subset goes through the C encoder."""
+    rows = F._shape.rows() if F._shape else None
+    if rows is None:
         cells = iter(F._cells())
         while part := list(map(F.ctx.encode_json, islice(cells, _PIECE))):
             yield len(part), _ENCODE(part)[1:-1]
@@ -65,24 +61,14 @@ def is_text_of(F: FiniteSubset, rows) -> bool:
 
 
 def from_rows(ctx, rows: list) -> FiniteSubset:
-    """The subset that the parsed JSON list rows encodes.  A box (from its
-    first and last row), a fibred window (`_fibres_of`) or a Pruefer subgroup
-    {i/N} (N the length) is kept, cells unmade, when rows is exactly its
-    canonical text; rows of another shape or type raise on the way and, like
-    any other miss, go through the validating constructor."""
+    """The subset that the parsed JSON list rows encodes: the candidate that
+    ctx's shape class (`SHAPES`) infers from the rows, cells unmade, when rows
+    is exactly its text; else (rows of another shape or type raise on the way)
+    through the validating constructor."""
     try:
-        shape = None
-        if isinstance(ctx, Lattice):
-            lo, hi = tuple(rows[0]), tuple(rows[-1])
-            if len(lo) == len(hi) == ctx.d and math.prod(b - a + 1 for a, b in zip(lo, hi)) == len(rows):
-                shape = FiniteSubset._from_box(ctx, lo, hi)
-        elif isinstance(ctx, Heisenberg) and (fibres := _fibres_of(rows, list)):
-            shape = FiniteSubset._from_fibres(ctx, fibres)
-        elif isinstance(ctx, Pruefer):
-            ctx.validate(Fraction(len(rows) - 1, len(rows)))  # N divides a power of p
-            shape = FiniteSubset._from_cyclic(ctx, len(rows))
-        if shape is not None and is_text_of(shape, rows):
-            return shape
+        shape = (cls := SHAPES.get(ctx.kind)) and cls.from_rows(ctx, rows)
+        if shape and is_text_of(F := FiniteSubset._from_shape(ctx, shape), rows):
+            return F
     except (ArithmeticError, TypeError, ValueError, LookupError):
         pass
     return FiniteSubset(ctx, map(ctx.decode_json, rows))
@@ -123,7 +109,7 @@ def _write_canonical(value, write) -> None:
 def write_json(data, path: Path) -> None:
     """The bytes of json.dumps(encoded(data), sort_keys=True, separators=(",", ":"))
     and a newline, streamed so that no whole artifact is held as one string
-    and no box or fibred level makes its cells."""
+    and no level with a row form makes its cells."""
     with open(path, "w") as fh:
         _write_canonical(data, fh.write)
         fh.write("\n")

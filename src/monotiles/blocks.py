@@ -338,9 +338,9 @@ def render_pattern(p: Pattern, mode: str = "text") -> str:
     ctx = p.support.ctx
     if not isinstance(ctx, Lattice) or ctx.d not in (1, 2):
         raise RenderUnsupportedError(f"text rendering needs a rank-1 or rank-2 lattice, got {ctx!r}")
-    box = p.support._box
+    box = p.support._shape  # a Box or None on a lattice
     if box is None:
         shape = "a contiguous interval" if ctx.d == 1 else "a full box"
         raise RenderUnsupportedError(f"support is not {shape}")
-    width = box[2][0] if ctx.d == 2 else len(p.symbols)
+    width = box.strides[0] if ctx.d == 2 else len(p.symbols)
     return "\n".join(" ".join(map(str, p.symbols[i:i + width])) for i in range(0, len(p.symbols), width))

@@ -95,7 +95,7 @@ class FolnerLadder:
 
     def _artifact(self) -> dict:
         """The ladder's JSON layout, its levels and glue left as subsets:
-        `write_json` writes those piece by piece from their descriptors."""
+        `write_json` writes those piece by piece from their shapes."""
         data = {"group": self.ctx.descriptor(), "levels": self.levels, "glue": self.glue}
         return data if self.info is None else {**data, "info": self.info}
 
@@ -107,8 +107,8 @@ class FolnerLadder:
     def from_json(data: dict) -> "FolnerLadder":
         """Inverse of to_json: exactly group, levels and glue (lists of element
         lists) and an optional info, else EncodingError.  A level whose rows are
-        exactly the text of a box, fibred window or subgroup loads
-        descriptor-first (`_text.from_rows`), making no cell."""
+        exactly the text of a box, fibred window or subgroup loads into
+        that shape (`_text.from_rows`), making no cell."""
         if not (isinstance(data, dict) and data.keys() - {"info"} == {"group", "levels", "glue"}):
             raise EncodingError("a ladder needs exactly the keys group, levels, glue and optionally info")
         if not all(isinstance(part, list) and all(isinstance(s, list) for s in part)
@@ -130,15 +130,14 @@ def _tiled(ladder: FolnerLadder, n: int) -> list[list[range]]:
 
 
 def right_invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:
-    """1 - |{g in F : gK subset of F}| / |F|, exactly (by `_boxes.kept` on a
-    box, fibred window or subgroup, else one product per cell and k)."""
+    """1 - |{g in F : gK subset of F}| / |F|, exactly (by the `kept` of F's
+    shape, else one product per cell and k)."""
     if len(F) == 0:
         raise ValueError("invariance defect of the empty window is undefined")
     if F.ctx != K.ctx:
         raise ValueError("window and test set live in different groups")
-    kept = _boxes.kept(F, K.elements)
-    if kept is not None:
-        return 1 - Fraction(kept, len(F))
+    if shape := F._shape:
+        return 1 - Fraction(shape.kept(K.elements, F.ctx.mul), len(F))
     # a set local to the call: the cached F.as_set would stay on F for its lifetime
     mul, cells, good = F.ctx.mul, set(F.elements), F.elements
     for k in K:
@@ -206,8 +205,8 @@ def build_lattice_ladder(d: int, depth: int, base: int = 3) -> FolnerLadder:
             for n in range(depth)]
     # once the top level's cells are built, the lower levels' are sliced out of them
     radius = [(base**n - 1) // 2 for n in range(depth + 1)]
-    top = FiniteSubset._from_box(ctx, (-radius[depth],) * d, (radius[depth],) * d)
-    levels = [FiniteSubset._from_box(ctx, (-r,) * d, (r,) * d, top) for r in radius[:depth]]
+    top = FiniteSubset._from_shape(ctx, _boxes.Box((-radius[depth],) * d, (radius[depth],) * d))
+    levels = [FiniteSubset._from_shape(ctx, _boxes.Box((-r,) * d, (r,) * d), top) for r in radius[:depth]]
     return FolnerLadder(ctx, [*levels, top], glue)
 
 
@@ -217,7 +216,7 @@ def build_pruefer_ladder(p: int, depth: int) -> FolnerLadder:
         raise ValueError("depth must be >= 0")
     ctx = Pruefer(p)
     _check_budget(p, depth)
-    levels = [FiniteSubset._from_cyclic(ctx, p**n) for n in range(depth + 1)]
+    levels = [FiniteSubset._from_shape(ctx, _boxes.Subgroup(p**n)) for n in range(depth + 1)]
     glue = [FiniteSubset._trusted(ctx, (Fraction(j, p ** (n + 1)) for j in range(p))) for n in range(depth)]
     return FolnerLadder(ctx, levels, glue)
 
@@ -371,8 +370,8 @@ def compose_exact_sequence(
 
     # every target is met: only now build the chosen levels and their glue
     m_indices, q_indices = [0, *(c[0] for c in chosen)], [0, *(c[1] for c in chosen)]
-    levels = [ladder_sub.levels[0], *(FiniteSubset._from_fibres(ctx, c[3]) if isinstance(c[3], dict) else c[3]
-                                      for c in chosen)]
+    levels = [ladder_sub.levels[0], *(FiniteSubset._from_shape(ctx, c[3]) if isinstance(c[3], _boxes.Fibres)
+                                      else c[3] for c in chosen)]
     glue = [product_set(iterated_glue(ladder_sub, m, m_s), *lifted[q:q_s][::-1])
             for m, m_s, q, q_s in zip(m_indices, m_indices[1:], q_indices, q_indices[1:])]
     info = {"m_indices": m_indices, "q_indices": q_indices, "achieved_defects": [str(c[2]) for c in chosen]}
@@ -385,17 +384,18 @@ def _score_candidate(U: FiniteSubset, tower: FiniteSubset, K: FiniteSubset):
     When U is one central Heisenberg run (0, 0, lo..hi), (0, 0, z) * (a, b, c)
     = (a, b, c + z) makes each tower cell one fibre of the level, in the
     tower's order, if the tower's plane points are distinct.  The level is
-    then scored from those runs and comes back as its `_fibres` dict, to be
-    built only if chosen; else it is built by product_set."""
-    runs = U._fibres
-    if runs and runs.keys() == {(0, 0)}:
-        _, lo, hi = runs[0, 0]
+    then scored from those `Fibres` and comes back as that shape, to be made
+    a subset only if chosen; else it is built by product_set."""
+    shape = U._shape
+    if isinstance(shape, _boxes.Fibres) and shape.runs.keys() == {(0, 0)}:
+        _, lo, hi = shape.runs[0, 0]
         run = hi - lo + 1
         if (size := len(tower) * run) > MAX_CELLS:
             raise InfeasibleError(f"product set would hold {size} cells, over the budget of {MAX_CELLS}")
         fibres = {(a, b): (i * run, c + lo, c + hi) for i, (a, b, c) in enumerate(tower.elements)}
         if len(fibres) == len(tower):
-            return 1 - Fraction(_boxes._fibre_kept(U.ctx.mul, fibres, K.elements), size), fibres
+            level = _boxes.Fibres(fibres)
+            return 1 - Fraction(level.kept(K.elements, U.ctx.mul), size), level
     level = product_set(U, tower)
     return right_invariance_defect(level, K), level
 
@@ -407,7 +407,8 @@ def build_heisenberg_ladder(targets: Sequence[tuple[FiniteSubset, Fraction]]) ->
     # the central levels (0, 0, -h..h), h = (3**n - 1) / 2, and digits {k * 3**n}: valid by construction
     center = FolnerLadder(
         ctx,
-        [FiniteSubset._from_fibres(ctx, {(0, 0): (0, (1 - 3**n) // 2, (3**n - 1) // 2)}) for n in range(11)],
+        [FiniteSubset._from_shape(ctx, _boxes.Fibres({(0, 0): (0, (1 - 3**n) // 2, (3**n - 1) // 2)}))
+         for n in range(11)],
         [FiniteSubset._trusted(ctx, [(0, 0, -(3**n)), (0, 0, 0), (0, 0, 3**n)]) for n in range(10)])
     return compose_exact_sequence(center, build_lattice_ladder(2, 5), section=lambda q: (q[0], q[1], 0),
                                   projection=lambda g: (g[0], g[1]), targets=targets)

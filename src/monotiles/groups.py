@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain
 from typing import Iterable
 
+from ._boxes import SHAPES
 from ._frozen import frozen
 from .errors import EncodingError, InfeasibleError, NotCosetRepsError, UnsupportedGroupError
 
@@ -477,8 +477,9 @@ class Certificate:
 
 @frozen(eq=False)
 class FiniteSubset:
-    """An immutable finite subset of a group, kept in canonical order.  Those
-    from `_from_box`, `_from_fibres` and `_from_cyclic` make their cells on the
+    """An immutable finite subset of a group, kept in canonical order, with
+    at most one shape (`_boxes`: a Box, Fibres or Subgroup) whose closed form
+    answers for its cells.  One made by `_from_shape` makes its cells on the
     first read of `elements`; size, membership, equality and hash never do."""
 
     ctx: GroupContext
@@ -494,7 +495,7 @@ class FiniteSubset:
 
     @classmethod
     def _preset(cls, ctx: GroupContext, **entries) -> "FiniteSubset":
-        """A subset of ctx holding only the given cells or descriptors."""
+        """A subset of ctx holding only the given cells or shape."""
         self = object.__new__(cls)
         self.__dict__.update(ctx=ctx, **entries)
         return self
@@ -505,108 +506,61 @@ class FiniteSubset:
         return cls._preset(ctx, elements=tuple(sorted(elements)))
 
     @classmethod
-    def _from_fibres(cls, ctx: "Heisenberg", fibres: dict) -> "FiniteSubset":
-        """Internal constructor for a Heisenberg window given as its `_fibres`
-        descriptor, runs in canonical order: it keeps the descriptor, so nothing
-        is sorted or searched."""
-        return cls._preset(ctx, _fibres=fibres)
-
-    @classmethod
-    def _from_box(cls, ctx: Lattice, lo: tuple, hi: tuple, outer: "FiniteSubset | None" = None) -> "FiniteSubset":
-        """Internal constructor for the full box lo..hi of a lattice: it keeps
-        `_box` and the enclosing box `outer`, whose cells `elements` slices if
-        they are built by then (so nested levels share their cells)."""
-        return cls._preset(ctx, _box=(lo, hi, _strides(lo, hi)), _outer=outer)
-
-    @classmethod
-    def _from_cyclic(cls, ctx: Pruefer, n: int) -> "FiniteSubset":
-        """Internal constructor for the Pruefer subgroup {i/n}: it keeps `_cyclic`."""
-        return cls._preset(ctx, _cyclic=n)
+    def _from_shape(cls, ctx: GroupContext, shape, outer: "FiniteSubset | None" = None) -> "FiniteSubset":
+        """Internal constructor for the cells of a shape, kept with the subset
+        `outer` enclosing it, whose cells `elements` slices if they are built by
+        then (so nested levels share their cells): nothing is sorted or searched."""
+        return cls._preset(ctx, _shape=shape, _outer=outer)
 
     @cached_property
     def elements(self) -> tuple:
-        """The cells in canonical order, made on first read for descriptor-first
-        subsets: one slice per row of the enclosing box's cells when those are
-        built, else a product of ranges, run by run, or i/n for i < n."""
+        """The cells in canonical order, made on first read for a subset made
+        from its shape: one slice of outer's cells per run of the identity's
+        translate in outer when those are built, else from the shape."""
         outer = self.__dict__.get("_outer")
-        built = outer is not None and "elements" in outer.__dict__
-        slices = built and _box_slices(outer.elements, self._box, outer._box)
-        return tuple(chain.from_iterable(slices) if slices else self._cells())
+        place = outer is not None and "elements" in outer.__dict__ and self._shape.runs_in(outer._shape, self.ctx.mul)
+        spans = place and place(self.ctx.identity())
+        return tuple(chain.from_iterable(outer.elements[s.start:s.stop:s.step] for s in spans) if spans
+                     else self._cells())
 
     def _cells(self):
         """The cells in canonical order, made afresh (and not kept) when not built."""
-        if "elements" in self.__dict__:
-            return self.elements
-        if self._box:
-            return product(*(range(a, b + 1) for a, b in zip(*self._box[:2])))
-        if self._fibres:
-            return ((a, b, t) for (a, b), (_, lo, hi) in self._fibres.items() for t in range(lo, hi + 1))
-        return map(Fraction, range(self._cyclic), repeat(self._cyclic))
+        return self.elements if "elements" in self.__dict__ else self._shape.cells()
 
     @cached_property
     def as_set(self) -> frozenset:
         return frozenset(self.elements)
 
     @cached_property
-    def _box(self) -> tuple | None:
-        """(lo, hi, `_strides(lo, hi)`) when this is a full box of a lattice, else None,
-        found from all cells' coordinate-wise min and max, not the first and last."""
-        if not (isinstance(self.ctx, Lattice) and self.elements):
-            return None
-        axes = [operator.itemgetter(k) for k in range(self.ctx.d)]
-        lo = tuple(min(map(axis, self.elements)) for axis in axes)
-        hi = tuple(max(map(axis, self.elements)) for axis in axes)
-        if math.prod(b - a + 1 for a, b in zip(lo, hi)) != len(self.elements):
-            return None
-        return lo, hi, _strides(lo, hi)
-
-    @cached_property
-    def _fibres(self) -> dict | None:
-        """{(a, b): (start, lo, hi)} when this is a Heisenberg window whose cells
-        over each plane point (a, b) are one run (a, b, lo..hi), at canonical
-        indices start.., else None: preset, or found by `_fibres_of`."""
-        return _fibres_of(self.elements) if isinstance(self.ctx, Heisenberg) and self.elements else None
-
-    @cached_property
-    def _cyclic(self) -> int | None:
-        """N when this is the Pruefer subgroup {i/N : 0 <= i < N}, whose i-th
-        cell is i/N, else None: N distinct cells whose denominators divide N."""
-        n = len(self.elements) if isinstance(self.ctx, Pruefer) else 0
-        return n if n and all(n % g.denominator == 0 for g in self.elements) else None
+    def _shape(self):
+        """The shape of the cells, of the class `SHAPES` gives ctx, or None:
+        preset by `_from_shape`, or found by a scan of the cells."""
+        form = SHAPES.get(self.ctx.kind)
+        return form.of(self.elements) if form and self.elements else None
 
     def __len__(self) -> int:
-        if "elements" in self.__dict__:
-            return len(self.elements)
-        if self._fibres:  # the last fibre's start and length
-            start, lo, hi = next(reversed(self._fibres.values()))
-            return start + hi - lo + 1
-        return math.prod(b - a + 1 for a, b in zip(*self._box[:2])) if self._box else self._cyclic
+        return len(self.elements) if "elements" in self.__dict__ else len(self._shape)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, g) -> bool:
-        """Whether g is a valid element encoding in the subset, by descriptor when it has one."""
+        """Whether g is a valid element encoding in the subset, by shape when it has one."""
         try:
             self.ctx.validate(g)
         except EncodingError:
             return False
-        box, n, fibres = map(self.__dict__.get, ("_box", "_cyclic", "_fibres"))
-        if box:
-            return all(map(operator.le, box[0], g)) and all(map(operator.le, g, box[1]))
-        if fibres:
-            _, lo, hi = fibres.get(g[:2], (0, 1, 0))
-            return lo <= g[2] <= hi
-        return n % g.denominator == 0 if n else g in self.as_set
+        shape = self.__dict__.get("_shape")
+        return shape.contains(g) if shape else g in self.as_set
 
     def __eq__(self, other) -> bool:
-        """Equal groups and cells: by descriptor when both sides have one preset
+        """Equal groups and cells: by shape when both sides have one preset
         or found (it determines the cells), else cell by cell."""
         if not isinstance(other, FiniteSubset):
             return NotImplemented
         if (self.ctx, len(self)) != (other.ctx, len(other)):
             return False
-        mine, theirs = (d.get("_box") or d.get("_cyclic") or d.get("_fibres") for d in (self.__dict__, other.__dict__))
+        mine, theirs = self.__dict__.get("_shape"), other.__dict__.get("_shape")
         return mine == theirs if mine and theirs else self.elements == other.elements
 
     def __hash__(self) -> int:
@@ -618,47 +572,6 @@ class FiniteSubset:
 
     def __repr__(self) -> str:
         return f"FiniteSubset({len(self)} elements of {self.ctx.kind})"
-
-
-def _fibres_of(cells, probe=tuple) -> dict | None:
-    """The `_fibres` of sorted Heisenberg cells (tuples, or lists as parsed
-    from JSON with probe=list), or None when some fibre is not one run: one
-    bisect per fibre."""
-    fibres, start = {}, 0
-    while start < len(cells):
-        a, b, lo = cells[start]
-        end = bisect_right(cells, probe((a, b, math.inf)), start)
-        hi = cells[end - 1][2]
-        if hi - lo != end - 1 - start:
-            return None
-        fibres[a, b], start = (start, lo, hi), end
-    return fibres
-
-
-def _strides(lo: tuple, hi: tuple) -> tuple:
-    """Mixed-radix strides of the box lo..hi: its cell lo + x has canonical
-    index sum(x_k * strides_k)."""
-    sides = [b - a + 1 for a, b in zip(lo, hi)]
-    return tuple(math.prod(sides[k + 1:]) for k in range(len(sides)))
-
-
-def _row_starts(box: tuple, outer: tuple) -> list[int]:
-    """The canonical index in the box `outer` of the first cell of each row
-    (along the last axis) of the box `box`, in canonical order (out of range
-    where box sticks out of outer)."""
-    (lo, hi, _), (olo, _, strides) = box, outer
-    rows = product(*(range(a - o, b - o + 1) for a, b, o in zip(lo[:-1], hi[:-1], olo)))
-    return [sum(map(operator.mul, x, strides)) + lo[-1] - olo[-1] for x in rows]
-
-
-def _box_slices(cells, box: tuple, outer: tuple) -> list | None:
-    """The cells of the box `box` as one slice of `cells` per row, where cells
-    holds the box `outer`'s cells (or their encodings) in canonical order;
-    None unless box lies inside outer."""
-    (lo, hi, _), (olo, ohi, _) = box, outer
-    if all(map(operator.le, olo, lo)) and all(map(operator.le, hi, ohi)):
-        return [cells[q:q + hi[-1] - lo[-1] + 1] for q in _row_starts(box, outer)]
-    return None
 
 
 # Largest subset a builder or product_set materializes: no caller needs a

@@ -44,7 +44,9 @@ from monotiles import (
     scan_occurrences,
 )
 from monotiles.analysis import _windows
+from monotiles._boxes import Box, Fibres
 from monotiles.pipeline import heisenberg_targets
+from shape_views import box_of, fibres_of, subgroup_of
 from test_defect_oracles import (
     _heisenberg_parts as heisenberg_parts,
     reference_folner_defect,
@@ -146,11 +148,11 @@ def lattice_muls(muls):
 
 def test_box_descriptor_is_mixed_radix():
     F = box((-1, 2, 0), (2, 3, 4))
-    lo, hi, strides = F._box
+    lo, hi, strides = box_of(F)
     assert (lo, hi, strides) == ((-1, 2, 0), (0, 4, 3), (12, 4, 1))
     for q, g in enumerate(F.elements):
         assert q == sum((x - a) * s for x, a, s in zip(g, lo, strides))
-    assert box((3,), (1,))._box == ((3,), (3,), (1,))
+    assert box_of(box((3,), (1,))) == ((3,), (3,), (1,))
 
 
 @PROPERTY
@@ -158,16 +160,16 @@ def test_box_descriptor_is_mixed_radix():
 def test_from_box_equals_the_validating_constructor(shape, data):
     lo, sides = shape
     hi = tuple(a + s - 1 for a, s in zip(lo, sides))
-    F = FiniteSubset._from_box(Lattice(len(lo)), lo, hi)
+    F = FiniteSubset._from_shape(Lattice(len(lo)), Box(lo, hi))
     assert F.elements == box(lo, sides).elements
     # the preset descriptor equals the one the min/max scan finds
-    assert F._box == FiniteSubset._trusted(F.ctx, reversed(F.elements))._box
+    assert box_of(F) == box_of(FiniteSubset._trusted(F.ctx, reversed(F.elements)))
     # a sub-box sliced out of F holds the same cells as its own product, as F's objects
     sub_lo = tuple(data.draw(st.integers(a, b)) for a, b in zip(lo, hi))
     sub_hi = tuple(data.draw(st.integers(a, b)) for a, b in zip(sub_lo, hi))
-    G = FiniteSubset._from_box(F.ctx, sub_lo, sub_hi, F)
+    G = FiniteSubset._from_shape(F.ctx, Box(sub_lo, sub_hi), F)
     assert G.elements == box(sub_lo, [b - a + 1 for a, b in zip(sub_lo, sub_hi)]).elements
-    assert G._box == FiniteSubset._trusted(G.ctx, reversed(G.elements))._box
+    assert box_of(G) == box_of(FiniteSubset._trusted(G.ctx, reversed(G.elements)))
     assert {id(g) for g in G} <= {id(f) for f in F}
 
 
@@ -176,9 +178,9 @@ def test_lattice_levels_are_built_with_their_descriptor_and_share_cells(d, depth
     ladder = build_lattice_ladder(d, depth, base)
     top = {id(g) for g in ladder.levels[-1]}
     for F in ladder.levels:
-        assert "_box" in F.__dict__
+        assert "_shape" in F.__dict__
         assert F.elements == FiniteSubset(F.ctx, F.elements).elements
-        assert F._box == FiniteSubset(F.ctx, F.elements)._box
+        assert box_of(F) == box_of(FiniteSubset(F.ctx, F.elements))
         assert all(id(g) in top for g in F)
 
 
@@ -191,7 +193,7 @@ def test_lattice_levels_are_built_with_their_descriptor_and_share_cells(d, depth
     lambda: FiniteSubset(Heisenberg(), box((0, 0, 0), (2, 2, 2)).elements),
 ])
 def test_non_boxes_have_no_descriptor(make):
-    assert make()._box is None
+    assert box_of(make()) is None
 
 
 def test_non_box_windows_take_the_product_loops(lattice_muls):
@@ -204,13 +206,13 @@ def test_non_box_windows_take_the_product_loops(lattice_muls):
 @given(tiling=box_tilings())
 def test_box_tiling_equals_the_product_loop(tiling):
     lower, upper, glue = tiling
-    assert lower._box and upper._box
+    assert box_of(lower) and box_of(upper)
     ladder = two_levels(lower, upper, glue)
     runs = ladder.tiling(0)
     assert isinstance(runs, list)
     assert same(runs, product_tiling(ladder, 0))
     # one run per row of the lower box
-    assert all(len(spans) == len(lower) // (lower._box[1][-1] - lower._box[0][-1] + 1) for spans in runs)
+    assert all(len(spans) == len(lower) // (box_of(lower)[1][-1] - box_of(lower)[0][-1] + 1) for spans in runs)
 
 
 @PROPERTY
@@ -241,7 +243,7 @@ def _planted(kind, lower, upper, glue):
         return two_levels(lower, upper, FiniteSubset(ctx, [c for c in glue if c != others[0]] + [far]))
     if kind == "missing-digit" and others:
         return two_levels(lower, upper, FiniteSubset(ctx, [c for c in glue if c != others[0]]))
-    side = lower._box[1][0] - lower._box[0][0] + 1
+    side = box_of(lower)[1][0] - box_of(lower)[0][0] + 1
     if kind == "overlapping-digits" and side > 1:
         # the second translate starts one cell early: it overlaps the first and
         # leaves the last slab uncovered, so the cell count alone still matches
@@ -351,7 +353,7 @@ def same(got, want):
 @given(gap=st.booleans(), data=st.data())
 def test_fibre_defects_equal_the_product_loops(gap, data):
     F = data.draw(fibred(gap))
-    assert (F._fibres is None) is gap
+    assert (fibres_of(F) is None) is gap
     g = data.draw(heisenberg_elements)
     K = FiniteSubset(HEISENBERG, data.draw(st.sets(heisenberg_elements, max_size=4)))
     assert folner_defect(F, g) == reference_folner_defect(F, g)
@@ -366,7 +368,7 @@ def test_pruefer_defects_equal_the_product_loops(p, data):
     else:
         F = FiniteSubset(Pruefer(p), data.draw(st.sets(pruefer_elements(p, 3), min_size=1, max_size=12)))
     is_subgroup = set(F) == {Fraction(i, len(F)) for i in range(len(F))}
-    assert (F._cyclic == len(F)) if is_subgroup else (F._cyclic is None)
+    assert (subgroup_of(F) == len(F)) if is_subgroup else (subgroup_of(F) is None)
     g = data.draw(pruefer_elements(p))
     K = FiniteSubset(F.ctx, data.draw(st.sets(pruefer_elements(p), max_size=4)))
     assert folner_defect(F, g) == reference_folner_defect(F, g)
@@ -400,7 +402,7 @@ def test_fibre_tiling_equals_the_product_loop(kind, data):
     elif kind == "free-digits":
         digits = data.draw(st.sets(heisenberg_elements, min_size=1, max_size=4))
     ladder = two_levels(lower, upper, FiniteSubset(HEISENBERG, set(digits)))
-    assert upper._fibres
+    assert fibres_of(upper)
     assert same(ladder.tiling(0), product_tiling(ladder, 0))
 
 
@@ -447,9 +449,9 @@ def test_cyclic_tiling_equals_the_product_loop(p, kind, data):
 @given(data=st.data())
 def test_windows_built_from_fibres_equal_the_validating_constructor(data):
     F = data.draw(fibred())
-    built = FiniteSubset._from_fibres(HEISENBERG, F._fibres)
+    built = FiniteSubset._from_shape(HEISENBERG, Fibres(fibres_of(F)))
     assert built == F
-    assert vars(built)["_fibres"] is F._fibres
+    assert vars(built)["_shape"].runs is fibres_of(F)
 
 
 def test_heisenberg_ladder_makes_few_products_and_validations(muls, validates):
@@ -465,7 +467,7 @@ def test_heisenberg_ladder_makes_few_products_and_validations(muls, validates):
 def test_composed_and_pruefer_ladders_tile_like_the_product_loop():
     for ladder in (build_heisenberg_ladder(heisenberg_targets(3)), plant_ladder("pruefer"),
                    build_pruefer_ladder(2, 6)):
-        assert all(F._fibres or F._cyclic for F in ladder.levels)
+        assert all(fibres_of(F) or subgroup_of(F) for F in ladder.levels)
         for n in range(ladder.depth):
             assert same(ladder.tiling(n), product_tiling(ladder, n))
 
@@ -484,7 +486,7 @@ def test_other_shapes_tile_like_the_product_loop():
     for ladder in (abelian, not_a_box, into_a_box):
         for n in range(ladder.depth):
             lower, upper = ladder.levels[n], ladder.levels[n + 1]
-            assert not (lower._box and upper._box or lower._fibres or lower._cyclic)
+            assert not (box_of(lower) and box_of(upper) or fibres_of(lower) or subgroup_of(lower))
             runs = ladder.tiling(n)
             assert isinstance(runs, list)
             assert same(runs, product_tiling(ladder, n))
@@ -516,7 +518,7 @@ def test_windows_of_other_shapes_equal_the_product_loop():
     ctx = context_from_descriptor({"kind": "direct_product",
                                    "factors": [{"kind": "lattice", "d": 1}, {"kind": "cyclic", "n": 3}]})
     abelian = build_abelian_chain_ladder(ctx, ctx.generators(), 3)
-    assert not any(F._box or F._fibres or F._cyclic for F in abelian.levels)
+    assert not any(box_of(F) or fibres_of(F) or subgroup_of(F) for F in abelian.levels)
     not_a_box = two_levels(FiniteSubset(Lattice(2), [(0, 0), (0, 5)]), FiniteSubset(Lattice(2), NOT_A_BOX))
     for ladder in (abelian, not_a_box):
         for n, m in itertools.combinations_with_replacement(range(ladder.depth + 1), 2):
@@ -564,13 +566,13 @@ def _moved_fibre_end(ladder, n, kind, pick):
     cell of the one before: still fibred, with the same cell count and the
     same indices, but a translated run now ends (or starts) outside its fibre."""
     upper = ladder.levels[n + 1]
-    fibres = list((upper._fibres or {}).items())
+    fibres = list((fibres_of(upper) or {}).items())
     if len(fibres) < 2:
         return None
     ((a, b), (_, _, hi)), ((x, y), (_, lo, _)) = fibres[pick % (len(fibres) - 1):][:2]
     out, into = ((a, b, hi), (x, y, lo - 1)) if kind == "fibre-end-moved" else ((x, y, lo), (a, b, hi + 1))
     moved = FiniteSubset(ladder.ctx, [g for g in upper if g != out] + [into])
-    assert moved._fibres
+    assert fibres_of(moved)
     return FolnerLadder(ladder.ctx, ladder.levels[:n + 1] + (moved,) + ladder.levels[n + 2:], ladder.glue)
 
 
@@ -610,7 +612,7 @@ def test_pruefer_subgroup_paths_make_no_products(muls):
 def test_fibred_defect_makes_at_most_one_product_per_fibre_and_test_element(muls):
     F = plant_ladder("heisenberg").levels[-1]
     K = FiniteSubset(HEISENBERG, HEISENBERG.generators())
-    fibres = F._fibres
+    fibres = fibres_of(F)
     calls = muls(Heisenberg)
     defect = right_invariance_defect(F, K)
     assert 0 < len(calls) <= len(fibres) * len(K)

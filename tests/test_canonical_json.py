@@ -27,7 +27,9 @@ from monotiles import (
     build_lattice_ladder,
 )
 from monotiles import _text
+from monotiles._boxes import Box, Fibres, Subgroup
 from monotiles.pipeline import DEFAULT_CONFIG, PipelineConfig, run_pipeline, write_json
+from shape_views import box_of, fibres_of, subgroup_of
 from test_box_paths import boxes
 from test_descriptor_levels import box_cells, built, fibre_cells, fibre_descriptors
 from test_tiling import PROPERTY
@@ -144,14 +146,14 @@ def shaped(draw):
         if kind == "long rows":
             sides = (*sides[:-1], draw(st.sampled_from([4095, 4096, 4097])))
         hi = tuple(a + s - 1 for a, s in zip(lo, sides))
-        return FiniteSubset._from_box(Lattice(len(lo)), lo, hi), box_cells(lo, hi)
+        return FiniteSubset._from_shape(Lattice(len(lo)), Box(lo, hi)), box_cells(lo, hi)
     if kind == "subgroup":
         p = draw(st.sampled_from([2, 3, 5]))
         n = p ** draw(st.integers(0, 6))
-        return FiniteSubset._from_cyclic(Pruefer(p), n), [Fraction(i, n) for i in range(n)]
+        return FiniteSubset._from_shape(Pruefer(p), Subgroup(n)), [Fraction(i, n) for i in range(n)]
     if kind == "fibres":
         fibres = draw(fibre_descriptors())
-        return FiniteSubset._from_fibres(Heisenberg(), fibres), fibre_cells(fibres)
+        return FiniteSubset._from_shape(Heisenberg(), Fibres(fibres)), fibre_cells(fibres)
     cells = [(x,) for x in range(0, 2 * draw(st.sampled_from([2, 100, 4097, 9000])), 2)]
     return FiniteSubset(Lattice(1), cells), cells
 
@@ -166,10 +168,10 @@ def test_each_shape_writes_the_bytes_of_json_dumps(pair):
     assert all(1 <= n <= 4096 and len(json.loads(f"[{text}]")) == n for n, text in pieces)
     data = {"level": F, "levels": [F, F]}
     assert written(data) == canonical({"level": encoding, "levels": [encoding] * 2}) == canonical(_text.encoded(data))
-    if F._box or F._fibres or F._cyclic:
+    if box_of(F) or fibres_of(F) or subgroup_of(F):
         assert not built(F)
-    else:  # no shape: `_box` was found absent from the cells
-        assert F._box is None
+    else:  # no shape: `_shape` was found absent from the cells
+        assert box_of(F) is None
 
 
 def test_empty_subsets_long_lists_of_subsets_and_bytes_are_written_as_lists():
@@ -184,7 +186,7 @@ def test_empty_subsets_long_lists_of_subsets_and_bytes_are_written_as_lists():
 @pytest.mark.parametrize("side, counts", [(4095, [4095]), (4096, [4096]), (4097, [4096, 1]), (9000, [4096, 4096, 808])])
 def test_a_long_row_is_written_in_pieces_of_at_most_4096_cells(side, counts):
     for d in (1, 2):
-        F = FiniteSubset._from_box(Lattice(d), (-5,) * d, (*(-4,) * (d - 1), side - 6))
+        F = FiniteSubset._from_shape(Lattice(d), Box((-5,) * d, (*(-4,) * (d - 1), side - 6)))
         assert [n for n, _ in _text.pieces(F)] == counts * (2 if d == 2 else 1)
         assert not built(F)
 

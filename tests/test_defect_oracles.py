@@ -35,6 +35,7 @@ from monotiles import groups
 from monotiles.groups import product_set
 from monotiles.pipeline import heisenberg_targets
 from ladder_maps import map_ladder
+from shape_views import box_of, fibres_of
 from test_tiling import PROPERTY
 
 # sha256 of the canonical JSON of build_heisenberg_ladder(heisenberg_targets(3)),
@@ -188,7 +189,7 @@ def test_single_run_centre_levels_are_built_from_their_fibres(product_calls):
         for F in ladder.levels[1:]:
             rebuilt = FiniteSubset(ladder.ctx, F.elements)
             assert rebuilt == F
-            assert "_fibres" in vars(F) and F._fibres == rebuilt._fibres
+            assert "_shape" in vars(F) and fibres_of(F) == fibres_of(rebuilt)
 
 
 def test_non_interval_centre_falls_back_to_product_set(product_calls):
@@ -227,13 +228,13 @@ def test_over_budget_candidate_raises_the_product_set_error():
 
 def test_failing_composition_builds_no_level(monkeypatch):
     parts = _heisenberg_parts(10, 5)  # the parts of build_heisenberg_ladder
-    calls, from_fibres = [], FiniteSubset._from_fibres.__func__
+    calls, from_shape = [], FiniteSubset._from_shape.__func__
 
-    def counted(cls, ctx, fibres):
-        calls.append(fibres)
-        return from_fibres(cls, ctx, fibres)
+    def counted(cls, ctx, shape, outer=None):
+        calls.append(shape)
+        return from_shape(cls, ctx, shape, outer)
 
-    monkeypatch.setattr(FiniteSubset, "_from_fibres", classmethod(counted))
+    monkeypatch.setattr(FiniteSubset, "_from_shape", classmethod(counted))
     # targets 1..8 are met by fibred levels; target 9 raises before any of them is built
     with pytest.raises(InfeasibleError, match="product set would hold 14348907 cells"):
         compose_exact_sequence(*parts, heisenberg_targets(9))
@@ -255,7 +256,7 @@ def test_heisenberg_ladder_json_is_unchanged():
 
 def test_a_section_that_fails_at_one_top_cell_is_not_a_section():
     center, plane, section, projection = _heisenberg_parts(6, 4)
-    corner = plane.levels[-1]._box[1]  # (40, 40), the last top cell
+    corner = box_of(plane.levels[-1])[1]  # (40, 40), the last top cell
     bent = lambda q: (q[0], q[1] + 1, 0) if q == corner else section(q)
     with pytest.raises(ValueError, match=r"projection\(section\(\(40, 40\)\)\) != \(40, 40\): not a section"):
         compose_exact_sequence(center, plane, bent, projection, heisenberg_targets(2))
@@ -321,5 +322,5 @@ def test_a_quotient_ladder_of_non_boxes_composes_like_the_rebuilding_search():
     center, _, section, projection = _heisenberg_parts(6, 4)
     # the shear (x, y) -> (x, x + y) of Z^2 maps the boxes to parallelograms, ranked by dict
     sheared = map_ladder(build_lattice_ladder(2, 4), Lattice(2), lambda g: (g[0], g[0] + g[1]))
-    assert not any(F._box for F in sheared.levels[1:])
+    assert not any(box_of(F) for F in sheared.levels[1:])
     _compare_compositions((center, sheared, section, projection), heisenberg_targets(2))

@@ -1,8 +1,8 @@
 """Descriptor-first levels: boxes, fibred windows and Pruefer subgroups make their cells only when read.
 
-`FiniteSubset._from_box` keeps a lattice box's (lo, hi), `_from_fibres` a
-Heisenberg window's fibres {(a, b): (start, lo, hi)} and `_from_cyclic` the
-N of the Pruefer subgroup {i/N}.  Size, membership, equality, hashing,
+`FiniteSubset._from_shape` keeps a lattice `Box(lo, hi)`, a Heisenberg
+window's `Fibres({(a, b): (start, lo, hi)})` or the `Subgroup(N)` of the
+Pruefer subgroup {i/N}.  Size, membership, equality, hashing,
 tilings, defects and the ladder's JSON answer from that descriptor, and
 `elements` is made on its first read.  The oracles are the validating
 constructor and `_trusted` copies, whose descriptors are found from their
@@ -42,7 +42,9 @@ from monotiles import (
     select_subsequence_lemma8,
 )
 from monotiles import _boxes, folner
+from monotiles._boxes import Box, Fibres, Subgroup
 from monotiles.pipeline import heisenberg_targets
+from shape_views import box_of, fibres_of, subgroup_of
 from test_box_paths import boxes
 from test_tiling import PROPERTY
 
@@ -61,7 +63,7 @@ def lazy_boxes(draw):
     """(lazy box, its cells) for a box of Z^1 to Z^3, off-centre and one-cell boxes included."""
     lo, sides = draw(boxes())
     hi = tuple(a + s - 1 for a, s in zip(lo, sides))
-    return FiniteSubset._from_box(Lattice(len(lo)), lo, hi), box_cells(lo, hi)
+    return FiniteSubset._from_shape(Lattice(len(lo)), Box(lo, hi)), box_cells(lo, hi)
 
 
 @st.composite
@@ -69,17 +71,17 @@ def lazy_subgroups(draw):
     """(lazy subgroup {i/N}, its cells) for N = p**n."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = p ** draw(st.integers(0, 4))
-    return FiniteSubset._from_cyclic(Pruefer(p), n), [Fraction(i, n) for i in range(n)]
+    return FiniteSubset._from_shape(Pruefer(p), Subgroup(n)), [Fraction(i, n) for i in range(n)]
 
 
 def probes(F) -> tuple[list, list]:
     """(encodings that are elements of F's group, encodings that are not) around F."""
     if isinstance(F.ctx, Lattice):
-        lo, hi, _ = F._box
+        lo, hi, _ = box_of(F)
         below, above = tuple(a - 1 for a in lo), tuple(b + 1 for b in hi)
         valid = [lo, hi, below, above, (hi[0] + 1, *lo[1:])]
         return valid, [lo + (0,), lo[:-1], 0, "x", [*lo], tuple(map(float, lo)), (True,) * len(lo)]
-    n, p = F._cyclic, F.ctx.p
+    n, p = subgroup_of(F), F.ctx.p
     valid = [Fraction(0), Fraction(n - 1, n), Fraction(1, n * p), Fraction(p - 1, p * n)]
     return valid, [0, "0", (0,), Fraction(1), Fraction(-1, n), Fraction(1, p + 1), 0.5]
 
@@ -102,7 +104,7 @@ def test_lazy_subsets_answer_like_the_validating_constructor(pair):
     assert F.elements == eager.elements
     # the preset descriptor equals the one found on a `_trusted` copy
     copy = FiniteSubset._trusted(F.ctx, reversed(F.elements))
-    assert (copy._box, copy._cyclic) == (F._box, F._cyclic)
+    assert (box_of(copy), subgroup_of(copy)) == (box_of(F), subgroup_of(F))
 
 
 @PROPERTY
@@ -128,10 +130,10 @@ def made_any_way(draw, kind):
     if isinstance(ctx, Lattice):
         lo = tuple(draw(st.integers(-1, 1)) for _ in range(ctx.d))
         hi = tuple(a + draw(st.integers(0, 2)) for a in lo)
-        cells, lazy = box_cells(lo, hi), lambda: FiniteSubset._from_box(ctx, lo, hi)
+        cells, lazy = box_cells(lo, hi), lambda: FiniteSubset._from_shape(ctx, Box(lo, hi))
     else:
         n = ctx.p ** draw(st.integers(0, 2))
-        cells, lazy = [Fraction(i, n) for i in range(n)], lambda: FiniteSubset._from_cyclic(ctx, n)
+        cells, lazy = [Fraction(i, n) for i in range(n)], lambda: FiniteSubset._from_shape(ctx, Subgroup(n))
     if len(cells) > 1 and draw(st.booleans()):
         cells, lazy = cells[:-1] if draw(st.booleans()) else cells[1:], None
     how = draw(st.sampled_from(["lazy", "validating", "trusted", "found"] if lazy else
@@ -140,7 +142,7 @@ def made_any_way(draw, kind):
         return lazy(), cells
     made = FiniteSubset(ctx, cells) if how == "validating" else FiniteSubset._trusted(ctx, cells)
     if how == "found":
-        _ = made._box, made._cyclic  # found from the cells (or found absent) and cached
+        _ = box_of(made), subgroup_of(made)  # found from the cells (or found absent) and cached
     return made, cells
 
 
@@ -158,11 +160,11 @@ def test_equality_is_equality_of_group_and_cells_whatever_the_constructor(kinds,
 def test_nested_levels_hold_the_top_cells_once_the_top_is_built():
     ladder = build_lattice_ladder(2, 3, 3)
     top = ladder.levels[-1].elements
-    lo, _, strides = ladder.levels[-1]._box
+    lo, _, strides = box_of(ladder.levels[-1])
     for F in ladder.levels[:-1]:
         assert all(top[sum((x - a) * s for x, a, s in zip(g, lo, strides))] is g for g in F.elements)
     # a box sticking out of a built `outer` makes its own cells
-    sticking_out = FiniteSubset._from_box(ladder.ctx, (12, 0), (13, 1), ladder.levels[-1])
+    sticking_out = FiniteSubset._from_shape(ladder.ctx, Box((12, 0), (13, 1)), ladder.levels[-1])
     assert sticking_out.elements == ((12, 0), (12, 1), (13, 0), (13, 1))
     # a level read before its top makes its own cells and leaves the top unbuilt
     ladder = build_lattice_ladder(1, 4)
@@ -219,7 +221,7 @@ def test_the_pruefer_ladder_checks_and_measures_defects_with_no_cells():
     lambda: group_ladder(build_lattice_ladder(1, 5), [0, 2, 3]),
     lambda: build_pruefer_ladder(3, 4),
     # a lower box that sticks out of the top one is encoded on its own
-    lambda: FolnerLadder(Lattice(2), [FiniteSubset._from_box(Lattice(2), lo, hi) for lo, hi in
+    lambda: FolnerLadder(Lattice(2), [FiniteSubset._from_shape(Lattice(2), Box(lo, hi)) for lo, hi in
                                       [((3, 0), (4, 1)), ((0, 0), (2, 2))]], [FiniteSubset(Lattice(2), [(0, 0)])]),
 ], ids=["z2", "z-base5", "z-grouped", "pruefer3", "not-nested"])
 def test_ladder_json_is_the_eager_encoding_and_builds_nothing(make):
@@ -249,7 +251,7 @@ def test_the_budget_is_checked_before_any_cell_is_made(monkeypatch):
 
 @st.composite
 def fibre_descriptors(draw):
-    """A `_fibres` descriptor: runs (a, b, lo..hi) over distinct plane points, in canonical order."""
+    """A `Fibres` runs dict: runs (a, b, lo..hi) over distinct plane points, in canonical order."""
     points = sorted(draw(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=8)))
     fibres, start = {}, 0
     for a, b in points:
@@ -264,7 +266,7 @@ def fibre_cells(fibres) -> list:
 
 
 def assert_fibred_answers_like_the_validating_constructor(F):
-    fibres = F._fibres
+    fibres = fibres_of(F)
     eager = FiniteSubset(F.ctx, fibre_cells(fibres))
     ((a, b), (_, lo, hi)), ((x, y), (_, _, top)) = next(iter(fibres.items())), next(reversed(fibres.items()))
     missing = next((u, 0) for u in itertools.count() if (u, 0) not in fibres)
@@ -277,7 +279,7 @@ def assert_fibred_answers_like_the_validating_constructor(F):
     assert F.encode_json() == eager.encode_json()
     assert repr(F) == repr(eager)
     # the descriptor found on the eager copy is the preset one, so == compares descriptors
-    assert eager._fibres == fibres
+    assert fibres_of(eager) == fibres
     assert F == eager and eager == F and hash(F) == hash(eager)
     assert not built(F)
     assert F.elements == eager.elements
@@ -287,18 +289,18 @@ def assert_fibred_answers_like_the_validating_constructor(F):
 @PROPERTY
 @given(fibres=fibre_descriptors())
 def test_lazy_fibred_windows_answer_like_the_validating_constructor(fibres):
-    assert_fibred_answers_like_the_validating_constructor(FiniteSubset._from_fibres(Heisenberg(), fibres))
+    assert_fibred_answers_like_the_validating_constructor(FiniteSubset._from_shape(Heisenberg(), Fibres(fibres)))
 
 
 def test_heisenberg_ladder_levels_answer_like_the_validating_constructor():
     levels = [F for n in (2, 3) for F in build_heisenberg_ladder(heisenberg_targets(n)).levels]
-    assert len(levels) == 7 and all("_fibres" in vars(F) for F in levels)
+    assert len(levels) == 7 and all("_shape" in vars(F) for F in levels)
     for F in levels:
         assert_fibred_answers_like_the_validating_constructor(F)
     # the last run shifted by one: the same size and other cells, unequal by descriptor
     F = levels[-1]
-    (a, b), (start, lo, hi) = next(reversed(F._fibres.items()))
-    other = FiniteSubset._from_fibres(F.ctx, {**F._fibres, (a, b): (start, lo + 1, hi + 1)})
+    (a, b), (start, lo, hi) = next(reversed(fibres_of(F).items()))
+    other = FiniteSubset._from_shape(F.ctx, Fibres({**fibres_of(F), (a, b): (start, lo + 1, hi + 1)}))
     assert F != other and len(F) == len(other)
 
 

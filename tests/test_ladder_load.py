@@ -33,6 +33,7 @@ from monotiles import (
     check_congruent,
     context_from_descriptor,
 )
+from monotiles._boxes import Box, Fibres, Subgroup
 from monotiles.pipeline import heisenberg_targets
 from test_box_paths import boxes
 from test_descriptor_levels import built, fibre_descriptors
@@ -78,12 +79,12 @@ def ladder_files(draw):
         return json.loads(built_ladder_json(draw(st.sampled_from(["z2", "z-base5", "pruefer3", "heisenberg"]))))
     if kind == "box":
         lo, sides = draw(boxes())
-        F = FiniteSubset._from_box(Lattice(len(lo)), lo, tuple(a + s - 1 for a, s in zip(lo, sides)))
+        F = FiniteSubset._from_shape(Lattice(len(lo)), Box(lo, tuple(a + s - 1 for a, s in zip(lo, sides))))
     elif kind == "subgroup":
         p = draw(st.sampled_from([2, 3, 5]))
-        F = FiniteSubset._from_cyclic(Pruefer(p), p ** draw(st.integers(0, 4)))
+        F = FiniteSubset._from_shape(Pruefer(p), Subgroup(p ** draw(st.integers(0, 4))))
     else:
-        F = FiniteSubset._from_fibres(Heisenberg(), draw(fibre_descriptors()))
+        F = FiniteSubset._from_shape(Heisenberg(), Fibres(draw(fibre_descriptors())))
     return FolnerLadder(F.ctx, [F], []).to_json()
 
 
@@ -190,7 +191,7 @@ def test_a_hierarchy_file_checks_its_supports_without_making_cells(monkeypatch):
 
 def test_a_subgroup_text_of_another_prime_fails_as_the_validating_loader_does():
     # exactly the text of {i/3}, in a Pruefer-2 file: 1/3 is no element of the group
-    data = FolnerLadder(Pruefer(3), [FiniteSubset._from_cyclic(Pruefer(3), 3)], []).to_json()
+    data = FolnerLadder(Pruefer(3), [FiniteSubset._from_shape(Pruefer(3), Subgroup(3))], []).to_json()
     data["group"]["p"] = 2
     with pytest.raises(EncodingError, match="^1/3 has a denominator dividing no power of 2$"):
         FolnerLadder.from_json(data)
@@ -199,7 +200,8 @@ def test_a_subgroup_text_of_another_prime_fails_as_the_validating_loader_does():
 
 def test_fibres_out_of_canonical_order_load_sorted():
     # two one-cell fibres swapped: the bisect of the first overshoots, so no shape is inferred
-    data = FolnerLadder(Heisenberg(), [FiniteSubset._from_fibres(Heisenberg(), {(0, 0): (0, 0, 0), (1, 0): (1, 5, 5)})],
+    data = FolnerLadder(Heisenberg(),
+                        [FiniteSubset._from_shape(Heisenberg(), Fibres({(0, 0): (0, 0, 0), (1, 0): (1, 5, 5)}))],
                         []).to_json()
     data["levels"][0].reverse()
     ladder = FolnerLadder.from_json(data)
