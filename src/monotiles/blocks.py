@@ -182,11 +182,11 @@ def verify_c3(family: Sequence[Pattern]) -> Certificate:
     still-agreeing pairs are narrowed one overlap cell at a time, outward
     from the identity, until none is left.  A failure's witness is
     [g, k, k'], the first g in canonical order and its first agreeing pair.
-    Every block must live on one window (else ValueError).
+    The family must be non-empty and live on one window (else ValueError).
     """
-    base = family[0].support
-    if any(b.support != base for b in family):
+    if not family or any(b.support != family[0].support for b in family):
         raise ValueError("family blocks must share one support window")
+    base = family[0].support
     ctx = base.ctx
     mul = ctx.mul
     ident = ctx.identity()

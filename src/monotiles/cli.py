@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fb.add_argument("--group", required=True, help='JSON descriptor, e.g. {"kind":"lattice","d":1}')
     fb.add_argument("--depth", type=int, required=True)
     fb.add_argument("--base", type=int, help="box base for the lattice route (default 3)")
-    fb.add_argument("--route", choices=("lattice", "pruefer", "abelian", "heisenberg"))
+    fb.add_argument("--route", choices=tuple(_ROUTES))
     fb.add_argument("--eps-schedule", help="invariance tolerances, e.g. geometric:1/2")
     fsub.add_parser("check").add_argument("ladder")
     fd = fsub.add_parser("defect")

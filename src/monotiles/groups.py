@@ -22,7 +22,7 @@ from .errors import EncodingError, InfeasibleError, NotCosetRepsError, Unsupport
 
 __all__ = [
     "Certificate", "GroupContext", "Lattice", "Cyclic", "Heisenberg", "Pruefer", "Rationals", "DirectProduct",
-    "FiniteExtension", "FiniteSubset", "context_from_descriptor", "standard_generators", "product_set",
+    "FiniteSubset", "context_from_descriptor", "standard_generators", "product_set",
 ]
 
 
@@ -307,99 +307,7 @@ class DirectProduct(GroupContext):
         return tuple(f.decode_json(a) for f, a in zip(self.factors, obj))
 
 
-class FiniteExtension(GroupContext):
-    """A group presented as a finite-index extension inside an ambient context.
-
-    Elements live in the ambient group.  The base subgroup is the image of
-    ``base`` under a canonical embedding ("same", "trivial", or "factor:i"
-    into a direct-product factor), and ``coset_reps`` is a right transversal
-    containing the identity.
-    """
-
-    kind = "finite_extension"
-    params = {"base": dict, "ambient": dict, "embed": str, "coset_reps": list}
-
-    def __init__(self, base: GroupContext, ambient: GroupContext, embed: str, coset_reps: Iterable):
-        self.base = base
-        self.ambient = ambient
-        self.embed = embed
-        reps = list(coset_reps)
-        for r in reps:
-            ambient.validate(r)
-        if len(set(reps)) != len(reps):
-            raise NotCosetRepsError("coset representatives contain duplicates")
-        if ambient.identity() not in reps:
-            raise NotCosetRepsError("coset representatives must contain the identity")
-        self.coset_reps = tuple(sorted(reps))
-        self._check_embed()
-        for i, r in enumerate(self.coset_reps):
-            for s in self.coset_reps[i + 1:]:
-                if self.base_contains(ambient.mul(r, ambient.inv(s))):
-                    raise NotCosetRepsError(f"{r!r} and {s!r} lie in the same right coset")
-
-    def _check_embed(self) -> None:
-        """Check the embedding; keep the factor index i of "factor:i"."""
-        self._factor = None
-        if self.embed == "same":
-            if self.base != self.ambient:
-                raise ValueError("embed 'same' requires base == ambient")
-        elif self.embed == "trivial":
-            pass
-        elif self.embed.startswith("factor:"):
-            i = int(self.embed.split(":", 1)[1])
-            if not isinstance(self.ambient, DirectProduct):
-                raise ValueError("embed 'factor:i' requires a direct-product ambient")
-            if not 0 <= i < len(self.ambient.factors):
-                raise ValueError(f"factor index {i} out of range")
-            if self.ambient.factors[i] != self.base:
-                raise ValueError(f"ambient factor {i} does not match the base context")
-            self._factor = i
-        else:
-            raise ValueError(f"unknown embedding {self.embed!r}")
-
-    def base_contains(self, g) -> bool:
-        """Membership test for the embedded base subgroup."""
-        if self.embed == "same":
-            return True
-        ident = self.ambient.identity()
-        if self._factor is None:
-            return g == ident
-        return all(a == e for j, (a, e) in enumerate(zip(g, ident)) if j != self._factor)
-
-    def identity(self):
-        return self.ambient.identity()
-
-    def mul(self, g, h):
-        return self.ambient.mul(g, h)
-
-    def inv(self, g):
-        return self.ambient.inv(g)
-
-    def validate(self, g) -> None:
-        self.ambient.validate(g)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "finite_extension",
-            "base": self.base.descriptor(),
-            "ambient": self.ambient.descriptor(),
-            "embed": self.embed,
-            "coset_reps": [self.ambient.encode_json(r) for r in self.coset_reps],
-        }
-
-    def generators(self) -> list:
-        gens = [r for r in self.coset_reps if r != self.identity()]
-        return gens + [g for g in self.ambient.generators() if g not in gens]
-
-    def encode_json(self, g):
-        return self.ambient.encode_json(g)
-
-    def decode_json(self, obj):
-        return self.ambient.decode_json(obj)
-
-
-_KINDS = {cls.kind: cls for cls in
-          (Lattice, Cyclic, Heisenberg, Pruefer, Rationals, DirectProduct, FiniteExtension)}
+_KINDS = {cls.kind: cls for cls in (Lattice, Cyclic, Heisenberg, Pruefer, Rationals, DirectProduct)}
 
 
 def context_from_descriptor(desc: dict) -> GroupContext:
@@ -416,10 +324,6 @@ def context_from_descriptor(desc: dict) -> GroupContext:
         raise UnsupportedGroupError(f"{kind} descriptor needs exactly ({shape}), got {desc!r}")
     if cls is DirectProduct:
         return DirectProduct(context_from_descriptor(f) for f in desc["factors"])
-    if cls is FiniteExtension:
-        ambient = context_from_descriptor(desc["ambient"])
-        return FiniteExtension(context_from_descriptor(desc["base"]), ambient, desc["embed"],
-                               [ambient.decode_json(r) for r in desc["coset_reps"]])
     return cls(**{k: desc[k] for k in cls.params})
 
 

@@ -239,6 +239,8 @@ def tail_cluster_diameters(ms: ManagedSequence, n: int, d: int) -> list[Fraction
     diameter of {depth >= d image of vertex j} telescopes to the exact value
     (2/scale) * (k-1)/k * prod (ratio_t - k)/ratio_t.
     """
+    if not 0 <= n < len(ms):
+        raise ValueError(f"level {n} outside sequence of length {len(ms)}")
     if d < 0 or n + d > len(ms):
         raise ValueError(f"levels {n}..{n + d} exceed sequence length {len(ms)}")
     k = ms[n].rows

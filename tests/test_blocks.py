@@ -147,6 +147,11 @@ def test_verify_c3_rejects_blocks_on_different_windows():
         verify_c3([Pattern(A, [1, 2, 3]), Pattern(B, [3, 2, 1])])
 
 
+def test_verify_c3_rejects_an_empty_family():
+    with pytest.raises(ValueError, match="family blocks must share one support window"):
+        verify_c3([])
+
+
 def test_verify_c3_passes_on_built_family():
     h = build_hierarchy(_ladder(2), [TERNARY, TERNARY])
     assert verify_c3(h.family(1)).ok

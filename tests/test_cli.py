@@ -13,10 +13,11 @@ from monotiles import (
     build_hierarchy,
     build_lattice_ladder,
     build_pruefer_ladder,
+    context_from_descriptor,
     render_pattern,
 )
 from monotiles.cli import main
-from monotiles.errors import RenderUnsupportedError
+from monotiles.errors import RenderUnsupportedError, UnsupportedGroupError
 from monotiles.pipeline import write_json
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
@@ -304,6 +305,16 @@ def test_malformed_input_exits_1_with_an_error_line(tmp_path, capsys, group, arg
         elif a in BROKEN_SEQUENCES:
             argv[i] = _write(tmp_path, "broken.json", BROKEN_SEQUENCES[a])
     assert main(["--out", str(tmp_path / "out"), *argv]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_finite_extension_fails_like_any_unknown_kind(tmp_path, capsys):
+    desc = {"kind": "finite_extension", "base": {"kind": "lattice", "d": 1}, "ambient": {"kind": "lattice", "d": 1},
+            "embed": "same", "coset_reps": [[0]]}
+    with pytest.raises(UnsupportedGroupError, match="unknown group kind"):
+        context_from_descriptor(desc)
+    ladder = _write(tmp_path, "ladder.json", {**build_lattice_ladder(1, 2).to_json(), "group": desc})
+    assert main(["folner", "check", ladder]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -7,7 +7,6 @@ import pytest
 from monotiles import (
     Cyclic,
     DirectProduct,
-    FiniteExtension,
     FiniteSubset,
     Heisenberg,
     Lattice,
@@ -89,22 +88,6 @@ def test_direct_product_componentwise():
     assert ctx.identity() == ((0,), 0)
     assert ctx.mul(((2,), 1), ((-1,), 2)) == ((1,), 0)
     assert ctx.inv(((2,), 1)) == ((-2,), 2)
-
-
-def test_finite_extension_factor_embedding():
-    ambient = DirectProduct([Lattice(1), Cyclic(2)])
-    reps = [((0,), 0), ((0,), 1)]
-    ctx = FiniteExtension(Lattice(1), ambient, "factor:0", reps)
-    assert ctx.identity() == ((0,), 0)
-    assert ctx.mul(((1,), 1), ((2,), 1)) == ((3,), 0)
-    assert ctx.base_contains(((5,), 0))
-    assert not ctx.base_contains(((5,), 1))
-
-
-def test_finite_extension_rejects_missing_identity_rep():
-    ambient = DirectProduct([Lattice(1), Cyclic(2)])
-    with pytest.raises(ValueError):
-        FiniteExtension(Lattice(1), ambient, "factor:0", [((0,), 1), ((1,), 0)])
 
 
 def test_finite_subset_sorts_canonically():

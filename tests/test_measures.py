@@ -135,6 +135,13 @@ def test_tail_cluster_diameters_need_near_diagonal_shape():
         tail_cluster_diameters(ms, 0, 2)
 
 
+@pytest.mark.parametrize("n, d", [(-1, 1), (5, 0)])
+def test_tail_cluster_diameters_need_a_level_of_the_sequence(n, d):
+    ms = ManagedSequence([CONST] * 5)
+    with pytest.raises(ValueError, match=f"level {n} outside sequence of length 5"):
+        tail_cluster_diameters(ms, n, d)
+
+
 def test_realize_finite_simplex_on_ternary_ladder():
     ladder = build_lattice_ladder(1, 5)
     result = realize_finite_simplex(2, ladder, Fraction(1, 100))

@@ -12,7 +12,8 @@ import pytest
 import monotiles
 from monotiles import PipelineConfig, run_pipeline
 from monotiles.errors import ConfigError
-from monotiles.pipeline import DEFAULT_CONFIG, STAGES, heisenberg_targets, write_json
+from monotiles.groups import _KINDS
+from monotiles.pipeline import DEFAULT_CONFIG, STAGES, _ROUTES, heisenberg_targets, write_json
 
 
 def test_default_config_round_trips():
@@ -122,6 +123,33 @@ def test_config_accepts_every_route_key():
          "ladder": {"route": "heisenberg", "depth": 2, "eps_start": "1/2", "eps_step": "2/3"}},
     ]:
         assert PipelineConfig.from_json({**data, "artifacts": {"report": "r.json"}}).ladder == data["ladder"]
+
+
+# one small descriptor per group kind; a kind missing here fails with KeyError
+KIND_DESCRIPTORS = {
+    "lattice": {"kind": "lattice", "d": 2},
+    "cyclic": {"kind": "cyclic", "n": 3},
+    "heisenberg3": {"kind": "heisenberg3"},
+    "pruefer": {"kind": "pruefer", "p": 2},
+    "rationals": {"kind": "rationals"},
+    "direct_product": {"kind": "direct_product",
+                       "factors": [{"kind": "lattice", "d": 1}, {"kind": "cyclic", "n": 2}]},
+}
+
+
+def _accepts(desc: dict, route: str) -> bool:
+    try:
+        PipelineConfig.from_json({"group": desc, "ladder": {"route": route, "depth": 2}})
+    except ConfigError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_every_group_kind_has_a_route(kind):
+    desc = KIND_DESCRIPTORS[kind]
+    assert desc["kind"] == kind
+    assert any(_accepts(desc, route) for route in _ROUTES)
 
 
 def test_config_load_from_file(tmp_path):
