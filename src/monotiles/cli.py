@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (MonotileError, ValueError, OSError) as e:
+    except (MonotileError, ValueError, OSError, RecursionError) as e:  # deeply nested JSON recurses
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -203,11 +203,9 @@ def build_lattice_ladder(d: int, depth: int, base: int = 3) -> FolnerLadder:
     digits = range(-(base // 2), base // 2 + 1)
     glue = [FiniteSubset._trusted(ctx, itertools.product([k * base**n for k in digits], repeat=d))
             for n in range(depth)]
-    # once the top level's cells are built, the lower levels' are sliced out of them
-    radius = [(base**n - 1) // 2 for n in range(depth + 1)]
-    top = FiniteSubset._from_shape(ctx, _boxes.Box((-radius[depth],) * d, (radius[depth],) * d))
-    levels = [FiniteSubset._from_shape(ctx, _boxes.Box((-r,) * d, (r,) * d), top) for r in radius[:depth]]
-    return FolnerLadder(ctx, [*levels, top], glue)
+    levels = [FiniteSubset._from_shape(ctx, _boxes.Box((-r,) * d, (r,) * d))
+              for r in ((base**n - 1) // 2 for n in range(depth + 1))]
+    return FolnerLadder(ctx, levels, glue)
 
 
 def build_pruefer_ladder(p: int, depth: int) -> FolnerLadder:
@@ -400,16 +398,20 @@ def _score_candidate(U: FiniteSubset, tower: FiniteSubset, K: FiniteSubset):
     return right_invariance_defect(level, K), level
 
 
+# Depth of heisenberg3's central Z ladder: each target takes a strictly deeper level of it.
+CENTER_DEPTH = 10
+
+
 def build_heisenberg_ladder(targets: Sequence[tuple[FiniteSubset, Fraction]]) -> FolnerLadder:
-    """Compose the central Z ladder (depth 10) with the Z^2 quotient ladder
-    (depth 5) of heisenberg3."""
+    """Compose the central Z ladder (depth CENTER_DEPTH) with the Z^2 quotient
+    ladder (depth 5) of heisenberg3."""
     ctx = Heisenberg()
     # the central levels (0, 0, -h..h), h = (3**n - 1) / 2, and digits {k * 3**n}: valid by construction
     center = FolnerLadder(
         ctx,
         [FiniteSubset._from_shape(ctx, _boxes.Fibres({(0, 0): (0, (1 - 3**n) // 2, (3**n - 1) // 2)}))
-         for n in range(11)],
-        [FiniteSubset._trusted(ctx, [(0, 0, -(3**n)), (0, 0, 0), (0, 0, 3**n)]) for n in range(10)])
+         for n in range(CENTER_DEPTH + 1)],
+        [FiniteSubset._trusted(ctx, [(0, 0, -(3**n)), (0, 0, 0), (0, 0, 3**n)]) for n in range(CENTER_DEPTH)])
     return compose_exact_sequence(center, build_lattice_ladder(2, 5), section=lambda q: (q[0], q[1], 0),
                                   projection=lambda g: (g[0], g[1]), targets=targets)
 

@@ -13,7 +13,6 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Iterable
 
 from ._boxes import SHAPES
@@ -410,22 +409,14 @@ class FiniteSubset:
         return cls._preset(ctx, elements=tuple(sorted(elements)))
 
     @classmethod
-    def _from_shape(cls, ctx: GroupContext, shape, outer: "FiniteSubset | None" = None) -> "FiniteSubset":
-        """Internal constructor for the cells of a shape, kept with the subset
-        `outer` enclosing it, whose cells `elements` slices if they are built by
-        then (so nested levels share their cells): nothing is sorted or searched."""
-        return cls._preset(ctx, _shape=shape, _outer=outer)
+    def _from_shape(cls, ctx: GroupContext, shape) -> "FiniteSubset":
+        """Internal constructor for the cells of a shape: nothing is sorted or searched."""
+        return cls._preset(ctx, _shape=shape)
 
     @cached_property
     def elements(self) -> tuple:
-        """The cells in canonical order, made on first read for a subset made
-        from its shape: one slice of outer's cells per run of the identity's
-        translate in outer when those are built, else from the shape."""
-        outer = self.__dict__.get("_outer")
-        place = outer is not None and "elements" in outer.__dict__ and self._shape.runs_in(outer._shape, self.ctx.mul)
-        spans = place and place(self.ctx.identity())
-        return tuple(chain.from_iterable(outer.elements[s.start:s.stop:s.step] for s in spans) if spans
-                     else self._cells())
+        """The cells in canonical order, made from the shape on first read."""
+        return tuple(self._shape.cells())
 
     def _cells(self):
         """The cells in canonical order, made afresh (and not kept) when not built."""

@@ -18,8 +18,8 @@ from .analysis import (CylinderId, boundary_mass_bound, check_partitions, return
                        syndeticity_window)
 from .blocks import augment_matrix, build_hierarchy, verify_c3
 from .errors import ConfigError, MonotileError
-from .folner import (FolnerLadder, build_abelian_chain_ladder, build_heisenberg_ladder, build_lattice_ladder,
-                     build_pruefer_ladder, check_congruent, folner_defect, group_ladder)
+from .folner import (CENTER_DEPTH, FolnerLadder, build_abelian_chain_ladder, build_heisenberg_ladder,
+                     build_lattice_ladder, build_pruefer_ladder, check_congruent, folner_defect, group_ladder)
 from .groups import FiniteSubset, Heisenberg, context_from_descriptor
 from .matrices import ManagedSequence, group_matrices, select_subsequence_lemma8
 from .simplex import check_nesting, incidence_from_hierarchy, realize_finite_simplex, tail_cluster_diameters
@@ -133,6 +133,8 @@ def _ladder_plan(ctx, section) -> tuple:
     if route == "pruefer":
         return build_pruefer_ladder, (ctx.p, depth), depth
     if route == "heisenberg":
+        if depth > CENTER_DEPTH:  # checked before heisenberg_targets, whose cost grows with the depth
+            raise ConfigError(f"heisenberg ladder depth must be at most {CENTER_DEPTH}, got {depth}")
         start = _positive("heisenberg eps_start", section.get("eps_start", "1/2"))
         step = _positive("heisenberg eps_step", section.get("eps_step", "2/3"))
         return build_heisenberg_ladder, (heisenberg_targets(depth, start, step),), depth
@@ -399,7 +401,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str = ".",
         except _StageFailed as e:
             report.stages.append(StageResult(name, False, e.detail, e.witness))
             failed = True
-        except (MonotileError, ValueError, OSError, KeyError) as e:
+        except (MonotileError, ValueError, OSError, KeyError, RecursionError) as e:
             report.stages.append(StageResult(name, False, {},
                                              f"{type(e).__name__}: {e}"))
             failed = True

@@ -164,24 +164,22 @@ def test_from_box_equals_the_validating_constructor(shape, data):
     assert F.elements == box(lo, sides).elements
     # the preset descriptor equals the one the min/max scan finds
     assert box_of(F) == box_of(FiniteSubset._trusted(F.ctx, reversed(F.elements)))
-    # a sub-box sliced out of F holds the same cells as its own product, as F's objects
+    # a sub-box of F holds the same cells as its own product
     sub_lo = tuple(data.draw(st.integers(a, b)) for a, b in zip(lo, hi))
     sub_hi = tuple(data.draw(st.integers(a, b)) for a, b in zip(sub_lo, hi))
-    G = FiniteSubset._from_shape(F.ctx, Box(sub_lo, sub_hi), F)
+    G = FiniteSubset._from_shape(F.ctx, Box(sub_lo, sub_hi))
     assert G.elements == box(sub_lo, [b - a + 1 for a, b in zip(sub_lo, sub_hi)]).elements
     assert box_of(G) == box_of(FiniteSubset._trusted(G.ctx, reversed(G.elements)))
-    assert {id(g) for g in G} <= {id(f) for f in F}
 
 
 @pytest.mark.parametrize("d, depth, base", [(1, 4, 3), (2, 3, 5), (3, 2, 3)])
-def test_lattice_levels_are_built_with_their_descriptor_and_share_cells(d, depth, base):
+def test_lattice_levels_are_built_with_their_descriptor(d, depth, base):
     ladder = build_lattice_ladder(d, depth, base)
-    top = {id(g) for g in ladder.levels[-1]}
+    ladder.levels[-1].elements  # the top is read first, so the lower levels are read after it
     for F in ladder.levels:
         assert "_shape" in F.__dict__
         assert F.elements == FiniteSubset(F.ctx, F.elements).elements
         assert box_of(F) == box_of(FiniteSubset(F.ctx, F.elements))
-        assert all(id(g) in top for g in F)
 
 
 @pytest.mark.parametrize("make", [

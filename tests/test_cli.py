@@ -209,6 +209,10 @@ BAD_GROUPS = [
     '[1]',
 ]
 
+# nesting far past the interpreter's recursion limit, built by concatenation since json.dumps recurses too
+NESTED_LISTS = "[" * 100_000 + "]" * 100_000
+NESTED_GROUP = '{"kind":"direct_product","factors":[' * 400 + '{"kind":"lattice","d":1}' + "]}" * 400
+
 # (group of the ladder built first or None, command reading "{ladder}")
 MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g in BAD_GROUPS] + [
     ("pruefer", ["analyze", "boundary", "--ladder", "{ladder}", "-g", '"1/0"']),
@@ -244,6 +248,7 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     (None, ["folner", "build", "--group", '{"kind":"pruefer","p":2}', "--depth", "2", "--base", "5"]),
     (None, ["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "2", "--base", "5"]),
     (None, ["folner", "build", "--group", '{"kind":"lattice","d":1}', "--depth", "0"]),
+    (None, ["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "1000000"]),  # past the center ladder
     (None, ["blocks", "verify-c3", "{symbol-256}"]),
     # --levels that name no level or no int, and levels outside the built ones
     ("z", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]", "--levels", "2..1"]),
@@ -253,6 +258,9 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     (None, ["blocks", "verify-c3", "{hier}", "--level", "-1"]),
     (None, ["blocks", "x0", "{hier}", "--level", "-1"]),
     (None, ["blocks", "x0", "{hier}", "--level", "4"]),
+    # nested past the recursion limit: json.load, and context_from_descriptor on a parsed descriptor
+    (None, ["folner", "check", "{nested}"]),
+    (None, ["folner", "build", "--group", NESTED_GROUP, "--depth", "1"]),
 ]
 
 # malformed copies of the built ladder file
@@ -304,6 +312,9 @@ def test_malformed_input_exits_1_with_an_error_line(tmp_path, capsys, group, arg
                 argv[i] = _write(tmp_path, "broken.json", BROKEN_HIERARCHIES[a](json.load(fh)))
         elif a in BROKEN_SEQUENCES:
             argv[i] = _write(tmp_path, "broken.json", BROKEN_SEQUENCES[a])
+        elif a == "{nested}":
+            (tmp_path / "nested.json").write_text(NESTED_LISTS)
+            argv[i] = str(tmp_path / "nested.json")
     assert main(["--out", str(tmp_path / "out"), *argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
 

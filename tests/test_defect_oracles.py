@@ -230,9 +230,9 @@ def test_failing_composition_builds_no_level(monkeypatch):
     parts = _heisenberg_parts(10, 5)  # the parts of build_heisenberg_ladder
     calls, from_shape = [], FiniteSubset._from_shape.__func__
 
-    def counted(cls, ctx, shape, outer=None):
+    def counted(cls, ctx, shape):
         calls.append(shape)
-        return from_shape(cls, ctx, shape, outer)
+        return from_shape(cls, ctx, shape)
 
     monkeypatch.setattr(FiniteSubset, "_from_shape", classmethod(counted))
     # targets 1..8 are met by fibred levels; target 9 raises before any of them is built

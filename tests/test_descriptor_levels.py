@@ -11,10 +11,12 @@ Pruefer ladder, the Heisenberg composition and JSON leave the levels
 unbuilt, in the style of the zero-product tests.
 """
 
+import gc
 import itertools
 import json
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -157,19 +159,27 @@ def test_equality_is_equality_of_group_and_cells_whatever_the_constructor(kinds,
         assert hash(a) == hash(b)
 
 
-def test_nested_levels_hold_the_top_cells_once_the_top_is_built():
+def test_nested_levels_read_after_the_top_hold_the_validating_constructors_cells():
     ladder = build_lattice_ladder(2, 3, 3)
-    top = ladder.levels[-1].elements
-    lo, _, strides = box_of(ladder.levels[-1])
-    for F in ladder.levels[:-1]:
-        assert all(top[sum((x - a) * s for x, a, s in zip(g, lo, strides))] is g for g in F.elements)
-    # a box sticking out of a built `outer` makes its own cells
-    sticking_out = FiniteSubset._from_shape(ladder.ctx, Box((12, 0), (13, 1)), ladder.levels[-1])
-    assert sticking_out.elements == ((12, 0), (12, 1), (13, 0), (13, 1))
+    ladder.levels[-1].elements  # the top first
+    for n, F in enumerate(ladder.levels[:-1]):
+        r = (3**n - 1) // 2
+        assert F.elements == FiniteSubset(F.ctx, box_cells((-r, -r), (r, r))).elements
     # a level read before its top makes its own cells and leaves the top unbuilt
     ladder = build_lattice_ladder(1, 4)
     assert ladder.levels[1].elements == ((-1,), (0,), (1,))
     assert not built(ladder.levels[-1])
+
+
+def test_grouped_levels_do_not_keep_the_original_top_alive():
+    ladder = build_lattice_ladder(1, 6, 5)
+    grouped = group_ladder(ladder, [0, 2, 4])
+    ladder.levels[-1].elements  # 15,625 cells
+    top = weakref.ref(ladder.levels[-1])
+    del ladder
+    gc.collect()
+    assert top() is None
+    assert [len(F.elements) for F in grouped.levels] == [1, 25, 625]
 
 
 def test_the_realize_chain_builds_no_level_above_the_first():

@@ -11,7 +11,9 @@ import pytest
 
 import monotiles
 from monotiles import PipelineConfig, run_pipeline
+from monotiles.cli import main
 from monotiles.errors import ConfigError
+from monotiles.folner import CENTER_DEPTH
 from monotiles.groups import _KINDS
 from monotiles.pipeline import DEFAULT_CONFIG, STAGES, _ROUTES, heisenberg_targets, write_json
 
@@ -101,6 +103,14 @@ MALFORMED = [
 def test_config_rejects_malformed_values(data):
     with pytest.raises(ConfigError):
         PipelineConfig.from_json(data)
+
+
+def test_heisenberg_depth_past_the_center_ladder_is_a_config_error():
+    # each target takes a strictly deeper level of the depth-10 central ladder
+    config = {"group": {"kind": "heisenberg3"}, "ladder": {"route": "heisenberg", "depth": CENTER_DEPTH}}
+    assert PipelineConfig.from_json(config).ladder["depth"] == 10
+    with pytest.raises(ConfigError, match="heisenberg ladder depth must be at most 10, got 11"):
+        PipelineConfig.from_json({**config, "ladder": {"route": "heisenberg", "depth": 11}})
 
 
 def test_cli_rejects_malformed_config_without_traceback(tmp_path):
@@ -215,6 +225,19 @@ def test_run_pipeline_failure_marks_remaining_skipped(tmp_path):
     assert not states["build-matrices"].ok
     assert states["build-hierarchy"].detail == {"skipped": True}
     assert (tmp_path / "report.json").exists()
+
+
+def test_deeply_nested_matrices_file_fails_its_stage_and_writes_the_report(tmp_path, capsys):
+    # nesting far past the recursion limit, built by concatenation since json.dumps recurses too
+    (tmp_path / "mats.json").write_text("[" * 100_000 + "]" * 100_000)
+    write_json({"matrices": {"file": "mats.json"}}, tmp_path / "cfg.json")
+    assert main(["--out", str(tmp_path / "out"), "pipeline", "run", str(tmp_path / "cfg.json")]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report == json.loads(capsys.readouterr().out)
+    states = {s["name"]: s for s in report["stages"]}
+    assert [states[name]["ok"] for name in STAGES] == [True, True, False, False, False, False]
+    assert states["build-matrices"]["witness"].startswith("RecursionError: ")
+    assert all(states[name]["detail"] == {"skipped": True} for name in STAGES[3:])
 
 
 def test_run_pipeline_matrices_from_file(tmp_path):
