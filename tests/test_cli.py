@@ -248,7 +248,6 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     (None, ["folner", "build", "--group", '{"kind":"pruefer","p":2}', "--depth", "2", "--base", "5"]),
     (None, ["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "2", "--base", "5"]),
     (None, ["folner", "build", "--group", '{"kind":"lattice","d":1}', "--depth", "0"]),
-    (None, ["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "1000000"]),  # past the center ladder
     (None, ["blocks", "verify-c3", "{symbol-256}"]),
     # --levels that name no level or no int, and levels outside the built ones
     ("z", ["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]", "--levels", "2..1"]),
@@ -258,6 +257,7 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     (None, ["blocks", "verify-c3", "{hier}", "--level", "-1"]),
     (None, ["blocks", "x0", "{hier}", "--level", "-1"]),
     (None, ["blocks", "x0", "{hier}", "--level", "4"]),
+    (None, ["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "1000000"]),  # past the center ladder
     # nested past the recursion limit: json.load, and context_from_descriptor on a parsed descriptor
     (None, ["folner", "check", "{nested}"]),
     (None, ["folner", "build", "--group", NESTED_GROUP, "--depth", "1"]),
