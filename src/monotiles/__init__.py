@@ -6,6 +6,7 @@ here.
 
 from .analysis import *
 from .blocks import *
+from .compose import *
 from .errors import *
 from .folner import *
 from .groups import *

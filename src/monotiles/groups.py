@@ -309,7 +309,12 @@ class DirectProduct(GroupContext):
 _KINDS = {cls.kind: cls for cls in (Lattice, Cyclic, Heisenberg, Pruefer, Rationals, DirectProduct)}
 
 
-def context_from_descriptor(desc: dict) -> GroupContext:
+# How deep direct_product descriptors may nest: far below the recursion limit,
+# so that every Python version rejects the same descriptors.
+_MAX_NESTING = 32
+
+
+def context_from_descriptor(desc: dict, _nesting: int = 0) -> GroupContext:
     """Rebuild a context from its JSON descriptor, which must hold exactly the
     keys of its kind, each with its JSON type."""
     if not isinstance(desc, dict):
@@ -322,7 +327,9 @@ def context_from_descriptor(desc: dict) -> GroupContext:
         shape = ", ".join(f"{k}: {t.__name__}" for k, t in cls.params.items()) or "no other keys"
         raise UnsupportedGroupError(f"{kind} descriptor needs exactly ({shape}), got {desc!r}")
     if cls is DirectProduct:
-        return DirectProduct(context_from_descriptor(f) for f in desc["factors"])
+        if _nesting == _MAX_NESTING:
+            raise UnsupportedGroupError(f"direct_product descriptors nest at most {_MAX_NESTING} deep")
+        return DirectProduct(context_from_descriptor(f, _nesting + 1) for f in desc["factors"])
     return cls(**{k: desc[k] for k in cls.params})
 
 

@@ -17,9 +17,10 @@ from ._text import write_json
 from .analysis import (CylinderId, boundary_mass_bound, check_partitions, return_times, scan_occurrences,
                        syndeticity_window)
 from .blocks import augment_matrix, build_hierarchy, verify_c3
+from .compose import CENTER_DEPTH, build_heisenberg_ladder
 from .errors import ConfigError, MonotileError
-from .folner import (CENTER_DEPTH, FolnerLadder, build_abelian_chain_ladder, build_heisenberg_ladder,
-                     build_lattice_ladder, build_pruefer_ladder, check_congruent, folner_defect, group_ladder)
+from .folner import (FolnerLadder, build_abelian_chain_ladder, build_lattice_ladder, build_pruefer_ladder,
+                     check_congruent, folner_defect, group_ladder)
 from .groups import FiniteSubset, Heisenberg, context_from_descriptor
 from .matrices import ManagedSequence, group_matrices, select_subsequence_lemma8
 from .simplex import check_nesting, incidence_from_hierarchy, realize_finite_simplex, tail_cluster_diameters

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from monotiles import (
+    FolnerLadder,
     ManagedMatrix,
     ManagedSequence,
     Pattern,
+    PipelineConfig,
     Pruefer,
     FiniteSubset,
     build_hierarchy,
@@ -17,7 +19,7 @@ from monotiles import (
     render_pattern,
 )
 from monotiles.cli import main
-from monotiles.errors import RenderUnsupportedError, UnsupportedGroupError
+from monotiles.errors import ConfigError, RenderUnsupportedError, UnsupportedGroupError
 from monotiles.pipeline import write_json
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
@@ -328,6 +330,36 @@ def test_a_finite_extension_fails_like_any_unknown_kind(tmp_path, capsys):
     assert main(["folner", "check", ladder]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
+
+
+def _nested_group(depth):
+    """A direct_product descriptor nested depth deep around one Z factor."""
+    desc = {"kind": "lattice", "d": 1}
+    for _ in range(depth):
+        desc = {"kind": "direct_product", "factors": [desc]}
+    return desc
+
+
+def test_32_nested_direct_products_round_trip():
+    assert context_from_descriptor(_nested_group(32)).descriptor() == _nested_group(32)
+
+
+@pytest.mark.parametrize("depth", [33, 400, 5000])
+def test_deeper_nesting_fails_like_any_unknown_kind(depth):
+    desc, message = _nested_group(depth), "direct_product descriptors nest at most 32 deep"
+    with pytest.raises(UnsupportedGroupError, match=message):
+        context_from_descriptor(desc)
+    with pytest.raises(UnsupportedGroupError, match=message):
+        FolnerLadder.from_json({**build_lattice_ladder(1, 2).to_json(), "group": desc})
+    with pytest.raises(ConfigError, match=f"bad group descriptor: {message}"):
+        PipelineConfig.from_json({"group": desc})
+
+
+def test_a_direct_product_that_contains_itself_fails_like_any_unknown_kind():
+    desc = {"kind": "direct_product", "factors": []}
+    desc["factors"].append(desc)
+    with pytest.raises(UnsupportedGroupError, match="nest at most 32 deep"):
+        context_from_descriptor(desc)
 
 @pytest.mark.parametrize("levels, message", [
     ("3..1", "error: --levels '3..1' names no level: a range lo..hi needs lo <= hi"),

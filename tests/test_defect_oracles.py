@@ -29,8 +29,9 @@ from monotiles import (
     iterated_glue,
     right_invariance_defect,
 )
-from monotiles import folner
-from monotiles.errors import InfeasibleError, InvarianceUnreachableError, NotCosetRepsError
+from monotiles import compose
+from monotiles.cli import main
+from monotiles.errors import InfeasibleError, InvarianceUnreachableError, MonotileError, NotCosetRepsError
 from monotiles import groups
 from monotiles.groups import product_set
 from monotiles.pipeline import heisenberg_targets
@@ -41,6 +42,10 @@ from test_tiling import PROPERTY
 # sha256 of the canonical JSON of build_heisenberg_ladder(heisenberg_targets(3)),
 # written by the code that rebuilt the chosen level and validated every cell
 HEISENBERG_3_SHA256 = "c7ecf7a4c9654977dd9b9e91fa77d95bda87469a98d1b226184bad3ade8daabd"
+# sha256 of ladder.json without its trailing newline, from
+# `monotiles folner build --group '{"kind":"heisenberg3"}' --depth 5`: the only
+# default Heisenberg ladder whose search needs plane level 4
+HEISENBERG_5_SHA256 = "0f6371bccaafd068e7698032d2cbd7afdc5e0b5d2b7da147aae1a572b1b3b5c1"
 
 
 def reference_folner_defect(F, g):
@@ -172,7 +177,7 @@ def product_calls(monkeypatch):
         firsts.append(A)
         return product_set(A, *factors)
 
-    monkeypatch.setattr(folner, "product_set", spy)
+    monkeypatch.setattr(compose, "product_set", spy)
     return firsts
 
 
@@ -206,7 +211,7 @@ def test_tower_with_a_repeated_plane_point_falls_back_to_product_set():
     U = FiniteSubset(ctx, [(0, 0, t) for t in range(-1, 2)])
     tower = FiniteSubset(ctx, [(0, 0, 0), (0, 0, 3), (1, 0, 0)])
     K = FiniteSubset(ctx, ctx.generators())
-    defect, level = folner._score_candidate(U, tower, K)
+    defect, level = compose._score_candidate(U, tower, K)
     assert level == product_set(U, tower)
     assert defect == reference_right_invariance_defect(level, K)
 
@@ -245,6 +250,71 @@ def test_heisenberg_ladder_json_is_unchanged():
     data = build_heisenberg_ladder(heisenberg_targets(3)).to_json()
     text = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(text).hexdigest() == HEISENBERG_3_SHA256
+
+
+def test_depth_5_heisenberg_ladder_file_is_unchanged(tmp_path):
+    # written by the CLI, which streams the levels from their shapes: to_json would make every cell
+    assert main(["--out", str(tmp_path), "folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "5"]) == 0
+    path = tmp_path / "ladder.json"
+    text = path.read_bytes()
+    path.unlink()  # 63.7 MB, which pytest would keep among its recent temporary directories
+    assert text.endswith(b"\n")
+    assert hashlib.sha256(text[:-1]).hexdigest() == HEISENBERG_5_SHA256
+
+
+# `build_heisenberg_ladder` composes over the shortest prefix of its depth-5
+# plane ladder that meets the targets.  The oracle composes over the whole
+# plane, with the centre, section and projection of the prefix search.
+
+
+def _outcome(build):
+    """build()'s ladder with its info, or the type, message and achieved of its error."""
+    try:
+        ladder = build()
+    except MonotileError as exc:
+        return type(exc), str(exc), getattr(exc, "achieved", None)
+    return ladder, ladder.info
+
+
+def _prefix_and_whole_plane(targets):
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compose, "compose_exact_sequence",
+                      lambda *args, **kwargs: calls.append((args, kwargs)) or compose_exact_sequence(*args, **kwargs))
+        prefix = _outcome(lambda: build_heisenberg_ladder(targets))
+    (center, _), kwargs = calls[0]
+    whole = _outcome(lambda: compose_exact_sequence(center, build_lattice_ladder(2, 5), kwargs["section"],
+                                                    kwargs["projection"], targets))
+    return prefix, whole
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_the_shortest_plane_prefix_composes_like_the_whole_plane(depth):
+    prefix, whole = _prefix_and_whole_plane(heisenberg_targets(depth))
+    assert prefix == whole
+    if depth >= 6:
+        assert prefix[0] is InfeasibleError and "product set would hold 14348907 cells" in prefix[1]
+
+
+@settings(PROPERTY, max_examples=10)
+@given(depth=st.integers(1, 6), start=st.sampled_from([1, Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)]),
+       step=st.sampled_from([Fraction(9, 10), Fraction(2, 3), Fraction(1, 2)]))
+def test_the_shortest_plane_prefix_composes_like_the_whole_plane_on_other_schedules(depth, start, step):
+    prefix, whole = _prefix_and_whole_plane(heisenberg_targets(depth, start, step))
+    assert prefix == whole
+
+
+def test_an_unreachable_target_raises_the_whole_planes_error():
+    prefix, whole = _prefix_and_whole_plane(heisenberg_targets(2, Fraction(1, 100)))
+    assert prefix == whole and prefix[0] is InvarianceUnreachableError and prefix[2] is None
+
+
+def test_targets_given_once_are_searched_by_every_prefix():
+    # targets(5) needs plane level 4, so the prefixes of depth 1 to 3 search the targets first
+    targets = heisenberg_targets(5)
+    ladder = build_heisenberg_ladder(iter(targets))
+    assert ladder.info["q_indices"] == [0, 2, 3, 3, 3, 4]
+    assert (ladder, ladder.info) == _outcome(lambda: build_heisenberg_ladder(targets))
 
 
 # The up-front checks of compose_exact_sequence, which raise before the search
@@ -303,7 +373,7 @@ def test_a_lifted_tower_with_colliding_products_raises_before_projecting(quot):
 def test_the_tower_budget_is_checked_level_by_level_before_projecting(monkeypatch, breaks):
     center, plane, section, projection = _heisenberg_parts(6, 4)
     monkeypatch.setattr(groups, "MAX_CELLS", 1000)
-    monkeypatch.setattr(folner, "MAX_CELLS", 1000)
+    monkeypatch.setattr(compose, "MAX_CELLS", 1000)
     # the search would score levels 0..3 only (729 cells); a projection broken
     # from level 2 on still raises the budget error of level 4 first
     bent = lambda g: (g[0] + 1, g[1]) if breaks and g[2] else projection(g)

@@ -43,7 +43,7 @@ from monotiles import (
     realize_finite_simplex,
     select_subsequence_lemma8,
 )
-from monotiles import _boxes, folner
+from monotiles import _boxes, compose, folner
 from monotiles._boxes import Box, Fibres, Subgroup
 from monotiles.pipeline import heisenberg_targets
 from shape_views import box_of, fibres_of, subgroup_of
@@ -316,8 +316,8 @@ def test_heisenberg_ladder_levels_answer_like_the_validating_constructor():
 
 def test_the_heisenberg_ladder_builds_checks_and_measures_defects_with_no_cells(monkeypatch):
     planes = []
-    lattice = folner.build_lattice_ladder
-    monkeypatch.setattr(folner, "build_lattice_ladder", lambda *args: planes.append(lattice(*args)) or planes[-1])
+    lattice = compose.build_lattice_ladder
+    monkeypatch.setattr(compose, "build_lattice_ladder", lambda *args: planes.append(lattice(*args)) or planes[-1])
     ladder = build_heisenberg_ladder(heisenberg_targets(3))
     gens = ladder.ctx.generators()
     assert check_congruent(ladder).ok

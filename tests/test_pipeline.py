@@ -13,7 +13,7 @@ import monotiles
 from monotiles import PipelineConfig, run_pipeline
 from monotiles.cli import main
 from monotiles.errors import ConfigError
-from monotiles.folner import CENTER_DEPTH
+from monotiles.compose import CENTER_DEPTH
 from monotiles.groups import _KINDS
 from monotiles.pipeline import DEFAULT_CONFIG, STAGES, _ROUTES, heisenberg_targets, write_json
 
