@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
@@ -309,23 +310,22 @@ class DirectProduct(GroupContext):
 _KINDS = {cls.kind: cls for cls in (Lattice, Cyclic, Heisenberg, Pruefer, Rationals, DirectProduct)}
 
 
-# How deep direct_product descriptors may nest: far below the recursion limit,
-# so that every Python version rejects the same descriptors.
+# How deep direct_product descriptors may nest: far below the recursion limit, so every Python version agrees.
 _MAX_NESTING = 32
 
 
 def context_from_descriptor(desc: dict, _nesting: int = 0) -> GroupContext:
     """Rebuild a context from its JSON descriptor, which must hold exactly the
-    keys of its kind, each with its JSON type."""
+    keys of its kind, each with its JSON type (errors quote it by reprlib.repr)."""
     if not isinstance(desc, dict):
-        raise UnsupportedGroupError(f"group descriptor must be an object, got {desc!r}")
+        raise UnsupportedGroupError("group descriptor must be an object, got " + reprlib.repr(desc))
     kind = desc.get("kind")
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise UnsupportedGroupError(f"unknown group kind {kind!r}")
+        raise UnsupportedGroupError("unknown group kind " + reprlib.repr(kind))
     if desc.keys() != {"kind", *cls.params} or any(type(desc[k]) is not t for k, t in cls.params.items()):
         shape = ", ".join(f"{k}: {t.__name__}" for k, t in cls.params.items()) or "no other keys"
-        raise UnsupportedGroupError(f"{kind} descriptor needs exactly ({shape}), got {desc!r}")
+        raise UnsupportedGroupError(f"{kind} descriptor needs exactly ({shape}), got " + reprlib.repr(desc))
     if cls is DirectProduct:
         if _nesting == _MAX_NESTING:
             raise UnsupportedGroupError(f"direct_product descriptors nest at most {_MAX_NESTING} deep")

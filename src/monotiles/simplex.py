@@ -1,9 +1,8 @@
 """Exact finite-depth approximation of the invariant-measure simplex.
 
-Scaled simplex points are pushed down managed matrix sequences; approximants
-are the vertex images of deep standard simplices, certified to nest both by
-the construction identity and by an independent exact hull-membership test.
-"""
+Approximants are the vertex images of deep standard simplices, read off the matrix
+products, and certified to nest by the construction identity and by an independent
+exact hull-membership test."""
 
 from __future__ import annotations
 
@@ -12,6 +11,7 @@ from typing import Sequence
 
 from . import _boxes
 from ._frozen import frozen
+from ._intlin import unique_solution_nonnegative
 from .blocks import BlockHierarchy
 from .errors import InfeasibleError
 from .folner import FolnerLadder, _tiled
@@ -87,16 +87,16 @@ class SimplexApproximant:
                 "vertices": [v.to_json() for v in self.vertices]}
 
 
+def _columns(prod: ManagedMatrix, scale: int) -> tuple:
+    """The columns of prod over scale: the images of the corners e_j / scale."""
+    return tuple(SimplexPoint(tuple(Fraction(row[j], scale) for row in prod.entries), scale // prod.ratio)
+                 for j in range(prod.cols))
+
+
 def approximate_limit(ms: ManagedSequence, n: int, d: int) -> SimplexApproximant:
-    """Push the standard vertices of the level-(n+d) simplex down to level n."""
-    if d < 1:
-        raise ValueError("depth must be at least 1")
-    if n < 0 or n + d > len(ms):
-        raise ValueError(f"levels {n}..{n + d} exceed sequence length {len(ms)}")
-    prod = ms.product(n, d)
-    deep_scale = ms.scale(n + d)
-    verts = tuple(push(prod, z) for z in standard_vertices(prod.cols, deep_scale))
-    return SimplexApproximant(n, d, verts)
+    """Push the standard vertices of the level-(n+d) simplex down to level n
+    (ms.product raises ValueError unless d >= 1 and levels n..n+d exist)."""
+    return SimplexApproximant(n, d, _columns(ms.product(n, d), ms.scale(n + d)))
 
 
 def _reduce(rows: list[list[Fraction]], rhs: list[Fraction]):
@@ -121,15 +121,6 @@ def _reduce(rows: list[list[Fraction]], rhs: list[Fraction]):
     if any(aug[i][k] != 0 for i in range(len(pivots), m)):
         return None
     return aug, pivots
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over the rationals; None when no unique solution."""
-    k = len(rows[0]) if rows else 0
-    reduced = _reduce(rows, rhs)
-    if reduced is None or len(reduced[1]) < k:
-        return None  # inconsistent or underdetermined
-    return [reduced[0][i][k] for i in range(k)]
 
 
 def _fourier_motzkin_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
@@ -172,18 +163,16 @@ def _fourier_motzkin_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -
 
 
 def hull_contains(outer: Sequence[SimplexPoint], z: SimplexPoint) -> tuple[bool, str]:
-    """Exact convex-hull membership: barycentric solve, falling back to elimination."""
+    """Exact convex-hull membership: integer barycentric solve, falling back to elimination."""
     k = len(z)
-    rows = [[v.coordinates[i] for v in outer] for i in range(k)]
-    rows.append([Fraction(1)] * len(outer))
-    rhs = [z.coordinates[i] for i in range(k)] + [Fraction(1)]
     # scale mismatch between outer and z is a caller error
-    for v in outer:
-        if v.scale != z.scale or len(v) != k:
-            raise ValueError("hull test needs points at one scale and dimension")
-    sol = _solve_exact(rows, rhs)
-    if sol is not None:
-        return all(c >= 0 for c in sol), "barycentric"
+    if any(v.scale != z.scale or len(v) != k for v in outer):
+        raise ValueError("hull test needs points at one scale and dimension")
+    rows = [[v.coordinates[i] for v in outer] for i in range(k)] + [[Fraction(1)] * len(outer)]
+    rhs = [*z.coordinates, Fraction(1)]
+    inside = unique_solution_nonnegative(rows, rhs)
+    if inside is not None:
+        return inside, "barycentric"
     return _fourier_motzkin_feasible(rows, rhs), "fourier-motzkin"
 
 
@@ -196,39 +185,30 @@ def check_nesting(ms: ManagedSequence, n: int, d: int) -> Certificate:
     carries level, depth, method and the coefficients as "p/q" strings; a
     failure's witness is [j], the inner vertex that breaks the nesting.
     """
-    outer = approximate_limit(ms, n, d)
-    inner = approximate_limit(ms, n, d + 1)
-    link = ms[n + d]
+    prod, link, scale = ms.product(n, d), ms.product(n + d, 1), ms.scale(n + d)
+    outer, r = _columns(prod, scale), link.ratio
     coeffs = []
     method = "barycentric"
     fail = lambda reason, j, method: Certificate(
         False, reason, [j], {"level": n, "depth": d, "method": method, "coefficients": []})
-    for j, vertex in enumerate(inner.vertices):
-        lam = [Fraction(link.entries[i][j], link.ratio) for i in range(link.rows)]
-        combo = [sum(l * v.coordinates[i] for l, v in zip(lam, outer.vertices))
-                 for i in range(len(vertex))]
-        if tuple(combo) != vertex.coordinates:
+    for j, vertex in enumerate(_columns(prod.mul(link), scale * r)):
+        col = link.column(j)
+        # vertex_i = sum_l (col_l / r) * prod[i][l] / scale, cross-multiplied
+        if any(c.numerator * scale * r != sum(a * b for a, b in zip(col, row)) * c.denominator
+               for c, row in zip(vertex.coordinates, prod.entries)):
             return fail("vertex is not the matrix combination of the outer vertices", j, method)
-        member, how = hull_contains(outer.vertices, vertex)
+        member, how = hull_contains(outer, vertex)
         if how != "barycentric":
             method = how
         if not member:
             return fail("vertex lies outside the outer hull", j, how)
-        coeffs.append([str(c) for c in lam])
+        coeffs.append([str(Fraction(x, r)) for x in col])
     return Certificate(True, detail={"level": n, "depth": d, "method": method, "coefficients": coeffs})
 
 
-def _near_diagonal_count(m: ManagedMatrix) -> int | None:
-    """Block count d when m = diag(ratio - d + 1) + ones off-diagonal, else None."""
-    if m.rows != m.cols:
-        return None
-    d = m.rows
-    diag = m.ratio - (d - 1)
-    if diag < 1:
-        return None
-    if any(m.entries[i][j] != (diag if i == j else 1) for i in range(d) for j in range(d)):
-        return None
-    return d
+def _near_diagonal(k: int, ratio: int) -> ManagedMatrix:
+    """diag(ratio - k + 1) with ones off the diagonal, on k blocks."""
+    return ManagedMatrix(tuple(tuple(ratio - (k - 1) if i == j else 1 for j in range(k)) for i in range(k)))
 
 
 def tail_cluster_diameters(ms: ManagedSequence, n: int, d: int) -> list[Fraction]:
@@ -246,7 +226,7 @@ def tail_cluster_diameters(ms: ManagedSequence, n: int, d: int) -> list[Fraction
     k = ms[n].rows
     shrink = Fraction(2 * (k - 1), k * ms.scale(n))
     for t in range(n, len(ms)):
-        if _near_diagonal_count(ms[t]) != k:
+        if ms[t].ratio < k or ms[t] != _near_diagonal(k, ms[t].ratio):
             raise ValueError(f"matrix {t} is not near-diagonal on {k} blocks")
         if t < n + d:
             shrink *= Fraction(ms[t].ratio - k, ms[t].ratio)
@@ -289,8 +269,7 @@ def realize_finite_simplex(num_extreme: int, ladder: FolnerLadder, tolerance) ->
         if r < d + 1:
             raise InfeasibleError(
                 f"level-{t} index ratio {r} too small for {d} extreme points (need >= {d + 1})")
-        matrices.append(ManagedMatrix(
-            tuple(tuple(r - (d - 1) if i == j else 1 for j in range(d)) for i in range(d))))
+        matrices.append(_near_diagonal(d, r))
         diam *= Fraction(r - d, r)
     if diam > tolerance:
         raise InfeasibleError(

@@ -361,6 +361,30 @@ def test_a_direct_product_that_contains_itself_fails_like_any_unknown_kind():
     with pytest.raises(UnsupportedGroupError, match="nest at most 32 deep"):
         context_from_descriptor(desc)
 
+
+def _deep_list(depth):
+    deep = []
+    for _ in range(depth):
+        deep = [deep]
+    return deep
+
+
+@pytest.mark.parametrize("where, message", [
+    ("value", "lattice descriptor needs exactly"),
+    ("kind", "unknown group kind"),
+    ("descriptor", "group descriptor must be an object"),
+    ("factor", "group descriptor must be an object"),
+])
+def test_values_nested_past_the_recursion_limit_fail_like_any_bad_descriptor(where, message):
+    deep = _deep_list(100_000)  # the error quotes it with a bounded repr, not the recursive one
+    desc = {"value": {"kind": "lattice", "d": deep}, "kind": {"kind": deep}, "descriptor": deep,
+            "factor": {"kind": "direct_product", "factors": [deep]}}[where]
+    with pytest.raises(UnsupportedGroupError, match=message):
+        context_from_descriptor(desc)
+    with pytest.raises(ConfigError, match=f"bad group descriptor: {message}"):
+        PipelineConfig.from_json({"group": desc})
+
+
 @pytest.mark.parametrize("levels, message", [
     ("3..1", "error: --levels '3..1' names no level: a range lo..hi needs lo <= hi"),
     ("x", "error: --levels must be a range like 0..4 or a comma list of ints, got 'x'"),

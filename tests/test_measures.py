@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monotiles import (
     Certificate,
     ManagedMatrix,
     ManagedSequence,
+    SimplexApproximant,
     SimplexPoint,
     approximate_limit,
     build_hierarchy,
@@ -22,7 +24,9 @@ from monotiles import (
     standard_vertices,
     tail_cluster_diameters,
 )
+from monotiles._intlin import unique_solution_nonnegative
 from monotiles.errors import InfeasibleError
+from monotiles.simplex import _fourier_motzkin_feasible, _reduce
 
 CONST = ManagedMatrix([[2, 1], [1, 2]])
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
@@ -120,6 +124,147 @@ def test_check_nesting_to_depth_six():
             coeffs = [Fraction(c) for c in row]
             assert sum(coeffs) == 1
             assert all(c >= 0 for c in coeffs)
+
+
+def test_check_nesting_switches_to_fourier_motzkin_on_equal_columns():
+    # two equal columns give two equal outer vertices: no unique barycentric solution
+    ms = ManagedSequence([ManagedMatrix([[2, 2, 1], [1, 1, 2]]), ManagedMatrix([[1, 0, 2], [1, 2, 0], [1, 1, 1]])])
+    cert = check_nesting(ms, 0, 1)
+    assert cert.ok and cert.detail["method"] == "fourier-motzkin"
+    assert cert.detail["coefficients"] == [["1/3", "1/3", "1/3"], ["0", "2/3", "1/3"], ["2/3", "0", "1/3"]]
+    assert cert.to_json() == fraction_check_nesting(ms, 0, 1).to_json()
+
+
+# Oracles: the Fraction arithmetic that hull_contains, approximate_limit and
+# check_nesting used before they moved to integers.
+
+def fraction_solve(rows, rhs):
+    """Gaussian elimination over the rationals; None when no unique solution."""
+    k = len(rows[0]) if rows else 0
+    reduced = _reduce(rows, rhs)
+    if reduced is None or len(reduced[1]) < k:
+        return None  # inconsistent or underdetermined
+    return [reduced[0][i][k] for i in range(k)]
+
+
+def fraction_hull_contains(outer, z):
+    k = len(z)
+    rows = [[v.coordinates[i] for v in outer] for i in range(k)]
+    rows.append([Fraction(1)] * len(outer))
+    rhs = [z.coordinates[i] for i in range(k)] + [Fraction(1)]
+    sol = fraction_solve(rows, rhs)
+    if sol is not None:
+        return all(c >= 0 for c in sol), "barycentric"
+    return _fourier_motzkin_feasible(rows, rhs), "fourier-motzkin"
+
+
+def fraction_approximate_limit(ms, n, d):
+    prod = ms.product(n, d)
+    return SimplexApproximant(n, d, tuple(push(prod, z) for z in standard_vertices(prod.cols, ms.scale(n + d))))
+
+
+def fraction_check_nesting(ms, n, d):
+    outer = fraction_approximate_limit(ms, n, d)
+    inner = fraction_approximate_limit(ms, n, d + 1)
+    link = ms[n + d]
+    coeffs = []
+    method = "barycentric"
+    fail = lambda reason, j, method: Certificate(
+        False, reason, [j], {"level": n, "depth": d, "method": method, "coefficients": []})
+    for j, vertex in enumerate(inner.vertices):
+        lam = [Fraction(link.entries[i][j], link.ratio) for i in range(link.rows)]
+        combo = [sum(l * v.coordinates[i] for l, v in zip(lam, outer.vertices)) for i in range(len(vertex))]
+        if tuple(combo) != vertex.coordinates:
+            return fail("vertex is not the matrix combination of the outer vertices", j, method)
+        member, how = fraction_hull_contains(outer.vertices, vertex)
+        if how != "barycentric":
+            method = how
+        if not member:
+            return fail("vertex lies outside the outer hull", j, how)
+        coeffs.append([str(c) for c in lam])
+    return Certificate(True, detail={"level": n, "depth": d, "method": method, "coefficients": coeffs})
+
+
+ORACLE = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, rhs): 1-5 columns and one row fewer to two rows more, of signed
+    rationals with mixed denominators.  rhs is rows times a signed solution,
+    one entry of it moved at times; a column is repeated at times."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(max(1, k - 1), k + 2))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 4, 6]))
+    rows = [[draw(entry) for _ in range(k)] for _ in range(m)]
+    if k > 1 and draw(st.integers(0, 3)) == 0:
+        a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        for row in rows:
+            row[b] = row[a]
+    x = [draw(entry) for _ in range(k)]
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    if draw(st.integers(0, 3)) == 0:
+        rhs[draw(st.integers(0, m - 1))] += draw(entry)
+    return rows, rhs
+
+
+@ORACLE
+@given(linear_systems())
+def test_integer_solve_equals_fraction_solve(system):
+    rows, rhs = system
+    sol = fraction_solve(rows, rhs)
+    assert unique_solution_nonnegative(rows, rhs) == (None if sol is None else all(c >= 0 for c in sol))
+
+
+@st.composite
+def hull_cases(draw):
+    """(outer, z) at one scale: 1-5 coordinates, 1-6 outer points with
+    repeats, and z a random point (mostly outside) or a convex combination."""
+    k, scale = draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 3, 12]))
+
+    def point():
+        w = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
+        return SimplexPoint([Fraction(x, sum(w) * scale) for x in w], scale)
+
+    outer = [point() for _ in range(draw(st.just(k) | st.integers(1, 6)))]
+    if len(outer) < 6 and draw(st.integers(0, 2)) == 0:
+        repeats = st.lists(st.integers(0, len(outer) - 1), min_size=1, max_size=6 - len(outer))
+        outer += [outer[i] for i in draw(repeats)]
+    if draw(st.booleans()):
+        return outer, point()
+    lam = draw(st.lists(st.integers(0, 5), min_size=len(outer), max_size=len(outer)).filter(any))
+    return outer, SimplexPoint([sum(l * v.coordinates[i] for l, v in zip(lam, outer)) / sum(lam)
+                                for i in range(k)], scale)
+
+
+@ORACLE
+@given(hull_cases())
+def test_hull_contains_equals_the_fraction_oracle(case):
+    outer, z = case
+    assert hull_contains(outer, z) == fraction_hull_contains(outer, z)
+
+
+@st.composite
+def managed_chains(draw):
+    """2-4 managed matrices of 2-4 rows and columns chained by shape, each
+    column a random split of the matrix's ratio, and a base scale."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=3, max_size=5))
+    matrices = []
+    for rows, cols in zip(dims, dims[1:]):
+        ratio = draw(st.integers(1, 5))
+        splits = [draw(st.lists(st.integers(0, rows - 1), min_size=ratio, max_size=ratio)) for _ in range(cols)]
+        matrices.append(ManagedMatrix([[s.count(i) for s in splits] for i in range(rows)]))
+    return ManagedSequence(matrices, base_scale=draw(st.integers(1, 3)))
+
+
+@ORACLE
+@given(managed_chains())
+def test_nesting_and_limits_equal_the_fraction_oracle(ms):
+    for n in range(len(ms)):
+        for d in range(1, len(ms) - n + 1):
+            assert approximate_limit(ms, n, d).to_json() == fraction_approximate_limit(ms, n, d).to_json()
+            if n + d < len(ms):
+                assert check_nesting(ms, n, d).to_json() == fraction_check_nesting(ms, n, d).to_json()
 
 
 def test_tail_cluster_diameters_shrink_geometrically():
