@@ -42,7 +42,8 @@ class Box:
     def of(cls, cells) -> Box | None:  # from all cells' min and max per axis, not the first and last
         axes = [operator.itemgetter(k) for k in range(len(cells[0]))]
         box = cls(tuple(min(map(axis, cells)) for axis in axes), tuple(max(map(axis, cells)) for axis in axes))
-        return box if len(box) == len(cells) else None
+        # its size by strides, not len(): a span past sys.maxsize is no box, not an OverflowError
+        return box if box.strides[0] * (box.hi[0] - box.lo[0] + 1) == len(cells) else None
 
     @classmethod
     def from_rows(cls, ctx, rows: list) -> Box | None:  # from the first row, the last row and the length

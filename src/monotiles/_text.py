@@ -1,16 +1,20 @@
 """Canonical JSON text of the artifacts, written in pieces through the C
-encoder.  A window with a row form (a box or fibred window, `_boxes`) is
-written from its shape without making its cells, and a parsed level that is
+encoder, with no Python object per cell where a subset's form allows
+(`pieces`): a box or fibred window (`_boxes`) from its row ranges, a Pruefer
+subgroup {i/N} from N, and the cells of a context whose cells are their own
+JSON (`cells_are_json`) without encode_json.  A parsed level that is
 exactly the text of the candidate shape its rows suggest is read back into
 that shape."""
 
 from __future__ import annotations
 
 import json
-from itertools import islice
+from functools import cache
+from itertools import repeat
+from math import gcd
 from pathlib import Path
 
-from ._boxes import SHAPES
+from ._boxes import SHAPES, Subgroup
 from .groups import FiniteSubset
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # the C encoder
@@ -30,21 +34,58 @@ def encoded(value):
     return value.encode_json() if isinstance(value, FiniteSubset) else value
 
 
+@cache
+def _tails() -> tuple:  # made on first use, so a process that writes no run pays nothing at import
+    tails = [f"{r:02d}" for r in range(100)]
+    return tails, tails[::-1]
+
+
+def _numbers(run: range, sep: str) -> str:
+    """sep.join(map(str, run)) for a run of consecutive ints: each block of a
+    hundred numbers that share their leading digits q is q and the joined slice
+    of the table of last two digits `_tails` (reversed, with -q, below 0), and
+    |x| < 100 goes by map(str)."""
+    (tails, reverse), out, s, b = _tails(), [], run.start, run.stop
+    while s < b:
+        if s <= -100:
+            q = -s // 100
+            e, head = min(b, 1 - 100 * q), "-" + str(q)
+            out.append(head + (sep + head).join(reverse[s + 100 * q + 99:e + 100 * q + 99]))
+        elif s < 100:
+            e = min(b, 100)
+            out.append(sep.join(map(str, range(s, e))))
+        else:
+            q = s // 100
+            e, head = min(b, 100 * q + 100), str(q)
+            out.append(head + (sep + head).join(tails[s - 100 * q:e - 100 * q]))
+        s = e
+    return sep.join(out)
+
+
 def pieces(F: FiniteSubset):
     """(n, text): pieces of n <= _PIECE cells whose texts, joined by commas,
     are `_ENCODE(F.encode_json())` without its brackets.  A shape with rows
-    (x, run) writes each run from its range, so no cell is made; any other
-    subset goes through the C encoder."""
-    rows = F._shape.rows() if F._shape else None
-    if rows is None:
-        cells = iter(F._cells())
-        while part := list(map(F.ctx.encode_json, islice(cells, _PIECE))):
-            yield len(part), _ENCODE(part)[1:-1]
+    (x, run) writes each run from its range and a Pruefer subgroup each i/N
+    from i and N, so no cell is made; any other subset goes through the C
+    encoder, by encode_json unless its cells are their own JSON."""
+    shape = F._shape
+    if type(shape) is Subgroup:
+        n = shape.n
+        for s in range(0, n, _PIECE):
+            part = range(s, min(n, s + _PIECE))
+            yield len(part), '"' + '","'.join([f"{i // g}/{n // g}" if i else "0"
+                                               for i, g in zip(part, map(gcd, part, repeat(n)))]) + '"'
         return
-    for x, run in rows:
+    if shape is None:
+        cells, ctx = F.elements, F.ctx
+        for s in range(0, len(cells), _PIECE):
+            part = cells[s:s + _PIECE]
+            yield len(part), _ENCODE(part if ctx.cells_are_json else list(map(ctx.encode_json, part)))[1:-1]
+        return
+    for x, run in shape.rows():
         head = "[" + "".join(f"{a:d}," for a in x)  # :d, so a float plane point read back is no match
         for part in (run[i:i + _PIECE] for i in range(0, len(run), _PIECE)):
-            yield len(part), head + ("]," + head).join(map(str, part)) + "]"
+            yield len(part), head + _numbers(part, "]," + head) + "]"
 
 
 def is_text_of(F: FiniteSubset, rows) -> bool:

@@ -35,6 +35,9 @@ class GroupContext:
 
     kind: str = "abstract"
     params: dict = {}
+    # whether every element is its own JSON value up to tuples for lists (ints and tuples of
+    # them), so that the C encoder writes a cell as encode_json would: a fact of the class
+    cells_are_json = False
 
     def identity(self):
         raise NotImplementedError
@@ -85,13 +88,14 @@ class _IntTuples(GroupContext):
     """Shared encoding of groups whose elements are d-tuples of ints."""
 
     d: int
+    cells_are_json = True
 
     def identity(self):
         return (0,) * self.d
 
     def validate(self, g) -> None:
         if not (isinstance(g, tuple) and len(g) == self.d and all(type(a) is int for a in g)):
-            raise EncodingError(f"expected a {self.d}-tuple of ints, got {g!r}")
+            raise EncodingError(f"expected a {self.d}-tuple of ints, got " + reprlib.repr(g))
 
     def generators(self) -> list:
         units = [tuple(int(j == i) for j in range(self.d)) for i in range(self.d)]
@@ -132,6 +136,7 @@ class Cyclic(GroupContext):
 
     kind = "cyclic"
     params = {"n": int}
+    cells_are_json = True
 
     def __init__(self, n: int):
         if type(n) is not int or n < 1:
@@ -149,7 +154,7 @@ class Cyclic(GroupContext):
 
     def validate(self, g) -> None:
         if not (type(g) is int and 0 <= g < self.n):
-            raise EncodingError(f"expected an int in [0, {self.n}), got {g!r}")
+            raise EncodingError(f"expected an int in [0, {self.n}), got " + reprlib.repr(g))
 
     def generators(self) -> list:
         return [1] if self.n > 1 else []
@@ -197,7 +202,7 @@ class _Fractions(GroupContext):
                 raise ValueError
             g = Fraction(obj)
         except (ValueError, ZeroDivisionError):
-            raise EncodingError(f"expected an int or a rational string, got {obj!r}") from None
+            raise EncodingError("expected an int or a rational string, got " + reprlib.repr(obj)) from None
         self.validate(g)
         return g
 
@@ -221,7 +226,7 @@ class Pruefer(_Fractions):
 
     def validate(self, g) -> None:
         if not isinstance(g, Fraction) or not 0 <= g < 1:
-            raise EncodingError(f"expected a Fraction in [0, 1), got {g!r}")
+            raise EncodingError("expected a Fraction in [0, 1), got " + reprlib.repr(g))
         # den divides p**k for some k iff it divides p**bit_length(den): no prime exponent reaches it
         if pow(self.p, g.denominator.bit_length(), g.denominator):
             raise EncodingError(f"{g} has a denominator dividing no power of {self.p}")
@@ -246,7 +251,7 @@ class Rationals(_Fractions):
 
     def validate(self, g) -> None:
         if not isinstance(g, Fraction):
-            raise EncodingError(f"expected a Fraction, got {g!r}")
+            raise EncodingError("expected a Fraction, got " + reprlib.repr(g))
 
     def generators(self) -> list:
         return [Fraction(1)]
@@ -262,6 +267,7 @@ class DirectProduct(GroupContext):
         self.factors = tuple(factors)
         if not self.factors:
             raise ValueError("direct product needs at least one factor")
+        self.cells_are_json = all(f.cells_are_json for f in self.factors)
 
     def identity(self):
         return tuple(f.identity() for f in self.factors)
@@ -274,7 +280,7 @@ class DirectProduct(GroupContext):
 
     def validate(self, g) -> None:
         if not (isinstance(g, tuple) and len(g) == len(self.factors)):
-            raise EncodingError(f"expected a {len(self.factors)}-tuple, got {g!r}")
+            raise EncodingError(f"expected a {len(self.factors)}-tuple, got " + reprlib.repr(g))
         for f, a in zip(self.factors, g):
             f.validate(a)
 
@@ -303,7 +309,7 @@ class DirectProduct(GroupContext):
 
     def decode_json(self, obj):
         if not (isinstance(obj, list) and len(obj) == len(self.factors)):
-            raise EncodingError(f"expected {len(self.factors)} components, got {obj!r}")
+            raise EncodingError(f"expected {len(self.factors)} components, got " + reprlib.repr(obj))
         return tuple(f.decode_json(a) for f, a in zip(self.factors, obj))
 
 
@@ -423,7 +429,9 @@ class FiniteSubset:
     @cached_property
     def elements(self) -> tuple:
         """The cells in canonical order, made from the shape on first read."""
-        return tuple(self._shape.cells())
+        # through a list: tuple() of an iterator resizes the tuple, and each resize hands it
+        # back to the youngest generation, whose next collection traverses it again
+        return tuple(list(self._shape.cells()))
 
     def _cells(self):
         """The cells in canonical order, made afresh (and not kept) when not built."""

@@ -6,8 +6,13 @@ The writer differs from `json.dumps` on one point, on purpose: an object key
 that is not a `str` raises `TypeError` instead of being turned into a string.
 A `FiniteSubset` in the data is written as its `encode_json()`, piece by
 piece from its box, fibres or subgroup when it has one, without its cells.
+Each closed form of `_text.pieces` (a run's numbers from a table of last
+digits, reduced "i/N" strings, cells that are their own JSON) is checked
+against the expression the writer used before it, `old_pieces`, and three
+CLI ladders that the pinned pipeline digests do not reach keep their bytes.
 """
 
+import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -18,19 +23,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monotiles import (
+    Cyclic,
+    DirectProduct,
     FiniteSubset,
     Heisenberg,
     Lattice,
     ManagedMatrix,
     Pruefer,
+    Rationals,
     build_hierarchy,
     build_lattice_ladder,
 )
 from monotiles import _text
 from monotiles._boxes import Box, Fibres, Subgroup
+from monotiles.cli import main
 from monotiles.pipeline import DEFAULT_CONFIG, PipelineConfig, run_pipeline, write_json
 from shape_views import box_of, fibres_of, subgroup_of
-from test_box_paths import boxes
+from test_box_paths import boxes, divisors, pruefer_elements
 from test_descriptor_levels import box_cells, built, fibre_cells, fibre_descriptors
 from test_tiling import PROPERTY
 
@@ -209,3 +218,139 @@ def test_writing_a_ladder_and_a_hierarchy_builds_no_level_and_stays_under_a_mega
     assert peak < 2**20, peak
     for name, data in (("ladder.json", ladder.to_json()), ("hier.json", h.to_json())):
         assert (tmp_path / name).read_bytes() == canonical(data), name
+
+
+def old_pieces(F):
+    """The pieces as the writer made them before its closed forms: each row's
+    numbers by map(str), and every other cell by encode_json, a subgroup's
+    Fractions made afresh."""
+    shape = F._shape
+    if isinstance(shape, (Box, Fibres)):
+        for x, run in shape.rows():
+            head = "[" + "".join(f"{a:d}," for a in x)
+            for part in (run[i:i + 4096] for i in range(0, len(run), 4096)):
+                yield len(part), head + ("]," + head).join(map(str, part)) + "]"
+        return
+    cells = list(shape.cells()) if shape else F.elements
+    for i in range(0, len(cells), 4096):
+        part = list(map(F.ctx.encode_json, cells[i:i + 4096]))
+        yield len(part), json.dumps(part, separators=(",", ":"))[1:-1]
+
+
+# where a number gains or loses a digit, or its sign
+CROSSINGS = [0] + [sign * 10**k for k in range(1, 13) for sign in (1, -1)]
+
+
+@st.composite
+def crossing_runs(draw):
+    """A run a..b-1 of up to 9,000 numbers (two piece boundaries) that starts
+    up to 300 before 0 or +-10^k, k <= 12, so most runs cross it."""
+    a = draw(st.sampled_from(CROSSINGS)) - draw(st.integers(0, 300))
+    return range(a, a + draw(st.integers(0, 9000)))
+
+
+@PROPERTY
+@given(crossing_runs(), st.sampled_from(["],[", "],[-7,", "],[1000000000000,-3,"]))
+def test_a_run_of_numbers_is_the_join_of_their_strs(run, sep):
+    assert _text._numbers(run, sep) == sep.join(map(str, run))
+
+
+@PROPERTY
+@given(crossing_runs(), st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(1, 2)), max_size=2))
+def test_boxes_of_one_to_three_axes_write_the_old_text(run, axes):
+    # the other axes: a start anywhere up to 10^12 and one or two cells
+    if not run:
+        run = range(run.start, run.start + 1)
+    lo = (*(a for a, _ in axes), run.start)
+    hi = (*(a + s - 1 for a, s in axes), run.stop - 1)
+    F = FiniteSubset._from_shape(Lattice(len(lo)), Box(lo, hi))
+    assert list(_text.pieces(F)) == list(old_pieces(F))
+    assert not built(F)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5, 6, 10]), st.data())
+def test_subgroups_write_the_old_text(p, data):
+    # every divisor N of a power of p up to 20,000 cells, so reduced fractions of composite p and pieces past 4,096
+    k = max(j for j in range(1, 15) if p**j <= 20_000)
+    n = data.draw(st.sampled_from(divisors(p**k)))
+    F = FiniteSubset._from_shape(Pruefer(p), Subgroup(n))
+    assert list(_text.pieces(F)) == list(old_pieces(F))
+    assert not built(F)
+
+
+INTS = st.one_of(st.integers(-10**12, 10**12), st.integers())
+LEAVES = st.one_of(
+    st.integers(1, 3).map(lambda d: (Lattice(d), st.tuples(*[INTS] * d))),
+    st.just((Heisenberg(), st.tuples(INTS, INTS, INTS))),
+    st.integers(1, 7).map(lambda n: (Cyclic(n), st.integers(0, n - 1))),
+    st.sampled_from([2, 3, 6]).map(lambda p: (Pruefer(p), pruefer_elements(p))),
+    st.just((Rationals(), st.fractions())),
+)
+# (context, its elements): every kind, and nested direct products of them
+CONTEXTS = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+        lambda parts: (DirectProduct(c for c, _ in parts), st.tuples(*(e for _, e in parts)))),
+    max_leaves=5,
+)
+
+
+def _json_cells(ctx):
+    """Whether every cell of ctx is its own JSON: products of lattices, Heisenberg and cyclic groups."""
+    if isinstance(ctx, DirectProduct):
+        return all(map(_json_cells, ctx.factors))
+    return isinstance(ctx, (Lattice, Heisenberg, Cyclic))
+
+
+@PROPERTY
+@given(CONTEXTS, st.data())
+def test_shapeless_subsets_of_every_kind_write_the_old_text(pair, data):
+    ctx, elements = pair
+    cells = data.draw(st.lists(elements, unique=True, max_size=12))
+    if data.draw(st.booleans()):  # times a line of Z, past the 4,096-cell piece
+        ctx = DirectProduct([ctx, Lattice(1)])
+        cells = [(g, (i,)) for g in cells for i in range(0, 2 * (4097 // max(1, len(cells)) + 1), 2)]
+    F = FiniteSubset(ctx, cells)
+    assert ctx.cells_are_json is _json_cells(ctx)
+    assert list(_text.pieces(F)) == list(old_pieces(F))
+    assert written(F) == canonical(F.encode_json())
+
+
+def test_a_lattice_subset_spanning_past_sys_maxsize_has_no_box_and_is_written_cell_by_cell():
+    cells = [(0, 5), (2**64, -2**70)]  # a bounding box of more than sys.maxsize cells
+    F = FiniteSubset(Lattice(2), cells)
+    assert box_of(F) is None
+    assert written(F) == canonical([list(g) for g in cells])
+
+
+def test_a_product_with_a_pruefer_factor_encodes_its_cells():
+    ctx = DirectProduct([Lattice(1), DirectProduct([Cyclic(2), Pruefer(2)])])
+    F = FiniteSubset(ctx, [((0,), (1, Fraction(1, 2))), ((1,), (0, Fraction(0)))])
+    assert not ctx.cells_are_json
+    assert [text for _, text in _text.pieces(F)] == ['[[0],[1,"1/2"]],[[1],[0,"0"]]']
+
+
+# sha256 of ladder.json without its trailing newline, from `monotiles folner build` with these
+# arguments, taken when the writer still made every number by str and every other cell by
+# encode_json: a Z ladder with coordinates up to +-195,312, a Pruefer ladder of composite p = 6
+# (7,776 cells at the top), and an abelian-route ladder of Z^2 x Z/4 (26,244 shapeless cells at the top)
+CLI_LADDER_SHA256 = {
+    "z-base5-depth8": (["--group", '{"kind":"lattice","d":1}', "--depth", "8", "--base", "5"],
+                       "fe01d8a1c10c73bbcdf02e5040dddbf7e2482f4096fef71d39700c5c0c75d65b"),
+    "pruefer6-depth5": (["--group", '{"kind":"pruefer","p":6}', "--depth", "5"],
+                        "912bbd4c8771612b181a94c0c426e7c3d2b4ea788255fe2db8e9012faf719c49"),
+    "abelian-z2-c4-depth5": (["--group", '{"kind":"direct_product","factors":[{"kind":"lattice","d":2},'
+                                         '{"kind":"cyclic","n":4}]}', "--depth", "5"],
+                             "f2727fd8d2cbb1a40fbbee86ff805066ae7be92bace0807bc7ac9bae2a713bc5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_LADDER_SHA256))
+def test_cli_ladders_keep_their_bytes(name, tmp_path):
+    args, digest = CLI_LADDER_SHA256[name]
+    assert main(["--out", str(tmp_path), "folner", "build", *args]) == 0
+    path = tmp_path / "ladder.json"
+    text = path.read_bytes()
+    path.unlink()  # 4.27 MB for the Z ladder, which pytest would keep among its recent temporary directories
+    assert text.endswith(b"\n") and hashlib.sha256(text[:-1]).hexdigest() == digest

@@ -19,7 +19,7 @@ from monotiles import (
     render_pattern,
 )
 from monotiles.cli import main
-from monotiles.errors import ConfigError, RenderUnsupportedError, UnsupportedGroupError
+from monotiles.errors import ConfigError, EncodingError, RenderUnsupportedError, UnsupportedGroupError
 from monotiles.pipeline import write_json
 
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
@@ -383,6 +383,20 @@ def test_values_nested_past_the_recursion_limit_fail_like_any_bad_descriptor(whe
         context_from_descriptor(desc)
     with pytest.raises(ConfigError, match=f"bad group descriptor: {message}"):
         PipelineConfig.from_json({"group": desc})
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "lattice", "d": 1}, {"kind": "heisenberg3"}, {"kind": "cyclic", "n": 3}, {"kind": "pruefer", "p": 2},
+    {"kind": "rationals"}, {"kind": "direct_product", "factors": [{"kind": "lattice", "d": 1}, {"kind": "cyclic", "n": 3}]},
+])
+def test_elements_nested_past_the_recursion_limit_are_encoding_errors(desc):
+    ctx, deep = context_from_descriptor(desc), _deep_list(100_000)
+    calls = [(ctx.decode_json, deep), (ctx.validate, deep)]
+    if desc["kind"] == "direct_product":  # a component's error, quoted by the factor
+        calls += [(ctx.decode_json, [deep, deep]), (ctx.validate, (deep, deep))]
+    for call, value in calls:
+        with pytest.raises(EncodingError, match=r"^expected .*, got .*\[\[\[\[\[\[\.\.\.\]\]\]\]\]\]"):
+            call(value)
 
 
 @pytest.mark.parametrize("levels, message", [
