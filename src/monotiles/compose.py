@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -33,50 +32,41 @@ def compose_exact_sequence(
     composed level meets the full (K_s, eps_s) target.  The quotient index
     may stall; the subgroup index strictly increases.
 
-    The section, the tower's projection and the commutation of the subgroup
-    windows with every lift are checked up front, on every level.  The tower
-    is checked as a stream: the projections of level q's products must hit
-    each cell of F_q once, else the level is rebuilt by product_set and
-    compared as sets.  The search builds a tower when it first scores it.  A
-    Heisenberg candidate whose U_m is one central run is scored from its fibre
-    runs (`_score_candidate`); others go through product_set.  Chosen levels
-    are made once every target is met.
+    Each quotient level is checked where its tower is built, the first time
+    the search scores it: the section on every cell of F_q (and, on F_0, that
+    it sends the identity to the identity), the commutation of the subgroup
+    windows with the lifts of J_{q-1}, the budget and collisions of the
+    products (product_set), and the tower's projection onto F_q.  The tower
+    of level q is built on that of q - 1, so every lower level is checked
+    first; a level the search never reaches is not checked.  A Heisenberg
+    candidate whose U_m is one central run is scored from its fibre runs
+    (`_score_candidate`); others go through product_set.  Chosen levels are
+    made once every target is met.
     """
     ctx, q_ctx = ladder_sub.ctx, ladder_quot.ctx
     ident = ctx.identity()
-    if section(q_ctx.identity()) != ident:
-        raise ValueError("section must send the quotient identity to the group identity")
-    for q in ladder_quot.levels[-1]._cells():  # made afresh, so no quotient level keeps cells
-        if projection(section(q)) != q:
-            raise ValueError(f"projection(section({q!r})) != {q!r}: not a section")
-
-    # lifted tile tower over the quotient ladder
     lifted = [FiniteSubset(ctx, (section(d) for d in J)) for J in ladder_quot.glue]
-    one = FiniteSubset(ctx, [ident])
-    tower = functools.cache(lambda q: product_set(lifted[q - 1], tower(q - 1)) if q else one)
-    products, failed = [ident], []
-    for q, (q_level, digits) in enumerate(zip(ladder_quot.levels, [[ident], *lifted])):
-        if (size := math.prod(map(len, lifted[:q]))) > MAX_CELLS:
-            raise InfeasibleError(f"product set would hold {size} cells, over the budget of {MAX_CELLS}")
-        products = itertools.starmap(ctx.mul, itertools.product(digits, products))
-        products = list(products) if q < ladder_quot.depth else products  # the top's are counted, not kept
-        hits, rank = bytearray(len(q_level)), _boxes.rank(q_level)
-        for r in map(rank, map(projection, products)):
-            if r is None or hits[r]:
-                break
-            hits[r] = 1
-        if size != len(q_level) or 0 in hits:
-            failed.append((q_level, tower(q)))  # product_set raises NotCosetRepsError on a collision
-    if any({projection(g) for g in t} != set(F._cells()) for F, t in failed):
-        raise ValueError("lifted tower does not project onto the quotient tiles")
-
-    # commutation certificate: subgroup windows must commute with every lift
     sub_elems = set(itertools.chain(ladder_sub.levels[0]._cells(), *ladder_sub.glue))
-    lift_elems = {d for digits in lifted for d in digits}
-    for u, t in itertools.product(sub_elems, lift_elems):
-        if ctx.mul(u, t) != ctx.mul(t, u):
-            raise ValueError(f"subgroup element {u!r} does not commute with lift {t!r}; "
-                             "composition needs a central subgroup")
+
+    @functools.cache
+    def tower(q):
+        """That_q, the lifted tile tower over F_q, once F_q passes its checks."""
+        F = ladder_quot.levels[q]
+        for c in F._cells():  # made afresh, so no quotient level keeps cells
+            if projection(section(c)) != c:
+                raise ValueError(f"projection(section({c!r})) != {c!r}: not a section")
+        if not q:
+            if section(q_ctx.identity()) != ident:
+                raise ValueError("section must send the quotient identity to the group identity")
+            return FiniteSubset(ctx, [ident])
+        for u, t in itertools.product(sub_elems, lifted[q - 1]):
+            if ctx.mul(u, t) != ctx.mul(t, u):
+                raise ValueError(f"subgroup element {u!r} does not commute with lift {t!r}; "
+                                 "composition needs a central subgroup")
+        That = product_set(lifted[q - 1], tower(q - 1))  # raises on the budget and on a collision
+        if len(That) != len(F) or {projection(g) for g in That} != set(F._cells()):
+            raise ValueError("lifted tower does not project onto the quotient tiles")
+        return That
 
     m_prev, q_prev, chosen = 0, 0, []
     for s, (K, eps) in enumerate(targets, start=1):
@@ -138,23 +128,15 @@ CENTER_DEPTH = 10
 
 
 def build_heisenberg_ladder(targets: Sequence[tuple[FiniteSubset, Fraction]]) -> FolnerLadder:
-    """Compose the central Z ladder (depth CENTER_DEPTH) with the shortest prefix
-    of heisenberg3's Z^2 quotient ladder (depth 5) that meets the targets.  A
-    prefix's search visits the whole plane's (q, m) pairs in the same order and
-    stops only where q would leave it, so it returns the whole plane's ladder."""
-    ctx, targets = Heisenberg(), list(targets)  # each prefix searches the targets afresh
+    """Compose the central Z ladder (depth CENTER_DEPTH) with heisenberg3's Z^2
+    quotient ladder (depth 5).  The search checks and lifts a plane level only
+    when it first reaches it, so the levels it never reaches cost nothing."""
+    ctx = Heisenberg()
     # the central levels (0, 0, -h..h), h = (3**n - 1) / 2, and digits {k * 3**n}: valid by construction
     center = FolnerLadder(
         ctx,
         [FiniteSubset._from_shape(ctx, _boxes.Fibres({(0, 0): (0, (1 - 3**n) // 2, (3**n - 1) // 2)}))
          for n in range(CENTER_DEPTH + 1)],
         [FiniteSubset._trusted(ctx, [(0, 0, -(3**n)), (0, 0, 0), (0, 0, 3**n)]) for n in range(CENTER_DEPTH)])
-    plane = build_lattice_ladder(2, 5)
-    for depth in range(1, plane.depth + 1):
-        prefix = FolnerLadder(plane.ctx, plane.levels[:depth + 1], plane.glue[:depth])
-        try:
-            return compose_exact_sequence(center, prefix, section=lambda q: (q[0], q[1], 0),
-                                          projection=lambda g: (g[0], g[1]), targets=targets)
-        except InvarianceUnreachableError:
-            if depth == plane.depth:
-                raise
+    return compose_exact_sequence(center, build_lattice_ladder(2, 5), section=lambda q: (q[0], q[1], 0),
+                                  projection=lambda g: (g[0], g[1]), targets=targets)

@@ -51,8 +51,13 @@ class FolnerLadder:
     def depth(self) -> int:
         return len(self.levels) - 1
 
+    def _step(self, n: int) -> None:
+        if not 0 <= n < self.depth:
+            raise ValueError(f"need 0 <= n < {self.depth}, got n={n}")
+
     def ratio(self, n: int) -> int:
         """Index ratio |F_{n+1}| / |F_n| (exact; raises if non-integral)."""
+        self._step(n)
         size_next, size = len(self.levels[n + 1]), len(self.levels[n])
         if size_next % size:
             raise ValueError(f"|F_{n + 1}| = {size_next} is not a multiple of |F_{n}| = {size}")
@@ -66,6 +71,7 @@ class FolnerLadder:
         or meets an earlier digit's runs is walked with one product per cell,
         which names the first offending cell.  An escape, an overlap or an
         uncovered cell comes back as a failed Certificate."""
+        self._step(n)
         if n in self._tilings:
             return self._tilings[n]
         glue, lower, upper = self.glue[n], self.levels[n], self.levels[n + 1]

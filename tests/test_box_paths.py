@@ -44,6 +44,7 @@ from monotiles import (
     scan_occurrences,
 )
 from monotiles.analysis import _windows
+from monotiles.errors import InvarianceUnreachableError
 from monotiles._boxes import Box, Fibres
 from monotiles.pipeline import heisenberg_targets
 from shape_views import box_of, fibres_of, subgroup_of
@@ -458,8 +459,14 @@ def test_heisenberg_ladder_makes_few_products_and_validations(muls, validates):
     validations = [validates(Heisenberg), validates(Lattice)]
     build_heisenberg_ladder(targets)
     # the lifted towers and the commutation certificate take products; the levels take none
-    assert len(products) < 15_000
-    assert sum(map(len, validations)) < 100
+    assert len(products) < 10_000
+    assert sum(map(len, validations)) < 70
+    # no plane level passes the filter of eps = 1/100, so no tower is lifted
+    before = len(products)
+    with pytest.raises(InvarianceUnreachableError) as raised:
+        build_heisenberg_ladder(heisenberg_targets(2, Fraction(1, 100)))
+    assert raised.value.achieved is None
+    assert len(products) - before < 100
 
 
 def test_composed_and_pruefer_ladders_tile_like_the_product_loop():

@@ -262,9 +262,10 @@ def test_depth_5_heisenberg_ladder_file_is_unchanged(tmp_path):
     assert hashlib.sha256(text[:-1]).hexdigest() == HEISENBERG_5_SHA256
 
 
-# `build_heisenberg_ladder` composes over the shortest prefix of its depth-5
-# plane ladder that meets the targets.  The oracle composes over the whole
-# plane, with the centre, section and projection of the prefix search.
+# `build_heisenberg_ladder` composes over its depth-5 plane ladder in one call,
+# which checks and lifts only the plane levels its search reaches.  The oracle
+# composes over the whole plane again, with the centre, section and projection
+# of that call, and must agree with it on the ladder, its info or its error.
 
 
 def _outcome(build):
@@ -276,64 +277,91 @@ def _outcome(build):
     return ladder, ladder.info
 
 
-def _prefix_and_whole_plane(targets):
+def _built_and_whole_plane(targets):
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(compose, "compose_exact_sequence",
                       lambda *args, **kwargs: calls.append((args, kwargs)) or compose_exact_sequence(*args, **kwargs))
-        prefix = _outcome(lambda: build_heisenberg_ladder(targets))
+        built = _outcome(lambda: build_heisenberg_ladder(targets))
     (center, _), kwargs = calls[0]
     whole = _outcome(lambda: compose_exact_sequence(center, build_lattice_ladder(2, 5), kwargs["section"],
                                                     kwargs["projection"], targets))
-    return prefix, whole
+    return built, whole
 
 
 @pytest.mark.parametrize("depth", range(1, 8))
 def test_the_shortest_plane_prefix_composes_like_the_whole_plane(depth):
-    prefix, whole = _prefix_and_whole_plane(heisenberg_targets(depth))
-    assert prefix == whole
+    built, whole = _built_and_whole_plane(heisenberg_targets(depth))
+    assert built == whole
     if depth >= 6:
-        assert prefix[0] is InfeasibleError and "product set would hold 14348907 cells" in prefix[1]
+        assert built[0] is InfeasibleError and "product set would hold 14348907 cells" in built[1]
 
 
 @settings(PROPERTY, max_examples=10)
 @given(depth=st.integers(1, 6), start=st.sampled_from([1, Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)]),
        step=st.sampled_from([Fraction(9, 10), Fraction(2, 3), Fraction(1, 2)]))
 def test_the_shortest_plane_prefix_composes_like_the_whole_plane_on_other_schedules(depth, start, step):
-    prefix, whole = _prefix_and_whole_plane(heisenberg_targets(depth, start, step))
-    assert prefix == whole
+    built, whole = _built_and_whole_plane(heisenberg_targets(depth, start, step))
+    assert built == whole
 
 
 def test_an_unreachable_target_raises_the_whole_planes_error():
-    prefix, whole = _prefix_and_whole_plane(heisenberg_targets(2, Fraction(1, 100)))
-    assert prefix == whole and prefix[0] is InvarianceUnreachableError and prefix[2] is None
+    built, whole = _built_and_whole_plane(heisenberg_targets(2, Fraction(1, 100)))
+    assert built == whole and built[0] is InvarianceUnreachableError and built[2] is None
 
 
 def test_targets_given_once_are_searched_by_every_prefix():
-    # targets(5) needs plane level 4, so the prefixes of depth 1 to 3 search the targets first
+    # targets(5) needs plane level 4; the one search reads an iterator of targets once
     targets = heisenberg_targets(5)
     ladder = build_heisenberg_ladder(iter(targets))
     assert ladder.info["q_indices"] == [0, 2, 3, 3, 3, 4]
     assert (ladder, ladder.info) == _outcome(lambda: build_heisenberg_ladder(targets))
 
 
-# The up-front checks of compose_exact_sequence, which raise before the search
-# starts: the section on every top cell, the lifted tower's projection on every
-# quotient level (the top one included, which the search below never scores),
-# the budget and collisions of every tower level in order (both before any
-# projection error), and the commutation of the subgroup with every lift.
+# The checks of compose_exact_sequence on each quotient level, which run the
+# first time the search reaches that level and raise before any candidate on
+# it is scored: the section on every cell of F_q (and on F_0, that it sends
+# the identity to the identity), the commutation of the subgroup with the
+# lifts of J_{q-1}, the budget and collisions of the lifted tower (both before
+# its projection error) and the tower's projection onto F_q.
+# REACHES_TOP's one target passes the projected filter (2/3**q <= eps/2) first
+# at plane level 4, the top of _heisenberg_parts(6, 4).
+REACHES_TOP = heisenberg_targets(1, Fraction(1, 10))
+
+
+def _bent_at_the_corner(section, plane):
+    corner = box_of(plane.levels[-1])[1]  # (40, 40), the last top cell
+    return lambda q: (q[0], q[1] + 1, 0) if q == corner else section(q)
 
 
 def test_a_section_that_fails_at_one_top_cell_is_not_a_section():
     center, plane, section, projection = _heisenberg_parts(6, 4)
-    corner = box_of(plane.levels[-1])[1]  # (40, 40), the last top cell
-    bent = lambda q: (q[0], q[1] + 1, 0) if q == corner else section(q)
+    bent = _bent_at_the_corner(section, plane)
     with pytest.raises(ValueError, match=r"projection\(section\(\(40, 40\)\)\) != \(40, 40\): not a section"):
-        compose_exact_sequence(center, plane, bent, projection, heisenberg_targets(2))
+        compose_exact_sequence(center, plane, bent, projection, REACHES_TOP)
 
 
-@pytest.mark.parametrize("level", [2, 4], ids=["scored-level", "top-level-only"])
-def test_a_lift_that_breaks_the_projection_does_not_project(level):
+def test_a_section_that_moves_the_identity_is_not_a_section():
+    center, plane, _, projection = _heisenberg_parts(6, 4)
+    lifted_off = lambda q: (q[0], q[1], 1)  # projects back, but not onto the identity
+    with pytest.raises(ValueError, match="section must send the quotient identity to the group identity"):
+        compose_exact_sequence(center, plane, lifted_off, projection, heisenberg_targets(2))
+
+
+def test_a_fault_on_a_level_the_search_never_reaches_changes_nothing():
+    center, plane, section, projection = _heisenberg_parts(6, 4)
+    bent = _bent_at_the_corner(section, plane)
+    targets = heisenberg_targets(2)  # scores plane levels 0..3 only
+    composed = compose_exact_sequence(center, plane, bent, projection, targets)
+    unbent = compose_exact_sequence(center, plane, section, projection, targets)
+    assert unbent.info["q_indices"][-1] < 4
+    assert (list(composed.levels), list(composed.glue), composed.info) == \
+        (list(unbent.levels), list(unbent.glue), unbent.info)
+
+
+@pytest.mark.parametrize("level, targets", [(2, heisenberg_targets(2)), (4, REACHES_TOP)],
+                         ids=["scored-level", "top-level-only"])
+def test_a_lift_that_breaks_the_projection_does_not_project(level, targets):
     center, plane, section, projection = _heisenberg_parts(6, 4)
     # the lifted tower's central coordinates grow level by level; this projection
     # moves every cell whose central coordinate passes those of level - 1, so
@@ -342,10 +370,10 @@ def test_a_lift_that_breaks_the_projection_does_not_project(level):
     tower = product_set(FiniteSubset(center.ctx, [(0, 0, 0)]), *lifted[::-1])
     bound = max(abs(c) for _, _, c in tower)
     bent = lambda g: (g[0] + 1, g[1]) if abs(g[2]) > bound else projection(g)
-    # unbent, the search scores the quotient levels 0..3 only
-    assert compose_exact_sequence(center, plane, section, projection, heisenberg_targets(2)).info["q_indices"][-1] < 4
+    # unbent, the search scores the faulty level last
+    assert compose_exact_sequence(center, plane, section, projection, targets).info["q_indices"][-1] >= level
     with pytest.raises(ValueError, match="lifted tower does not project onto the quotient tiles"):
-        compose_exact_sequence(center, plane, section, bent, heisenberg_targets(2))
+        compose_exact_sequence(center, plane, section, bent, targets)
 
 
 def _segments(sizes, glue):
@@ -360,13 +388,25 @@ def _segments(sizes, glue):
 @pytest.mark.parametrize("quot", [
     # (x, 0, 0) * (x', 0, 0) = (x + x', 0, 0): {0, 1} * {0, 1} hits 1 twice and misses the cell 3
     _segments([1, 2, 4], [[0, 1], [0, 1]]),
-    # {0, 2} * {0, 1, 2} marks every cell of {0, 1, 2} before it hits 2 twice
-    _segments([1, 3, 3], [[0, 1, 2], [0, 2]]),
+    # {0, 2} * {0, 1, 2} hits 2 twice and every cell of {0, ..., 4}: only the sizes differ
+    _segments([1, 3, 5], [[0, 1, 2], [0, 2]]),
 ], ids=["a-cell-missed", "every-cell-marked"])
 def test_a_lifted_tower_with_colliding_products_raises_before_projecting(quot):
     center = _heisenberg_parts(6, 4)[0]
+    # eps = 1: a segment of n >= 2 cells has the projected defect 2/n, so the
+    # filter (<= 1/2) passes first at level 2, the faulty one
     with pytest.raises(NotCosetRepsError, match="colliding factorizations"):
-        compose_exact_sequence(center, quot, lambda q: (*q, 0), lambda g: g[:2], heisenberg_targets(1))
+        compose_exact_sequence(center, quot, lambda q: (*q, 0), lambda g: g[:2], heisenberg_targets(1, 1))
+
+
+def test_a_tower_larger_than_its_quotient_tile_does_not_project():
+    center = _heisenberg_parts(6, 4)[0]
+    # the digits (7, 0) and (9, 0) of J_1 lift to (0, 0, 1) and (2, 0, 1): the
+    # tower's 8 distinct cells project onto all 4 cells of F_2, each twice
+    quot = _segments([1, 2, 4], [[0, 1], [0, 2, 7, 9]])
+    section = lambda q: {(7, 0): (0, 0, 1), (9, 0): (2, 0, 1)}.get(q, (*q, 0))
+    with pytest.raises(ValueError, match="lifted tower does not project onto the quotient tiles"):
+        compose_exact_sequence(center, quot, section, lambda g: g[:2], heisenberg_targets(1, 1))
 
 
 @pytest.mark.parametrize("breaks", [False, True], ids=["projecting", "not-projecting"])
@@ -374,11 +414,17 @@ def test_the_tower_budget_is_checked_level_by_level_before_projecting(monkeypatc
     center, plane, section, projection = _heisenberg_parts(6, 4)
     monkeypatch.setattr(groups, "MAX_CELLS", 1000)
     monkeypatch.setattr(compose, "MAX_CELLS", 1000)
-    # the search would score levels 0..3 only (729 cells); a projection broken
-    # from level 2 on still raises the budget error of level 4 first
-    bent = lambda g: (g[0] + 1, g[1]) if breaks and g[2] else projection(g)
+    # levels 0..3 (up to 729 cells) pass; a projection broken on level 4 alone
+    # (central coordinates past those of level 3) still raises its budget error first
+    bound = max(abs(c) for _, _, c in product_set(*(FiniteSubset(center.ctx, map(section, J))
+                                                     for J in plane.glue[2::-1])))
+    bent = lambda g: (g[0] + 1, g[1]) if breaks and abs(g[2]) > bound else projection(g)
     with pytest.raises(InfeasibleError, match="product set would hold 6561 cells, over the budget of 1000"):
-        compose_exact_sequence(center, plane, section, bent, heisenberg_targets(2))
+        compose_exact_sequence(center, plane, section, bent, REACHES_TOP)
+    monkeypatch.undo()
+    if breaks:  # within the budget, the broken projection is what raises
+        with pytest.raises(ValueError, match="lifted tower does not project onto the quotient tiles"):
+            compose_exact_sequence(center, plane, section, bent, REACHES_TOP)
 
 
 def test_a_subgroup_that_is_not_central_does_not_commute():

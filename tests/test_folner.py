@@ -130,6 +130,15 @@ def test_iterated_glue_rejects_bad_range():
         iterated_glue(ladder, 2, 1)
 
 
+@pytest.mark.parametrize("n", [-1, 3, 4])
+def test_tiling_and_ratio_reject_a_step_outside_the_ladder(n):
+    ladder = build_lattice_ladder(1, 3)
+    for step in (ladder.tiling, ladder.ratio):
+        with pytest.raises(ValueError, match=rf"need 0 <= n < 3, got n={n}"):
+            step(n)
+    assert ladder._tilings == {}
+
+
 def test_pruefer_ladder():
     ladder = build_pruefer_ladder(2, 4)
     assert [len(F) for F in ladder.levels] == [1, 2, 4, 8, 16]
