@@ -1,4 +1,4 @@
-"""Exact integer/rational linear algebra for subgroup membership and hull tests."""
+"""Exact integer/rational linear algebra for subgroup membership."""
 
 from __future__ import annotations
 
@@ -19,33 +19,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def unique_solution_nonnegative(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool | None:
-    """Whether the unique solution lam of rows * lam = rhs is nonnegative, or None when
-    the columns are dependent or an extra row is inconsistent.
-
-    Each row of [rows | rhs] is scaled to integers by the lcm of its own
-    denominators.  Fraction-free Gauss-Jordan elimination (Bareiss-Montante)
-    then divides each updated entry exactly by the previous pivot, so every
-    pivot ends equal to the determinant D and lam_j = aug[j][k] / D.
-    """
-    k, aug, prev = len(rows[0]), [], 1
-    for row in ([*row, b] for row, b in zip(rows, rhs)):
-        den = lcm(*(x.denominator for x in row))
-        aug.append([x.numerator * (den // x.denominator) for x in row])
-    for col in range(k):
-        piv = next((i for i in range(col, len(aug)) if aug[i][col]), None)
-        if piv is None:
-            return None  # no pivot left in this column: the columns are dependent
-        aug[col], aug[piv] = aug[piv], aug[col]
-        top = aug[col]
-        p = top[col]
-        aug = [row if row is top else [(p * x - row[col] * y) // prev for x, y in zip(row, top)] for row in aug]
-        prev = p
-    if any(row[k] for row in aug[k:]):
-        return None  # the rows past the k pivots are zero on the left but not on the right
-    return all(row[k] * prev >= 0 for row in aug[:k])
 
 
 class ZModule:

@@ -16,7 +16,7 @@ __all__ = [
 
 @frozen
 class ManagedMatrix:
-    """A rows x cols nonnegative integer matrix whose columns all sum to `ratio`."""
+    """A rows x cols nonnegative integer matrix whose columns all sum to one positive `ratio`."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -36,6 +36,8 @@ class ManagedMatrix:
         sums = {sum(rows[i][j] for i in range(len(rows))) for j in range(width)}
         if len(sums) != 1:
             raise ValueError(f"column sums differ: {sorted(sums)}")
+        if 0 in sums:
+            raise ValueError("managed matrix columns sum to 0")
         object.__setattr__(self, "entries", rows)
 
     @property

@@ -7,11 +7,11 @@ exact hull-membership test."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import _boxes
 from ._frozen import frozen
-from ._intlin import unique_solution_nonnegative
 from .blocks import BlockHierarchy
 from .errors import InfeasibleError
 from .folner import FolnerLadder, _tiled
@@ -99,81 +99,72 @@ def approximate_limit(ms: ManagedSequence, n: int, d: int) -> SimplexApproximant
     return SimplexApproximant(n, d, _columns(ms.product(n, d), ms.scale(n + d)))
 
 
-def _reduce(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Gauss-Jordan over the rationals: ([rows | rhs] reduced, pivot columns),
-    or None when the system is inconsistent."""
-    m, k = len(rows), len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
+def _eliminate(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss-Montante) of [rows | rhs]: (aug, pivot columns).
+
+    Each row is scaled to integers by the lcm of its own denominators, and each
+    update divides exactly by the previous pivot.  A column with no pivot left
+    is skipped.  Every pivot row ends with one nonzero D (the determinant of the
+    scaled pivot block, up to sign) at its pivot and 0 at the other pivots; the
+    rows past the pivots are 0 on the left.
+    """
+    k, aug, prev, pivots = len(rows[0]), [], 1, []
+    for row in ([*row, b] for row, b in zip(rows, rhs)):
+        den = lcm(*(x.denominator for x in row))
+        aug.append([x.numerator * (den // x.denominator) for x in row])
     for col in range(k):
         r = len(pivots)
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        lead = aug[r][col]
-        aug[r] = [x / lead for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        top = aug[r]
+        p = top[col]
+        aug = [row if row is top else [(p * x - row[col] * y) // prev for x, y in zip(row, top)] for row in aug]
+        prev = p
         pivots.append(col)
-    if any(aug[i][k] != 0 for i in range(len(pivots), m)):
-        return None
     return aug, pivots
 
 
-def _fourier_motzkin_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
-    """Exact feasibility of rows * lam = rhs with lam >= 0, by elimination.
+def _fourier_motzkin(aug: list[list[int]], pivots: list[int]) -> bool:
+    """Whether the consistent reduced system of _eliminate has a solution lam >= 0.
 
-    Equalities are reduced first; the surviving nonnegativity constraints on
-    the free variables are then eliminated one variable at a time.
+    Pivot row i reads lam_p = (rhs_i - sum_f aug[i][f] t_f) / D over the free
+    columns f, so lam_p >= 0 reads D * sum_f aug[i][f] t_f <= D * rhs_i.  These
+    and t_f >= 0 are kept as (coefs, const), meaning coefs . t <= const.  Each
+    free column is eliminated by combining every lower bound with every upper
+    bound by positive integer multipliers.
     """
-    k = len(rows[0])
-    reduced = _reduce(rows, rhs)
-    if reduced is None:
-        return False
-    aug, pivots = reduced
-    free = [c for c in range(k) if c not in pivots]
-    # express lam_col >= 0 as an inequality over the free variables:
-    # sum(coef_f * t_f) <= const  rewritten as (coefs, const) meaning coefs . t <= const
-    inequalities: list[tuple[list[Fraction], Fraction]] = []
-    row_of = dict(zip(pivots, aug))
-    for col in range(k):
-        if col in row_of:
-            inequalities.append(([row_of[col][f] for f in free], row_of[col][k]))
-        else:
-            inequalities.append(([Fraction(-1) if f == col else Fraction(0) for f in free], Fraction(0)))
-    for _ in range(len(free)):
-        lowers, uppers, rest = [], [], []
-        for coefs, const in inequalities:
-            a, tail = coefs[0], coefs[1:]
-            if a > 0:
-                uppers.append(([t / a for t in tail], const / a))
-            elif a < 0:
-                lowers.append(([t / a for t in tail], const / a))
-            else:
-                rest.append((tail, const))
-        new = rest
-        for lc, lb in lowers:
-            for uc, ub in uppers:
-                new.append(([u - v for u, v in zip(uc, lc)], ub - lb))
-        inequalities = new
-    return all(const >= 0 for coefs, const in inequalities)
+    free = [c for c in range(len(aug[0]) - 1) if c not in pivots]
+    ineqs = [([row[p] * row[f] for f in free], row[p] * row[-1]) for row, p in zip(aug, pivots)]
+    ineqs += [([-1 if f == g else 0 for g in free], 0) for f in free]
+    for _ in free:
+        lowers = [(-c[0], c[1:], b) for c, b in ineqs if c[0] < 0]
+        uppers = [(c[0], c[1:], b) for c, b in ineqs if c[0] > 0]
+        ineqs = [(c[1:], b) for c, b in ineqs if not c[0]] + [
+            ([ua * x + la * y for x, y in zip(lt, ut)], ua * lb + la * ub)
+            for la, lt, lb in lowers for ua, ut, ub in uppers]
+    return all(b >= 0 for _, b in ineqs)
 
 
 def hull_contains(outer: Sequence[SimplexPoint], z: SimplexPoint) -> tuple[bool, str]:
-    """Exact convex-hull membership: integer barycentric solve, falling back to elimination."""
+    """Exact convex-hull membership from one fraction-free elimination of the barycentric system.
+
+    With a pivot in every column, "barycentric" reads the signs of the unique solution
+    lam_j = aug[j][-1] / D; else "fourier-motzkin" decides whether some lam >= 0 solves
+    it.  A row left over that reads 0 = nonzero means no solution at all.
+    """
     k = len(z)
     # scale mismatch between outer and z is a caller error
     if any(v.scale != z.scale or len(v) != k for v in outer):
         raise ValueError("hull test needs points at one scale and dimension")
     rows = [[v.coordinates[i] for v in outer] for i in range(k)] + [[Fraction(1)] * len(outer)]
-    rhs = [*z.coordinates, Fraction(1)]
-    inside = unique_solution_nonnegative(rows, rhs)
-    if inside is not None:
-        return inside, "barycentric"
-    return _fourier_motzkin_feasible(rows, rhs), "fourier-motzkin"
+    aug, pivots = _eliminate(rows, [*z.coordinates, Fraction(1)])
+    if any(row[-1] for row in aug[len(pivots):]):
+        return False, "fourier-motzkin"
+    if len(pivots) < len(outer):
+        return _fourier_motzkin(aug, pivots), "fourier-motzkin"
+    return all(row[-1] * row[p] >= 0 for row, p in zip(aug, pivots)), "barycentric"
 
 
 def check_nesting(ms: ManagedSequence, n: int, d: int) -> Certificate:
@@ -238,7 +229,6 @@ class RealizationResult:
     """A managed sequence whose limit has the requested extreme points."""
 
     sequence: ManagedSequence
-    approximant: SimplexApproximant
     diameters: tuple
     depth: int
 
@@ -251,9 +241,9 @@ def realize_finite_simplex(num_extreme: int, ladder: FolnerLadder, tolerance) ->
     at most the tolerance; the ladder must be deep enough and every ratio at
     least num_extreme + 1.
     """
-    d = int(num_extreme)
-    if d < 2:
-        raise ValueError(f"need at least 2 extreme points, got {d}")
+    d = num_extreme
+    if type(d) is not int or d < 2:
+        raise ValueError(f"need an int count of at least 2 extreme points, got {d!r}")
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -274,11 +264,7 @@ def realize_finite_simplex(num_extreme: int, ladder: FolnerLadder, tolerance) ->
     if diam > tolerance:
         raise InfeasibleError(
             f"ladder depth {ladder.depth} only reaches cluster diameter {diam} > {tolerance}")
-    depth = len(matrices)
-    seq = ManagedSequence(matrices, base_scale=base_scale)
-    approx = approximate_limit(seq, 0, depth)
-    diams = tail_cluster_diameters(seq, 0, depth)
-    return RealizationResult(seq, approx, tuple(diams), depth)
+    return RealizationResult(ManagedSequence(matrices, base_scale=base_scale), (diam,) * d, len(matrices))
 
 
 def incidence_from_hierarchy(h: BlockHierarchy, n: int) -> ManagedMatrix:

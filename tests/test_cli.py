@@ -263,6 +263,7 @@ MALFORMED_CLI = [(None, ["folner", "build", "--group", g, "--depth", "2"]) for g
     # nested past the recursion limit: json.load, and context_from_descriptor on a parsed descriptor
     (None, ["folner", "check", "{nested}"]),
     (None, ["folner", "build", "--group", NESTED_GROUP, "--depth", "1"]),
+    (None, ["measures", "limit", "{zero-ratio}", "-d", "1"]),
 ]
 
 # malformed copies of the built ladder file
@@ -291,7 +292,8 @@ BROKEN_HIERARCHIES = {
 }
 
 # malformed managed-sequence files
-BROKEN_SEQUENCES = {"{matrices-5}": {"matrices": 5}, "{int-matrix}": [1]}
+BROKEN_SEQUENCES = {"{matrices-5}": {"matrices": 5}, "{int-matrix}": [1],
+                    "{zero-ratio}": [{"rows": 2, "cols": 2, "entries": [0, 0, 0, 0]}] * 2}
 
 
 @pytest.mark.parametrize("group, argv", MALFORMED_CLI)

@@ -31,6 +31,10 @@ def test_matrix_rejects_ragged_or_unbalanced_input():
         ManagedMatrix([[1, -1], [0, 2]])
     with pytest.raises(ValueError):
         ManagedMatrix([[3, 3]])  # needs at least two rows
+    with pytest.raises(ValueError, match="sum to 0"):
+        ManagedMatrix([[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="sum to 0"):
+        ManagedMatrix.from_json({"rows": 2, "cols": 2, "entries": [0, 0, 0, 0]})
 
 
 def test_matrix_product_multiplies_ratios():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, find, given, settings, strategies as st
 
 from monotiles import (
     Certificate,
@@ -24,9 +24,8 @@ from monotiles import (
     standard_vertices,
     tail_cluster_diameters,
 )
-from monotiles._intlin import unique_solution_nonnegative
 from monotiles.errors import InfeasibleError
-from monotiles.simplex import _fourier_motzkin_feasible, _reduce
+from monotiles.simplex import _eliminate, _fourier_motzkin
 
 CONST = ManagedMatrix([[2, 1], [1, 2]])
 TERNARY = ManagedMatrix([[1, 1, 1], [2, 1, 1], [0, 1, 1]])
@@ -109,6 +108,10 @@ def test_hull_contains_both_methods():
                SimplexPoint([Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)], 1)]
     outside = hull_contains(shifted, verts[0])
     assert outside[0] is False
+    a, b = SimplexPoint([Fraction(2, 3), Fraction(1, 3)], 1), SimplexPoint([Fraction(1, 3), Fraction(2, 3)], 1)
+    for outer, z in [([a, b, b], SimplexPoint([1, 0], 1)),  # a free column, and the corner needs lam_b = -1
+                     (verts[:2], verts[2])]:  # e_2 is off the span of e_0 and e_1: a row left over reads 0 = 1
+        assert hull_contains(outer, z) == fraction_hull_contains(outer, z) == (False, "fourier-motzkin")
 
 
 def test_check_nesting_to_depth_six():
@@ -137,6 +140,69 @@ def test_check_nesting_switches_to_fourier_motzkin_on_equal_columns():
 
 # Oracles: the Fraction arithmetic that hull_contains, approximate_limit and
 # check_nesting used before they moved to integers.
+
+def _reduce(rows: list[list[Fraction]], rhs: list[Fraction]):
+    """Gauss-Jordan over the rationals: ([rows | rhs] reduced, pivot columns),
+    or None when the system is inconsistent."""
+    m, k = len(rows), len(rows[0]) if rows else 0
+    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(k):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        lead = aug[r][col]
+        aug[r] = [x / lead for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+    if any(aug[i][k] != 0 for i in range(len(pivots), m)):
+        return None
+    return aug, pivots
+
+
+def _fourier_motzkin_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+    """Exact feasibility of rows * lam = rhs with lam >= 0, by elimination.
+
+    Equalities are reduced first; the surviving nonnegativity constraints on
+    the free variables are then eliminated one variable at a time.
+    """
+    k = len(rows[0])
+    reduced = _reduce(rows, rhs)
+    if reduced is None:
+        return False
+    aug, pivots = reduced
+    free = [c for c in range(k) if c not in pivots]
+    # express lam_col >= 0 as an inequality over the free variables:
+    # sum(coef_f * t_f) <= const  rewritten as (coefs, const) meaning coefs . t <= const
+    inequalities: list[tuple[list[Fraction], Fraction]] = []
+    row_of = dict(zip(pivots, aug))
+    for col in range(k):
+        if col in row_of:
+            inequalities.append(([row_of[col][f] for f in free], row_of[col][k]))
+        else:
+            inequalities.append(([Fraction(-1) if f == col else Fraction(0) for f in free], Fraction(0)))
+    for _ in range(len(free)):
+        lowers, uppers, rest = [], [], []
+        for coefs, const in inequalities:
+            a, tail = coefs[0], coefs[1:]
+            if a > 0:
+                uppers.append(([t / a for t in tail], const / a))
+            elif a < 0:
+                lowers.append(([t / a for t in tail], const / a))
+            else:
+                rest.append((tail, const))
+        new = rest
+        for lc, lb in lowers:
+            for uc, ub in uppers:
+                new.append(([u - v for u, v in zip(uc, lc)], ub - lb))
+        inequalities = new
+    return all(const >= 0 for coefs, const in inequalities)
+
 
 def fraction_solve(rows, rhs):
     """Gaussian elimination over the rationals; None when no unique solution."""
@@ -211,9 +277,24 @@ def linear_systems(draw):
 @ORACLE
 @given(linear_systems())
 def test_integer_solve_equals_fraction_solve(system):
+    """The integer system over its pivots is the Fraction one, and both readings agree with the oracle."""
     rows, rhs = system
-    sol = fraction_solve(rows, rhs)
-    assert unique_solution_nonnegative(rows, rhs) == (None if sol is None else all(c >= 0 for c in sol))
+    aug, pivots = _eliminate(rows, rhs)
+    reduced, sol, r = _reduce(rows, rhs), fraction_solve(rows, rhs), len(pivots)
+    consistent = not any(row[-1] for row in aug[r:])
+    assert consistent == (reduced is not None)
+    if not consistent:
+        event("a row left over reads 0 = nonzero")
+        return
+    assert pivots == reduced[1]
+    assert len({row[p] for row, p in zip(aug, pivots)}) <= 1  # every pivot ends equal to the determinant
+    assert [[Fraction(x, row[p]) for x in row] for row, p in zip(aug, pivots)] == reduced[0][:r]
+    if sol is not None:
+        event("barycentric")
+        assert all(row[-1] * row[p] >= 0 for row, p in zip(aug, pivots)) == all(c >= 0 for c in sol)
+    else:
+        event("fourier-motzkin")
+        assert _fourier_motzkin(aug, pivots) == _fourier_motzkin_feasible(rows, rhs)
 
 
 @st.composite
@@ -241,7 +322,15 @@ def hull_cases(draw):
 @given(hull_cases())
 def test_hull_contains_equals_the_fraction_oracle(case):
     outer, z = case
-    assert hull_contains(outer, z) == fraction_hull_contains(outer, z)
+    answer = hull_contains(outer, z)
+    event(f"{answer[1]}: {answer[0]}")
+    assert answer == fraction_hull_contains(outer, z)
+
+
+@pytest.mark.parametrize("method", ["barycentric", "fourier-motzkin"])
+@pytest.mark.parametrize("inside", [True, False])
+def test_hull_cases_reach_both_methods_and_answers(method, inside):
+    find(hull_cases(), lambda case: hull_contains(*case) == (inside, method), settings=settings(database=None))
 
 
 @st.composite
@@ -294,7 +383,7 @@ def test_realize_finite_simplex_on_ternary_ladder():
     assert [m.entries for m in result.sequence.matrices] == [((2, 1), (1, 2))] * 5
     assert tuple(result.diameters) == (Fraction(1, 243), Fraction(1, 243))
     assert max(result.diameters) <= Fraction(1, 100)
-    assert result.approximant.level == 0
+    assert list(result.diameters) == tail_cluster_diameters(result.sequence, 0, result.depth)
 
 
 def test_realize_finite_simplex_needs_room():
@@ -309,6 +398,9 @@ def test_realize_rejects_degenerate_requests():
         realize_finite_simplex(1, ladder, Fraction(1, 10))
     with pytest.raises(ValueError):
         realize_finite_simplex(2, ladder, Fraction(0))
+    for count in (2.9, 3.0, "3", True, Fraction(3)):  # the count is an exact int, never rounded or parsed
+        with pytest.raises(ValueError, match="int count"):
+            realize_finite_simplex(count, ladder, Fraction(1, 10))
 
 
 def test_incidence_round_trip():

@@ -240,6 +240,15 @@ def test_deeply_nested_matrices_file_fails_its_stage_and_writes_the_report(tmp_p
     assert all(states[name]["detail"] == {"skipped": True} for name in STAGES[3:])
 
 
+def test_zero_ratio_matrices_file_fails_its_stage(tmp_path, capsys):
+    write_json([{"rows": 2, "cols": 2, "entries": [0, 0, 0, 0]}] * 2, tmp_path / "mats.json")
+    write_json({"matrices": {"file": "mats.json"}}, tmp_path / "cfg.json")
+    assert main(["--out", str(tmp_path / "out"), "pipeline", "run", str(tmp_path / "cfg.json")]) == 1
+    states = {s["name"]: s for s in json.loads(capsys.readouterr().out)["stages"]}
+    assert [states[name]["ok"] for name in STAGES] == [True, True, False, False, False, False]
+    assert states["build-matrices"]["witness"] == "ValueError: managed matrix columns sum to 0"
+
+
 def test_run_pipeline_matrices_from_file(tmp_path):
     from monotiles import ManagedMatrix, ManagedSequence
 
