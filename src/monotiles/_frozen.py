@@ -8,15 +8,13 @@ class FrozenInstanceError(AttributeError):
     """A field of a frozen value was set or deleted."""
 
 
-def frozen(cls=None, *, eq: bool = True):
-    """cls with the methods that `dataclass(frozen=True, eq=eq)` adds for its
+def frozen(cls):
+    """cls with the methods that `dataclass(frozen=True)` adds for its
     annotated fields and cls does not define: `__init__` (fields by position
     or name, class attributes as defaults, then `__post_init__` if defined),
-    `__repr__`, and with eq `__eq__` (same class, equal fields) and
-    `__hash__`.  Setting or deleting an attribute raises FrozenInstanceError,
-    so constructors fill `__dict__`."""
-    if cls is None:
-        return lambda cls: frozen(cls, eq=eq)
+    `__repr__`, `__eq__` (same class, equal fields) and `__hash__`.  Setting
+    or deleting an attribute raises FrozenInstanceError, so constructors
+    fill `__dict__`."""
     names = tuple(getattr(cls, "__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
 
@@ -35,11 +33,10 @@ def frozen(cls=None, *, eq: bool = True):
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
     methods = {"__init__": __init__, "__repr__": lambda self: f"{type(self).__qualname__}("
-               + ", ".join(f"{n}={v!r}" for n, v in zip(names, fields(self))) + ")"}
-    if eq:
-        methods["__eq__"] = lambda self, other: (fields(self) == fields(other) if other.__class__ is self.__class__
-                                                 else NotImplemented)
-        methods["__hash__"] = lambda self: hash(fields(self))
+               + ", ".join(f"{n}={v!r}" for n, v in zip(names, fields(self))) + ")",
+               "__eq__": lambda self, other: (fields(self) == fields(other) if other.__class__ is self.__class__
+                                              else NotImplemented),
+               "__hash__": lambda self: hash(fields(self))}
     for name, method in methods.items():
         if cls.__dict__.get(name) is None:  # defining `__eq__` alone leaves `__hash__ = None`
             setattr(cls, name, method)

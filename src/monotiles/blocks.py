@@ -292,8 +292,7 @@ class BlockHierarchy:
         fams, rows = data["families"], data["assignments"]
         if len(fams) > len(ladder.levels) or len(rows) > ladder.depth:
             raise EncodingError("hierarchy deeper than its ladder")
-        if any(not _text.is_text_of(F, fam["support"]) and fam["support"] != F.encode_json()
-               for F, fam in zip(ladder.levels, fams)):
+        if not all(_text.is_text_of(F, fam["support"]) for F, fam in zip(ladder.levels, fams)):
             raise EncodingError("a family support differs from its ladder level")
         families = [[Pattern(F, sym) for sym in fam["blocks"]] for F, fam in zip(ladder.levels, fams)]
         assignments = [Assignment(J, tuple(map(tuple, a))) for J, a in zip(ladder.glue, rows)]

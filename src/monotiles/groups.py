@@ -391,7 +391,7 @@ class Certificate:
         return Certificate(data["ok"], data["reason"], data["witness"], detail)
 
 
-@frozen(eq=False)
+@frozen
 class FiniteSubset:
     """An immutable finite subset of a group, kept in canonical order, with
     at most one shape (`_boxes`: a Box, Fibres or Subgroup) whose closed form

@@ -27,7 +27,7 @@ from .simplex import check_nesting, incidence_from_hierarchy, realize_finite_sim
 
 __all__ = [
     "STAGES", "DEFAULT_CONFIG", "PipelineConfig", "StageResult", "RunReport", "heisenberg_targets",
-    "build_ladder_from_config", "run_pipeline",
+    "run_pipeline",
 ]
 
 STAGES = (
@@ -154,13 +154,12 @@ def _ladder_plan(ctx, section) -> tuple:
 class PipelineConfig:
     """Validated pipeline parameters; see DEFAULT_CONFIG for the file shape."""
 
-    group: dict
-    ladder: dict
-    k0: int
-    matrices: dict
+    plan: tuple  # (builder, args, depth) from _ladder_plan; builder(*args) is the ladder
+    realize: tuple | None  # (extreme_points, tolerance), or None under matrices.file
+    matrices_file: str | None
     lemma8_bound: Fraction
     hierarchy_depth: int
-    analysis: dict
+    analysis: dict  # pairs, kr and boundary_levels, each a list
     artifacts: dict
     base_dir: Path
 
@@ -171,30 +170,32 @@ class PipelineConfig:
             ctx = context_from_descriptor(merged["group"])
         except ValueError as e:
             raise ConfigError(f"bad group descriptor: {e}")
-        _, _, depth = _ladder_plan(ctx, merged["ladder"])
+        _, _, depth = plan = _ladder_plan(ctx, merged["ladder"])
         k0 = _int_at_least("k0", merged["k0"], 3)
         if k0 > 255:
             raise ConfigError(f"k0 must be at most 255, since block symbols are bytes, got {k0}")
         matrices = _known_keys("matrices", merged["matrices"], {"realize", "file"})
         if ("realize" in matrices) == ("file" in matrices):
             raise ConfigError("matrix source must be exactly one of 'realize' or 'file'")
+        realize = matrices_file = None
         if "realize" in matrices:
-            realize = _known_keys("realize", matrices["realize"], {"extreme_points", "tolerance"})
-            d = _int_at_least("extreme_points", realize.get("extreme_points"), 2)
+            section = _known_keys("realize", matrices["realize"], {"extreme_points", "tolerance"})
+            d = _int_at_least("extreme_points", section.get("extreme_points"), 2)
             if k0 != d + 1:
                 raise ConfigError(f"k0 = {k0} must equal extreme_points + 1 = {d + 1} "
                                   "(augmentation adds one block)")
-            _positive("realize tolerance", realize.get("tolerance"))
+            realize = (d, _positive("realize tolerance", section.get("tolerance")))
         else:
-            _file_name("matrices file", matrices["file"])
+            matrices_file = _file_name("matrices file", matrices["file"])
         bound = _fraction("lemma8 bound", merged["lemma8_bound"])
         hierarchy_depth = _int_at_least("hierarchy depth", merged["hierarchy_depth"], 1)
-        analysis = _known_keys("analysis", merged["analysis"], {"pairs", "kr", "boundary_levels"})
-        for key in ("pairs", "kr", "boundary_levels"):
-            if not isinstance(analysis.get(key, []), list):
+        section = _known_keys("analysis", merged["analysis"], {"pairs", "kr", "boundary_levels"})
+        analysis = {key: section.get(key, []) for key in ("pairs", "kr", "boundary_levels")}
+        for key, values in analysis.items():
+            if not isinstance(values, list):
                 raise ConfigError(f"analysis {key} must be a list")
         for key in ("pairs", "kr"):
-            for pair in analysis.get(key, []):
+            for pair in analysis[key]:
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                     raise ConfigError(f"analysis {key} entries must be [n, m] pairs")
                 n = _int_at_least(f"analysis {key} level n", pair[0], 0)
@@ -202,15 +203,15 @@ class PipelineConfig:
                 if m > hierarchy_depth:
                     raise ConfigError(
                         f"analysis level {m} exceeds hierarchy depth {hierarchy_depth}")
-        for lvl in analysis.get("boundary_levels", []):
+        for lvl in analysis["boundary_levels"]:
             if _int_at_least("boundary level", lvl, 0) > depth:
                 raise ConfigError(f"boundary level {lvl!r} outside ladder depth {depth}")
         artifacts = {**DEFAULT_CONFIG["artifacts"],
                      **_known_keys("artifacts", merged["artifacts"], DEFAULT_CONFIG["artifacts"])}
         for key, name in artifacts.items():
             _file_name(f"{key} artifact", name)
-        return PipelineConfig(merged["group"], merged["ladder"], k0, matrices, bound,
-                              hierarchy_depth, analysis, artifacts, Path(base_dir))
+        return PipelineConfig(plan, realize, matrices_file, bound, hierarchy_depth, analysis, artifacts,
+                              Path(base_dir))
 
     @staticmethod
     def load(path: Path | str) -> "PipelineConfig":
@@ -263,16 +264,12 @@ def _defect_table(ladder: FolnerLadder, elements) -> dict:
             for g in elements}
 
 
-def build_ladder_from_config(group: dict, ladder_cfg: dict) -> FolnerLadder:
-    builder, args, _ = _ladder_plan(context_from_descriptor(group), ladder_cfg)
-    return builder(*args)
-
-
 def _stages(config: PipelineConfig, emit):
     """The six stages in STAGES order: each yields its detail dict or raises,
     and locals carry the ladder, the sequence and the hierarchy onward."""
     # build-ladder
-    ladder = build_ladder_from_config(config.group, config.ladder)
+    builder, args, _ = config.plan
+    ladder = builder(*args)
     emit("ladder", ladder._artifact())
     yield {"levels": [len(F) for F in ladder.levels],
            "ratios": [ladder.ratio(n) for n in range(ladder.depth)]}
@@ -286,17 +283,14 @@ def _stages(config: PipelineConfig, emit):
 
     # build-matrices
     detail: dict = {}
-    realized = None
-    if "realize" in config.matrices:
-        realize_cfg = config.matrices["realize"]
-        realized = realize_finite_simplex(realize_cfg["extreme_points"], ladder,
-                                          Fraction(realize_cfg["tolerance"]))
+    if config.realize:
+        extreme_points, tol = config.realize
+        realized = realize_finite_simplex(extreme_points, ladder, tol)
         seq = realized.sequence
         detail["realized_depth"] = realized.depth
         detail["cluster_diameters"] = [str(x) for x in realized.diameters]
     else:
-        path = config.base_dir / config.matrices["file"]
-        with open(path) as fh:
+        with open(config.base_dir / config.matrices_file) as fh:
             seq = ManagedSequence.from_json(json.load(fh))
     if len(seq) < 1:
         raise _StageFailed("matrix sequence is empty")
@@ -328,14 +322,14 @@ def _stages(config: PipelineConfig, emit):
         if not r.ok:
             raise _StageFailed(f"overlap rigidity fails at level {lvl}", r.to_json())
         detail["c3_levels"].append(lvl)
-    for n, m in config.analysis.get("pairs", []):
+    for n, m in config.analysis["pairs"]:
         algebraic = return_times(h, n, m)
         scanned = scan_occurrences(h, n, m)
         size_ratio = len(h.ladder.levels[m]) // len(h.ladder.levels[n])
         if scanned.elements != algebraic.elements or len(algebraic) != size_ratio:
             raise _StageFailed(f"return-time oracles disagree at ({n}, {m})")
         detail["pairs"].append({"levels": [n, m], "count": len(algebraic)})
-    for n, m in config.analysis.get("kr", []):
+    for n, m in config.analysis["kr"]:
         r = check_partitions(h, n, m)
         if not r.ok:
             raise _StageFailed(f"tower partition fails at ({n}, {m}): {r.reason}", r.to_json())
@@ -345,7 +339,7 @@ def _stages(config: PipelineConfig, emit):
         if not syn.ok:
             raise _StageFailed(f"syndeticity window fails: {syn.reason}", syn.to_json())
         detail["syndeticity"] = syn.to_json()
-    lvls = config.analysis.get("boundary_levels", [])
+    lvls = config.analysis["boundary_levels"]
     detail["boundary_mass"] = {json.dumps(ladder.ctx.encode_json(g)):
                                [str(boundary_mass_bound(ladder, g, n)) for n in lvls] for g in ladder.ctx.generators()}
     yield detail
@@ -366,8 +360,7 @@ def _stages(config: PipelineConfig, emit):
             raise _StageFailed(f"nesting certificate fails at depth {d}", cert.to_json())
         certificates.append({"depth": d, "method": cert.detail["method"]})
     detail["nesting"] = certificates
-    if realized is not None:
-        tol = Fraction(config.matrices["realize"]["tolerance"])
+    if config.realize:
         diams = tail_cluster_diameters(seq, 0, len(seq))
         if any(x > tol for x in diams):
             raise _StageFailed("cluster diameters exceed tolerance",

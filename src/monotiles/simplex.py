@@ -244,9 +244,8 @@ def realize_finite_simplex(num_extreme: int, ladder: FolnerLadder, tolerance) ->
     d = num_extreme
     if type(d) is not int or d < 2:
         raise ValueError(f"need an int count of at least 2 extreme points, got {d!r}")
-    tolerance = Fraction(tolerance)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if type(tolerance) not in (int, Fraction) or tolerance <= 0:
+        raise ValueError(f"need a positive int or Fraction tolerance, got {tolerance!r}")
     if ladder.depth < 1:
         raise InfeasibleError("ladder has no glue steps to build matrices over")
     base_scale = len(ladder.levels[0])

@@ -1,6 +1,7 @@
 """Command-line entry points: every subcommand, exit codes, and rendering."""
 
 import json
+import re
 
 import pytest
 
@@ -429,6 +430,33 @@ def test_off_route_flag_is_named_as_typed(tmp_path, capsys, group, flag):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag[0]} does not apply to the ")
     assert "eps_start" not in err and "'base'" not in err
+
+
+# (argv, exit code, a pattern for the first line: stdout's on exit 0, stderr's on exit 1)
+FIRST_LINES = [
+    (["--format", "text", "folner", "check", "{ladder}"], 0, "congruent"),
+    (["--format", "text", "blocks", "verify-c3", "{hier}"], 0, "rigid"),
+    (["--format", "text", "analyze", "returns", "--hier", "{hier}", "-n", "0", "-m", "2"], 0,
+     "9 return times, oracles agree"),
+    (["--format", "text", "analyze", "kr", "--hier", "{hier}", "-n", "0", "-m", "2"], 0, "partitions exact"),
+    (["--format", "text", "measures", "check", "{matrices}"], 0, r"3 managed matrices, ratios \[3, 3, 3\]"),
+    (["--format", "text", "--out", "{out}", "pipeline", "run"], 0, "build-ladder: ok"),
+    (["--verbose", "--out", "{out}", "pipeline", "run"], 0, r"\[build-ladder\] ok \(\d+\.\d\ds\)"),
+    (["folner", "build", "--group", '{"kind":"heisenberg3"}', "--depth", "2", "--eps-schedule", "linear:1/2"], 1,
+     re.escape("error: unknown eps schedule 'linear:1/2'")),
+    (["analyze", "boundary", "--ladder", "{ladder}", "-g", "[1]"], 0,  # every level without --levels
+     re.escape('{"element": [1],"masses": [{"level": 0,"mass": "1"},{"level": 1,"mass": "1/3"},'
+               '{"level": 2,"mass": "1/9"},{"level": 3,"mass": "1/27"}]}')),
+]
+
+
+@pytest.mark.parametrize("argv, code, first", FIRST_LINES)
+def test_text_renderers_and_verbose_stages_print_their_first_line(tmp_path, capsys, argv, code, first):
+    files = {"{ladder}": _ladder_file(tmp_path), "{hier}": _hier_file(tmp_path),
+             "{matrices}": _matrices_file(tmp_path), "{out}": str(tmp_path / "out")}
+    assert main([files.get(a, a) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert re.fullmatch(first, (out if code == 0 else err).splitlines()[0])
 
 
 def test_unknown_subcommand_is_a_usage_error():

@@ -18,8 +18,8 @@ from monotiles._frozen import FrozenInstanceError, frozen
 from test_tiling import PROPERTY
 
 
-def twins(eq: bool = True):
-    """The same class made by `dataclass(frozen=True, eq=eq)` and by `frozen`."""
+def twins():
+    """The same class made by `dataclass(frozen=True)` and by `frozen`."""
     def body():
         class Point:
             x: int
@@ -30,7 +30,7 @@ def twins(eq: bool = True):
                 if self.x < 0:
                     raise ValueError("negative x")
         return Point
-    return dataclasses.dataclass(frozen=True, eq=eq)(body()), frozen(body(), eq=eq)
+    return dataclasses.dataclass(frozen=True)(body()), frozen(body())
 
 
 CALLS = [((1,), {}), ((1, 2), {}), ((1, [2], (3,)), {}), ((), {"x": 4, "z": (5,)}), ((1,), {"y": 2}),
@@ -45,9 +45,8 @@ def made(cls, args, kwargs):
         return None, type(e)
 
 
-@pytest.mark.parametrize("eq", [True, False])
-def test_construction_repr_and_frozenness_match_dataclasses(eq):
-    oracle, cls = twins(eq)
+def test_construction_repr_and_frozenness_match_dataclasses():
+    oracle, cls = twins()
     assert (cls.y, cls.z, hasattr(cls, "x")) == (oracle.y, oracle.z, hasattr(oracle, "x"))
     for args, kwargs in CALLS:
         (want, want_error), (got, error) = made(oracle, args, kwargs), made(cls, args, kwargs)
@@ -66,14 +65,13 @@ def test_construction_repr_and_frozenness_match_dataclasses(eq):
 @PROPERTY
 @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([None, 0, 1, (), [1]])), min_size=2, max_size=2))
 def test_equality_and_hash_match_dataclasses(pairs):
-    for eq in (True, False):
-        oracle, cls = twins(eq)
-        (a, b), (c, d) = [oracle(*p) for p in pairs], [cls(*p) for p in pairs]
-        assert (c == d, c != d, c == c, c == pairs[0]) == (a == b, a != b, a == a, a == pairs[0])
-        if eq:  # hash of the fields, so unhashable fields fail alike
-            assert made(hash, (c,), {})[1] is made(hash, (a,), {})[1]
-            if made(hash, (a,), {})[1] is None:
-                assert hash(c) == hash(a)
+    oracle, cls = twins()
+    (a, b), (c, d) = [oracle(*p) for p in pairs], [cls(*p) for p in pairs]
+    assert (c == d, c != d, c == c, c == pairs[0]) == (a == b, a != b, a == a, a == pairs[0])
+    # hash of the fields, so unhashable fields fail alike
+    assert made(hash, (c,), {})[1] is made(hash, (a,), {})[1]
+    if made(hash, (a,), {})[1] is None:
+        assert hash(c) == hash(a)
 
 
 def test_an_explicit_eq_and_hash_are_kept():

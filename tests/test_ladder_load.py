@@ -175,9 +175,11 @@ def test_a_hierarchy_file_checks_its_supports_without_making_cells(monkeypatch):
     assert made == [] and not any(built(F) for F in loaded.ladder.levels)
     monkeypatch.undo()
     assert loaded.to_json() == data
-    # a `true` for 1 compares equal in Python, as the support check always did
+    # a `true` for 1 compares equal in Python, but its text differs, as a ladder level's would
     data["families"][1]["support"][3] = [True]
-    assert BlockHierarchy.from_json(copy.deepcopy(data)).to_json()["families"][1]["support"][3] == [1]
+    with pytest.raises(EncodingError, match="^a family support differs from its ladder level$"):
+        BlockHierarchy.from_json(copy.deepcopy(data))
+    data["families"][1]["support"][3] = [1]
     # a support with its rows swapped differs from its level, though the level would load sorted
     data["families"][2]["support"][:2] = data["families"][2]["support"][1::-1]
     with pytest.raises(EncodingError, match="^a family support differs from its ladder level$"):

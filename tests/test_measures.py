@@ -403,6 +403,15 @@ def test_realize_rejects_degenerate_requests():
             realize_finite_simplex(count, ladder, Fraction(1, 10))
 
 
+def test_realize_takes_an_exact_tolerance():
+    ladder = build_lattice_ladder(1, 5)
+    for tolerance in (True, 0.01, "1/100"):  # no bool as 1, no float at its binary value, no parsing
+        with pytest.raises(ValueError, match="int or Fraction tolerance"):
+            realize_finite_simplex(2, ladder, tolerance)
+    assert realize_finite_simplex(2, ladder, 1).depth == 1
+    assert realize_finite_simplex(2, ladder, Fraction(1, 100)).depth == 5
+
+
 def test_incidence_round_trip():
     ladder = build_lattice_ladder(1, 2)
     h = build_hierarchy(ladder, [TERNARY] * 2)

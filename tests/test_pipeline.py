@@ -1,16 +1,19 @@
 """Pipeline configuration validation, staging, and artifact determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import monotiles
-from monotiles import PipelineConfig, run_pipeline
+from monotiles import (Certificate, Lattice, PipelineConfig, build_abelian_chain_ladder, build_heisenberg_ladder,
+                       build_lattice_ladder, build_pruefer_ladder, pipeline, run_pipeline)
 from monotiles.cli import main
 from monotiles.errors import ConfigError
 from monotiles.compose import CENTER_DEPTH
@@ -20,9 +23,25 @@ from monotiles.pipeline import DEFAULT_CONFIG, STAGES, _ROUTES, heisenberg_targe
 
 def test_default_config_round_trips():
     cfg = PipelineConfig.from_json({})
-    assert cfg.group == {"kind": "lattice", "d": 1}
-    assert cfg.k0 == 3
-    assert cfg.ladder["depth"] == 5
+    # the lattice route on Z (d = 1) to depth 5, base 3, and 2 extreme points, so k0 = 3 base blocks
+    assert cfg.plan == (build_lattice_ladder, (1, 5, 3), 5)
+    assert cfg.realize == (2, Fraction(1, 100)) and cfg.matrices_file is None
+    assert cfg.analysis == DEFAULT_CONFIG["analysis"]
+    assert cfg.lemma8_bound == 2 and cfg.hierarchy_depth == 2 and cfg.artifacts == DEFAULT_CONFIG["artifacts"]
+
+
+def test_the_config_is_parsed_once_and_the_stages_read_its_fields(tmp_path, monkeypatch):
+    calls = []
+    for name in ("context_from_descriptor", "_ladder_plan"):
+        monkeypatch.setattr(pipeline, name, lambda *a, name=name, real=getattr(pipeline, name):
+                            calls.append(name) or real(*a))
+    cfg = PipelineConfig.from_json({})
+    assert sorted(calls) == ["_ladder_plan", "context_from_descriptor"]
+    calls.clear()
+    assert run_pipeline(cfg, tmp_path).ok and calls == []
+    source = inspect.getsource(pipeline._stages)
+    assert "Fraction(" not in source and ".get(" not in source
+    assert "build_ladder_from_config" not in pipeline.__all__ + dir(pipeline) + dir(monotiles)
 
 
 def test_config_rejects_unknown_group():
@@ -96,6 +115,9 @@ MALFORMED = [
     # symbols are bytes: at most 255 base blocks
     {"k0": 256, "matrices": {"file": "m.json"}},
     {"k0": 256, "matrices": {"realize": {"extreme_points": 255, "tolerance": "1/100"}}},
+    {"analysis": 5},
+    {"analysis": {"pairs": [[0]]}},
+    {"analysis": {"boundary_levels": [9]}},  # the default ladder has depth 5
 ]
 
 
@@ -108,7 +130,7 @@ def test_config_rejects_malformed_values(data):
 def test_heisenberg_depth_past_the_center_ladder_is_a_config_error():
     # each target takes a strictly deeper level of the depth-10 central ladder
     config = {"group": {"kind": "heisenberg3"}, "ladder": {"route": "heisenberg", "depth": CENTER_DEPTH}}
-    assert PipelineConfig.from_json(config).ladder["depth"] == 10
+    assert PipelineConfig.from_json(config).plan == (build_heisenberg_ladder, (heisenberg_targets(10),), 10)
     with pytest.raises(ConfigError, match="heisenberg ladder depth must be at most 10, got 11"):
         PipelineConfig.from_json({**config, "ladder": {"route": "heisenberg", "depth": 11}})
 
@@ -125,14 +147,21 @@ def test_cli_rejects_malformed_config_without_traceback(tmp_path):
 
 
 def test_config_accepts_every_route_key():
-    for data in [
-        {"ladder": {"route": "lattice", "depth": 4, "base": 5}},
-        {"group": {"kind": "pruefer", "p": 2}, "ladder": {"route": "pruefer", "depth": 4}},
-        {"ladder": {"route": "abelian", "depth": 4, "generators": [[1]]}},
-        {"group": {"kind": "heisenberg3"},
-         "ladder": {"route": "heisenberg", "depth": 2, "eps_start": "1/2", "eps_step": "2/3"}},
+    for data, builder, args in [
+        ({"ladder": {"route": "lattice", "depth": 4, "base": 5}}, build_lattice_ladder, (1, 4, 5)),
+        ({"group": {"kind": "pruefer", "p": 2}, "ladder": {"route": "pruefer", "depth": 4}},
+         build_pruefer_ladder, (2, 4)),
+        ({"ladder": {"route": "abelian", "depth": 4, "generators": [[1]]}},
+         build_abelian_chain_ladder, (Lattice(1), [(1,)], 4)),
+        ({"group": {"kind": "heisenberg3"},
+          "ladder": {"route": "heisenberg", "depth": 2, "eps_start": "1/2", "eps_step": "2/3"}},
+         build_heisenberg_ladder, (heisenberg_targets(2),)),
+        ({"group": {"kind": "heisenberg3"},
+          "ladder": {"route": "heisenberg", "depth": 2, "eps_start": "1/3", "eps_step": "1/4"}},
+         build_heisenberg_ladder, (heisenberg_targets(2, Fraction(1, 3), Fraction(1, 4)),)),
     ]:
-        assert PipelineConfig.from_json({**data, "artifacts": {"report": "r.json"}}).ladder == data["ladder"]
+        plan = PipelineConfig.from_json({**data, "artifacts": {"report": "r.json"}}).plan
+        assert plan == (builder, args, data["ladder"]["depth"])
 
 
 # one small descriptor per group kind; a kind missing here fails with KeyError
@@ -225,6 +254,50 @@ def test_run_pipeline_failure_marks_remaining_skipped(tmp_path):
     assert not states["build-matrices"].ok
     assert states["build-hierarchy"].detail == {"skipped": True}
     assert (tmp_path / "report.json").exists()
+
+
+def _stage_states(report) -> dict:
+    """Each stage's result by name, after checking that every stage past the first failure is skipped."""
+    states = {s.name: s for s in report.stages}
+    failed = next(i for i, name in enumerate(STAGES) if not states[name].ok)
+    assert all(states[name].ok for name in STAGES[:failed])
+    assert all(states[name].detail == {"skipped": True} for name in STAGES[failed + 1:])
+    return states
+
+
+def test_too_few_grouped_levels_fail_the_hierarchy_stage(tmp_path):
+    report = run_pipeline(PipelineConfig.from_json({"hierarchy_depth": 3}), tmp_path)
+    states = _stage_states(report)
+    assert not report.ok and not states["build-hierarchy"].ok
+    assert states["build-hierarchy"].witness == "grouping yields 2 usable levels, need 3"
+    assert states["build-hierarchy"].detail == {"boundaries": [0, 2, 4]}
+    assert json.loads((tmp_path / "report.json").read_text()) == report.artifact_json()
+
+
+def test_an_empty_matrices_file_fails_its_stage(tmp_path):
+    write_json([], tmp_path / "mats.json")
+    report = run_pipeline(PipelineConfig.from_json({"matrices": {"file": "mats.json"}}, tmp_path), tmp_path / "out")
+    states = _stage_states(report)
+    assert not states["build-matrices"].ok and not states["build-hierarchy"].ok
+    assert states["build-matrices"].witness == "matrix sequence is empty"
+
+
+PLANTED = Certificate(False, "planted", [0], {"level": 1})
+
+
+@pytest.mark.parametrize("checker, stage, witness", [
+    ("check_congruent", "check-congruence", "congruence fails at level 1: planted"),
+    ("verify_c3", "verify-dynamics", "overlap rigidity fails at level 0"),
+    ("check_partitions", "verify-dynamics", "tower partition fails at (0, 2): planted"),
+    ("syndeticity_window", "verify-dynamics", "syndeticity window fails: planted"),
+    ("check_nesting", "measure-limits", "nesting certificate fails at depth 1"),
+])
+def test_a_failing_certificate_fails_its_stage_with_its_json(tmp_path, monkeypatch, checker, stage, witness):
+    monkeypatch.setattr(pipeline, checker, lambda *args: PLANTED)
+    report = run_pipeline(PipelineConfig.from_json({}), tmp_path)
+    failed = _stage_states(report)[stage]
+    assert not report.ok and not failed.ok
+    assert (failed.witness, failed.detail) == (witness, PLANTED.to_json())
 
 
 def test_deeply_nested_matrices_file_fails_its_stage_and_writes_the_report(tmp_path, capsys):
