@@ -1,13 +1,16 @@
 """Shapes, the closed forms of a window: a full box of Z^d (`Box`), a fibred
-Heisenberg window (`Fibres`) or a Pruefer subgroup {i/N} (`Subgroup`).
-`SHAPES` maps a context's kind to the one shape class its subsets can have,
-and a `FiniteSubset` has at most one shape, its `_shape`.  Each shape
-answers for its cells, size, membership of a validated element, rank, runs
-into an upper shape of its class, kept count, JSON rows, the candidate it
-reads from parsed rows, and equality.  `runs` (where the translates c * lower
-land in upper, by canonical index) and `rank` ask the shape, else fall back
-to one product per cell and a dict of the cells.  `read` and `write` move
-block symbols (bytes) and tower labels along such runs."""
+Heisenberg window (`Fibres`), a subgroup of a Pruefer or cyclic group
+(`Subgroup`) or a product of one shape per factor of a direct product
+(`Product`).  `SHAPES` maps a context's kind to the one shape class its
+subsets can have, and a `FiniteSubset` has at most one shape, its `_shape`.
+Each shape answers for its cells, size, membership of a validated element,
+rank, runs into an upper shape of its class, kept count, JSON rows, the
+candidate it reads from parsed rows, and equality; finding one from cells,
+placing runs and counting kept cells take the group context.  `runs` (where
+the translates c * lower land in upper, by canonical index) and `rank` ask
+the shape, else fall back to one product per cell and a dict of the cells.
+`read` and `write` move block symbols (bytes) and tower labels along such
+runs."""
 
 from __future__ import annotations
 
@@ -15,14 +18,14 @@ import math
 import operator
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 
 from ._frozen import frozen
 
 _EMPTY = (0, 1, 0)  # (start, lo, hi) of a missing fibre: no central coordinate fits
 
 
-def _none(self):  # a shape's answer where it has no closed form: the caller falls back
+def _none(*_):  # a shape's answer where it has no closed form (or, for from_rows, no candidate): the caller falls back
     return None
 
 
@@ -39,7 +42,7 @@ class Box:
         self.__dict__["strides"] = tuple(math.prod(sides[k + 1:]) for k in range(len(sides)))
 
     @classmethod
-    def of(cls, cells) -> Box | None:  # from all cells' min and max per axis, not the first and last
+    def of(cls, cells, ctx) -> Box | None:  # from all cells' min and max per axis, not the first and last
         axes = [operator.itemgetter(k) for k in range(len(cells[0]))]
         box = cls(tuple(min(map(axis, cells)) for axis in axes), tuple(max(map(axis, cells)) for axis in axes))
         # its size by strides, not len(): a span past sys.maxsize is no box, not an OverflowError
@@ -68,7 +71,7 @@ class Box:
                 return r
         return index
 
-    def runs_in(self, upper: Box, mul):
+    def runs_in(self, upper: Box, ctx):
         """Each row of c + lower is a run from rank(c + f) = c . strides +
         rank(f), f its first cell, and c . strides = i + ulo . strides when i
         is given: no products, no cell read.  c + lower fits exactly when
@@ -86,7 +89,7 @@ class Box:
             return [range(q, q + run) for q in map(shift.__add__, starts)]
         return place
 
-    def kept(self, K, mul) -> int:  # each column of K, with 0 appended, shrinks its side by its spread
+    def kept(self, K, ctx) -> int:  # each column of K, with 0 appended, shrinks its side by its spread
         columns = zip(*K, (0,) * len(self.lo))
         return math.prod(max(0, b - a + 1 - max(col) + min(col)) for a, b, col in zip(self.lo, self.hi, columns))
 
@@ -103,7 +106,7 @@ class Fibres:
     runs: dict
 
     @classmethod
-    def of(cls, cells, probe=tuple) -> Fibres | None:
+    def of(cls, cells, ctx, probe=tuple) -> Fibres | None:
         """The fibres of sorted cells (tuples, or lists parsed from JSON with
         probe=list) by one bisect per fibre; None if one is no run, or none."""
         runs, start = {}, 0
@@ -118,7 +121,7 @@ class Fibres:
 
     @classmethod
     def from_rows(cls, ctx, rows: list) -> Fibres | None:
-        return cls.of(rows, list)
+        return cls.of(rows, ctx, list)
 
     rank = _none  # no closed-form rank
 
@@ -133,11 +136,11 @@ class Fibres:
         _, lo, hi = self.runs.get(g[:2], _EMPTY)
         return lo <= g[2] <= hi
 
-    def runs_in(self, upper: Fibres, mul):
+    def runs_in(self, upper: Fibres, ctx):
         """The centre shifts a fibre along itself, c * (a, b, t) = c * (a, b, lo)
         + (0, 0, t - lo), so each translated fibre is one product and a run of
         indices in the upper fibre over the same plane point."""
-        heads = [((a, b, lo), hi - lo + 1) for (a, b), (_, lo, hi) in self.runs.items()]
+        mul, heads = ctx.mul, [((a, b, lo), hi - lo + 1) for (a, b), (_, lo, hi) in self.runs.items()]
 
         def place(c, i=None):
             out = []
@@ -150,10 +153,10 @@ class Fibres:
             return out
         return place
 
-    def kept(self, K, mul) -> int:
+    def kept(self, K, ctx) -> int:
         """(a, b, t) * k = (a, b, lo) * k + (0, 0, t - lo): per fibre and k one
         product, and the kept t form the intersection of the shifted intervals."""
-        count = 0
+        count, mul = 0, ctx.mul
         for (a, b), (_, lo, hi) in self.runs.items():
             low, high = lo, hi
             for k in K:
@@ -171,17 +174,21 @@ class Fibres:
 
 @frozen
 class Subgroup:
-    """The Pruefer subgroup {i/n : 0 <= i < n}, whose i-th cell is i/n."""
+    """The subgroup of order n: {i/n} of a Pruefer group (N = 0), or {i * N/n}
+    of Z/N.  Its i-th cell is i times its generator."""
 
     n: int
+    N: int = 0
 
     @classmethod
-    def of(cls, cells) -> Subgroup | None:  # n distinct cells whose denominators divide n
-        n = len(cells)
-        return cls(n) if all(n % g.denominator == 0 for g in cells) else None
+    def of(cls, cells, ctx) -> Subgroup | None:  # n distinct cells inside the subgroup of order n
+        shape = cls(len(cells), ctx.n if ctx.kind == "cyclic" else 0)
+        return shape if shape.N % shape.n == 0 and all(map(shape.contains, cells)) else None
 
     @classmethod
-    def from_rows(cls, ctx, rows: list) -> Subgroup:  # of the rows' length n, if n divides a power of p
+    def from_rows(cls, ctx, rows: list) -> Subgroup | None:  # of the rows' length n, if ctx has a subgroup of order n
+        if ctx.kind == "cyclic":
+            return cls(len(rows), ctx.n) if ctx.n % len(rows) == 0 else None
         ctx.validate(Fraction(len(rows) - 1, len(rows)))
         return cls(len(rows))
 
@@ -189,33 +196,118 @@ class Subgroup:
         return self.n
 
     def cells(self):
-        return map(Fraction, range(self.n), repeat(self.n))
+        return range(0, self.N, self.N // self.n) if self.N else map(Fraction, range(self.n), repeat(self.n))
+
+    def index(self, g):  # i with g the i-th cell, or None
+        if self.N:
+            step = self.N // self.n
+            return None if g % step else g // step
+        return None if self.n % g.denominator else g.numerator * (self.n // g.denominator)
 
     def contains(self, g) -> bool:
-        return self.n % g.denominator == 0
+        return self.index(g) is not None
 
-    def runs_in(self, upper: Subgroup, mul):
-        """c + i/n has rank (c * m + i * m/n) mod m in {j/m}, if n | m (else
-        None): the coset of c * m modulo m/n, from c * m up, then from below."""
+    def runs_in(self, upper: Subgroup, ctx):
+        """c * i-th cell has rank (r + i * m/n) mod m in the subgroup of order m,
+        r the rank of c, if n | m (else None): the coset of r modulo m/n, from r
+        up, then from below."""
         n, m = self.n, upper.n
         if m % n:
             return None
         step = m // n
 
         def place(c, i=None):
-            if m % c.denominator:
-                return None
-            r = c.numerator * (m // c.denominator)
-            return [range(r, m, step), range(r % step, r, step)]
+            r = upper.index(c) if i is None else i
+            return None if r is None else [range(r, m, step), range(r % step, r, step)]
         return place
 
-    def kept(self, K, mul) -> int:  # f + k stays in the subgroup exactly when k does
-        return self.n if all(self.n % k.denominator == 0 for k in K) else 0
+    def kept(self, K, ctx) -> int:  # f * k stays in the subgroup exactly when k does
+        return self.n if all(map(self.contains, K)) else 0
 
     rank = rows = _none  # no closed-form rank, no row form
 
 
-SHAPES = {"lattice": Box, "heisenberg3": Fibres, "pruefer": Subgroup}  # context kind -> shape class
+@frozen
+class Product:
+    """The product of one shape per factor of a direct product, in
+    lexicographic order, so a cell's index is mixed radix over its factor
+    indices.  It has no row form, so no reader of rows."""
+
+    shapes: tuple
+
+    @classmethod
+    def of(cls, cells, ctx) -> Product | None:  # the projections' shapes, if their sizes multiply to len(cells)
+        shapes = tuple((form := SHAPES.get(f.kind)) and form.of(sorted({g[k] for g in cells}), f)
+                       for k, f in enumerate(ctx.factors))
+        return cls(shapes) if all(shapes) and math.prod(map(len, shapes)) == len(cells) else None
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.shapes))
+
+    def cells(self):
+        return product(*map(operator.methodcaller("cells"), self.shapes))
+
+    def contains(self, g) -> bool:
+        return all(s.contains(x) for s, x in zip(self.shapes, g))
+
+    def rank(self):  # mixed radix over the factors' ranks, a dict of its cells for a factor with no closed form
+        wheres = [(s.rank() or {g: q for q, g in enumerate(s.cells())}.get, len(s)) for s in self.shapes]
+
+        def index(g):
+            if type(g) is not tuple or len(g) != len(wheres):
+                return None
+            r = 0
+            for (where, w), x in zip(wheres, g):
+                if (q := where(x)) is None:
+                    return None
+                r = r * w + q
+            return r
+        return index
+
+    def runs_in(self, upper: Product, ctx):
+        """The runs of c * lower compose the factors' placements: q * w + r
+        for each upper index q of the factors before (in their order) and each
+        run r of the next factor, w the size of its upper shape."""
+        places = [type(s) is type(u) and s.runs_in(u, f) for s, u, f in zip(self.shapes, upper.shapes, ctx.factors)]
+        if not all(places):
+            return None
+        sizes = list(map(len, upper.shapes))
+        strides = list(accumulate(sizes[:0:-1], operator.mul, initial=1))[::-1]
+
+        def place(c, i=None):  # c = upper[i] has the index i // strides[k] % sizes[k] in upper's k-th factor
+            spans = [range(1)]
+            for where, x, w, s in zip(places, c, sizes, strides):
+                if (inner := where(x, None if i is None else i // s % w)) is None:
+                    return None
+                spans = _compose(spans, inner, w)
+            return spans
+        return place
+
+    def kept(self, K, ctx) -> int:  # f * k lies in the product exactly when each coordinate does
+        count = 1
+        for s, column, f in zip(self.shapes, list(zip(*K)) or repeat(()), ctx.factors):
+            count *= s.kept(column, f)
+        return count
+
+    rows = from_rows = _none
+
+
+def _compose(outer, inner, w):
+    """The ranges q * w + r for q along the ranges outer and r in inner, empty
+    ones dropped: one range per run of outer of step 1 when inner is all of
+    range(w)."""
+    inner, out = list(filter(None, inner)), []
+    whole = inner == [range(w)]
+    for s in outer:
+        if whole and s.step == 1:
+            out.append(range(s.start * w, s.stop * w))
+        else:
+            out += [range(q * w + r.start, q * w + r.stop, r.step) for q in s for r in inner]
+    return out
+
+
+# context kind -> shape class
+SHAPES = {"lattice": Box, "heisenberg3": Fibres, "pruefer": Subgroup, "cyclic": Subgroup, "direct_product": Product}
 
 
 def runs(lower, upper):
@@ -224,7 +316,7 @@ def runs(lower, upper):
     order of lower, or to None when a cell falls outside upper: by the lower
     shape's `runs_in` into an upper shape of its class, else by products."""
     shape = lower._shape
-    place = shape and type(shape) is type(upper._shape) and shape.runs_in(upper._shape, upper.ctx.mul)
+    place = shape and type(shape) is type(upper._shape) and shape.runs_in(upper._shape, upper.ctx)
     return place or _product_runs(lower, upper)
 
 

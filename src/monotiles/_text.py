@@ -1,10 +1,10 @@
 """Canonical JSON text of the artifacts, written in pieces through the C
 encoder, with no Python object per cell where a subset's form allows
-(`pieces`): a box or fibred window (`_boxes`) from its row ranges, a Pruefer
-subgroup {i/N} from N, and the cells of a context whose cells are their own
+(`pieces`): a box or fibred window (`_boxes`) from its row ranges, a
+subgroup from its order, and the cells of a context whose cells are their own
 JSON (`cells_are_json`) without encode_json.  A parsed level that is
 exactly the text of the candidate shape its rows suggest is read back into
-that shape."""
+that shape; a product of shapes is written cell by cell and suggests none."""
 
 from __future__ import annotations
 
@@ -65,24 +65,29 @@ def _numbers(run: range, sep: str) -> str:
 def pieces(F: FiniteSubset):
     """(n, text): pieces of n <= _PIECE cells whose texts, joined by commas,
     are `_ENCODE(F.encode_json())` without its brackets.  A shape with rows
-    (x, run) writes each run from its range and a Pruefer subgroup each i/N
-    from i and N, so no cell is made; any other subset goes through the C
-    encoder, by encode_json unless its cells are their own JSON."""
+    (x, run) writes each run from its range and a subgroup each i/N (Pruefer)
+    or i * N/n (cyclic) from i, n and N, so no cell is made; any other subset
+    goes through the C encoder, by encode_json unless its cells are their own
+    JSON."""
     shape = F._shape
     if type(shape) is Subgroup:
-        n = shape.n
+        n, step = shape.n, shape.N // shape.n
         for s in range(0, n, _PIECE):
             part = range(s, min(n, s + _PIECE))
-            yield len(part), '"' + '","'.join([f"{i // g}/{n // g}" if i else "0"
-                                               for i, g in zip(part, map(gcd, part, repeat(n)))]) + '"'
+            if step:  # cyclic: the multiples i * step
+                yield len(part), ",".join(map(str, range(s * step, part.stop * step, step)))
+            else:
+                yield len(part), '"' + '","'.join([f"{i // g}/{n // g}" if i else "0"
+                                                   for i, g in zip(part, map(gcd, part, repeat(n)))]) + '"'
         return
-    if shape is None:
+    rows = shape and shape.rows()
+    if rows is None:
         cells, ctx = F.elements, F.ctx
         for s in range(0, len(cells), _PIECE):
             part = cells[s:s + _PIECE]
             yield len(part), _ENCODE(part if ctx.cells_are_json else list(map(ctx.encode_json, part)))[1:-1]
         return
-    for x, run in shape.rows():
+    for x, run in rows:
         head = "[" + "".join(f"{a:d}," for a in x)  # :d, so a float plane point read back is no match
         for part in (run[i:i + _PIECE] for i in range(0, len(run), _PIECE)):
             yield len(part), head + _numbers(part, "]," + head) + "]"

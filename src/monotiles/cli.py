@@ -201,8 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Congruent Folner ladders, block hierarchies, and exact "
                     "invariant-measure simplex approximants.")
     parser.add_argument("--out", default=".", help="directory for written artifacts")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--format", choices=("json", "text"), default="json",
+                        help="text is rendered by folner check, blocks verify-c3, analyze returns/kr, measures check "
+                             "and pipeline run; every other command prints JSON")
+    parser.add_argument("--verbose", action="store_true",
+                        help="pipeline run only: one line per stage, with its time, on standard error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     folner = sub.add_parser("folner", help="build and verify congruent ladders")

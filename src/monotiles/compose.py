@@ -118,7 +118,7 @@ def _score_candidate(U: FiniteSubset, tower: FiniteSubset, K: FiniteSubset):
         fibres = {(a, b): (i * run, c + lo, c + hi) for i, (a, b, c) in enumerate(tower.elements)}
         if len(fibres) == len(tower):
             level = _boxes.Fibres(fibres)
-            return 1 - Fraction(level.kept(K.elements, U.ctx.mul), size), level
+            return 1 - Fraction(level.kept(K.elements, U.ctx), size), level
     level = product_set(U, tower)
     return right_invariance_defect(level, K), level
 

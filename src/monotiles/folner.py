@@ -142,7 +142,7 @@ def right_invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:
     if F.ctx != K.ctx:
         raise ValueError("window and test set live in different groups")
     if shape := F._shape:
-        return 1 - Fraction(shape.kept(K.elements, F.ctx.mul), len(F))
+        return 1 - Fraction(shape.kept(K.elements, F.ctx), len(F))
     # a set local to the call: the cached F.as_set would stay on F for its lifetime
     mul, cells, good = F.ctx.mul, set(F.elements), F.elements
     for k in K:

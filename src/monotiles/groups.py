@@ -394,9 +394,10 @@ class Certificate:
 @frozen
 class FiniteSubset:
     """An immutable finite subset of a group, kept in canonical order, with
-    at most one shape (`_boxes`: a Box, Fibres or Subgroup) whose closed form
-    answers for its cells.  One made by `_from_shape` makes its cells on the
-    first read of `elements`; size, membership, equality and hash never do."""
+    at most one shape (`_boxes`: a Box, Fibres, Subgroup or Product) whose
+    closed form answers for its cells.  One made by `_from_shape` makes its
+    cells on the first read of `elements`; size, membership, equality and hash
+    never do."""
 
     ctx: GroupContext
 
@@ -446,7 +447,7 @@ class FiniteSubset:
         """The shape of the cells, of the class `SHAPES` gives ctx, or None:
         preset by `_from_shape`, or found by a scan of the cells."""
         form = SHAPES.get(self.ctx.kind)
-        return form.of(self.elements) if form and self.elements else None
+        return form.of(self.elements, self.ctx) if form and self.elements else None
 
     def __len__(self) -> int:
         return len(self.elements) if "elements" in self.__dict__ else len(self._shape)

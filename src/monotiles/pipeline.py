@@ -8,6 +8,7 @@ report object for console display but never serialized into artifacts.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -372,7 +373,8 @@ def _stages(config: PipelineConfig, emit):
 
 def run_pipeline(config: PipelineConfig, out_dir: Path | str = ".",
                  verbose: bool = False) -> RunReport:
-    """Run all six stages, writing artifacts as they are produced."""
+    """Run all six stages, writing artifacts as they are produced; verbose
+    prints one line per stage, with its time, on standard error."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport()
@@ -402,7 +404,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str = ".",
         report.timings[name] = time.perf_counter() - started
         if verbose:
             status = "ok" if report.stages[-1].ok else "FAIL"
-            print(f"[{name}] {status} ({report.timings[name]:.2f}s)")
+            print(f"[{name}] {status} ({report.timings[name]:.2f}s)", file=sys.stderr)
 
     report.artifacts["report"] = config.artifacts["report"]
     emit("report", report.artifact_json())

@@ -456,7 +456,10 @@ def test_text_renderers_and_verbose_stages_print_their_first_line(tmp_path, caps
              "{matrices}": _matrices_file(tmp_path), "{out}": str(tmp_path / "out")}
     assert main([files.get(a, a) for a in argv]) == code
     out, err = capsys.readouterr()
-    assert re.fullmatch(first, (out if code == 0 else err).splitlines()[0])
+    verbose = "--verbose" in argv  # stage lines go to stderr, so stdout stays one JSON report
+    assert re.fullmatch(first, (err if code or verbose else out).splitlines()[0])
+    if verbose:
+        assert json.loads(out)["ok"] is True
 
 
 def test_unknown_subcommand_is_a_usage_error():

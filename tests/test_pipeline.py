@@ -243,6 +243,25 @@ def test_default_artifacts_match_pinned_digests(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# the abelian route on Z x Z/3 to depth 6 (levels of 1 to 2,187 cells): its
+# artifacts, pinned like the default ones
+ABELIAN_CONFIG = {"group": {"kind": "direct_product", "factors": [{"kind": "lattice", "d": 1},
+                                                                  {"kind": "cyclic", "n": 3}]},
+                  "ladder": {"route": "abelian", "depth": 6}}
+ABELIAN_DIGESTS = {
+    "ladder.json": "74a340c9f82b02795570b0545c5fbb97d31ef9344a0a7a87753f4def88bc89fc",
+    "matrices.json": "a00accd59c97be9d427b4b2f4c3c849dc576057273b1ef6cce477680a4c54499",
+    "hier.json": "d7164fdb8e77fd39d14383c350c62613ee7727dcf2d9bada394efff2c9a01894",
+    "report.json": "2b40946ae70ca26ef2ea8755ebf3efc5f0eed4eb6ccc4f3c9c1e0059c4e9e9d5",
+}
+
+
+def test_abelian_route_artifacts_match_pinned_digests(tmp_path):
+    assert run_pipeline(PipelineConfig.from_json(ABELIAN_CONFIG), tmp_path).ok
+    for name, digest in ABELIAN_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_run_pipeline_failure_marks_remaining_skipped(tmp_path):
     # a 2-level hierarchy cannot satisfy analysis pairs reaching level 2,
     # so force failure later: request an unrealizable tolerance instead
